@@ -10,7 +10,7 @@ use streamsim_bench::timing;
 use streamsim_cache::{CacheConfig, SetAssocCache, SplitL1};
 use streamsim_core::{record_miss_trace, run_streams, RecordOptions};
 use streamsim_streams::{CzoneFilter, StreamConfig, StreamSystem};
-use streamsim_trace::io::{read_trace_compressed, write_trace_compressed};
+use streamsim_trace::io::{read_trace, write_trace};
 use streamsim_trace::{Access, Addr, WordAddr};
 use streamsim_workloads::generators::{RandomGather, SequentialSweep};
 use streamsim_workloads::{collect_trace, Workload};
@@ -139,13 +139,13 @@ fn bench_trace_io() {
     group.throughput(N);
     group.bench_function("write_compressed", || {
         let mut buf = Vec::with_capacity(N as usize * 3);
-        write_trace_compressed(&mut buf, &trace).expect("in-memory write");
+        write_trace(&mut buf, &trace).expect("in-memory write");
         buf.len()
     });
     let mut encoded = Vec::new();
-    write_trace_compressed(&mut encoded, &trace).expect("in-memory write");
+    write_trace(&mut encoded, &trace).expect("in-memory write");
     group.bench_function("read_compressed", || {
-        read_trace_compressed(&encoded[..]).expect("valid").len()
+        read_trace(&encoded[..]).expect("valid").len()
     });
     group.finish();
 }

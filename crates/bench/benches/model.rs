@@ -31,16 +31,9 @@
 
 use std::time::Instant;
 
+use streamsim_bench::env_u32;
 use streamsim_core::experiments::sweep::{self, Sweep};
 use streamsim_core::experiments::{miss_traces, ExperimentOptions};
-
-fn env_u32(key: &str, default: u32) -> u32 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 /// One sample: a fresh store shared by both paths is prefilled with
 /// recorded miss traces untimed (the report driver amortizes recording
@@ -168,21 +161,5 @@ fn main() {
     );
     let summary = format!("{header}\n{note_line}\n");
 
-    if std::env::var("STREAMSIM_BENCH_WRITE").as_deref() == Ok("1") {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_model.json");
-        std::fs::write(path, &summary).expect("write BENCH_model.json");
-        println!("model summary written to {path}");
-    }
-
-    if let Ok(min) = std::env::var("STREAMSIM_BENCH_ENFORCE") {
-        let min: f64 = min
-            .trim()
-            .parse()
-            .expect("STREAMSIM_BENCH_ENFORCE is a float");
-        if speedup < min {
-            eprintln!("model pre-screen speedup {speedup:.3}x below enforced minimum {min}x");
-            std::process::exit(1);
-        }
-        println!("model pre-screen speedup {speedup:.3}x meets enforced minimum {min}x");
-    }
+    streamsim_bench::write_and_enforce("model", &summary, speedup);
 }

@@ -24,22 +24,13 @@
 //! workload per sample is expensive, so the defaults are smaller than
 //! the micro-bench harness's.
 
-use std::time::Instant;
-
+use streamsim_bench::{env_u32, median_ns};
 use streamsim_cache::reference::ReferenceCache;
 use streamsim_cache::AccessOutcome;
 use streamsim_core::experiments::{workload_set, ExperimentOptions, Scale};
 use streamsim_core::{record_miss_trace, MissEvent, RecordOptions};
 use streamsim_trace::{Access, AccessKind};
 use streamsim_workloads::Workload;
-
-fn env_u32(key: &str, default: u32) -> u32 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 /// The pre-PR recording loop: closure-based generation into the
 /// array-of-structs reference cache, one virtual call per reference.
@@ -71,22 +62,6 @@ fn reference_record(w: &dyn Workload, record: &RecordOptions) -> Vec<MissEvent> 
     events
 }
 
-/// Median wall time of `f` over the configured samples, in nanoseconds.
-fn median_ns<R>(samples: u32, warmup: u32, mut f: impl FnMut() -> R) -> u128 {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut ns: Vec<u128> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    ns.sort_unstable();
-    ns[ns.len() / 2]
-}
-
 fn report_line(name: &str, path: &str, ns: u128, refs: u64) {
     let refs_per_sec = refs as f64 * 1e9 / ns as f64;
     println!(
@@ -105,128 +80,6 @@ fn main() {
     let warmup = env_u32("STREAMSIM_BENCH_WARMUP", 1);
     let record = ExperimentOptions::quick().record_options();
     let workloads = workload_set(Scale::Quick);
-
-    // Diagnostic: split generation cost from simulation cost so hot-loop
-    // work targets the right side.
-    if std::env::var("STREAMSIM_BENCH_BREAKDOWN").as_deref() == Ok("1") {
-        for w in &workloads {
-            let gen_ns = median_ns(samples, warmup, || {
-                let mut refs = 0u64;
-                let mut batch = Vec::new();
-                w.generate_chunks(&mut batch, &mut |chunk: &[Access]| {
-                    refs += chunk.len() as u64;
-                });
-                refs
-            });
-            let mut trace = Vec::new();
-            let mut batch = Vec::new();
-            w.generate_chunks(&mut batch, &mut |chunk: &[Access]| {
-                trace.extend_from_slice(chunk);
-            });
-            let sim_ns = median_ns(samples, warmup, || {
-                let mut l1 =
-                    streamsim_cache::SplitL1::new(record.icache, record.dcache).expect("valid L1");
-                let mut misses = 0u64;
-                for &a in &trace {
-                    if l1.access(a).is_miss() {
-                        misses += 1;
-                    }
-                }
-                misses
-            });
-            let total_ns = median_ns(samples, warmup, || {
-                record_miss_trace(w.as_ref(), &record).expect("valid L1")
-            });
-            let refs = trace.len() as u64;
-            let trace_rec = record_miss_trace(w.as_ref(), &record).expect("valid L1");
-            let misses = trace_rec.fetches();
-            println!(
-                "breakdown {:<8} gen {:>8.2} ms  sim {:>8.2} ms  record {:>8.2} ms  \
-                 {refs:>8} refs  {misses:>7} misses ({:.1}%)  sim {:>5.1} ns/ref",
-                w.name(),
-                gen_ns as f64 / 1e6,
-                sim_ns as f64 / 1e6,
-                total_ns as f64 / 1e6,
-                100.0 * misses as f64 / refs as f64,
-                sim_ns as f64 / refs as f64
-            );
-        }
-        // Sim + events push (the full record inner loop, minus generation).
-        {
-            let w = &workloads[0];
-            let mut trace = Vec::new();
-            let mut batch = Vec::new();
-            w.generate_chunks(&mut batch, &mut |chunk: &[Access]| {
-                trace.extend_from_slice(chunk);
-            });
-            let block = record.dcache.block();
-            let sim_ev_ns = median_ns(samples, warmup, || {
-                let mut l1 =
-                    streamsim_cache::SplitL1::new(record.icache, record.dcache).expect("valid L1");
-                let mut events = Vec::new();
-                for &a in &trace {
-                    match l1.access(a) {
-                        AccessOutcome::Hit | AccessOutcome::Bypassed => {}
-                        AccessOutcome::Miss { writeback } => {
-                            events.push(MissEvent::Fetch {
-                                addr: a.addr,
-                                kind: a.kind,
-                            });
-                            if let Some(victim) = writeback {
-                                events.push(MissEvent::Writeback {
-                                    base: victim.base_addr(block),
-                                });
-                            }
-                        }
-                    }
-                }
-                events
-            });
-            println!(
-                "breakdown sim+events ({}): {:.2} ms, {:.1} ns/ref",
-                w.name(),
-                sim_ev_ns as f64 / 1e6,
-                sim_ev_ns as f64 / trace.len() as f64
-            );
-        }
-        // Pure miss cost: stream new blocks so every access misses.
-        let miss_loop = {
-            let mut l1 =
-                streamsim_cache::SplitL1::new(record.icache, record.dcache).expect("valid L1");
-            median_ns(samples, warmup, || {
-                let mut misses = 0u64;
-                for i in 0..1_000_000u64 {
-                    let a = Access::load(streamsim_trace::Addr::new(i * 32));
-                    if l1.access(a).is_miss() {
-                        misses += 1;
-                    }
-                }
-                misses
-            })
-        };
-        println!(
-            "breakdown pure-miss loop: {:.2} ns/access",
-            miss_loop as f64 / 1e6
-        );
-        // Pure fast-path cost: one hot block, always an MRU hit.
-        let hot = {
-            let mut l1 =
-                streamsim_cache::SplitL1::new(record.icache, record.dcache).expect("valid L1");
-            let a = Access::load(streamsim_trace::Addr::new(0x1000_0000));
-            l1.access(a);
-            median_ns(samples, warmup, || {
-                let mut hits = 0u64;
-                for _ in 0..1_000_000u32 {
-                    if l1.access(a).is_hit() {
-                        hits += 1;
-                    }
-                }
-                hits
-            })
-        };
-        println!("breakdown pure-hit loop: {:.2} ns/access", hot as f64 / 1e6);
-        return;
-    }
 
     let mut per_workload = Vec::new();
     let (mut total_refs, mut total_ref_ns, mut total_cur_ns) = (0u64, 0u128, 0u128);
@@ -308,21 +161,5 @@ fn main() {
         .collect();
     let summary = format!("{header}\n{}\n", rows.join("\n"));
 
-    if std::env::var("STREAMSIM_BENCH_WRITE").as_deref() == Ok("1") {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recording.json");
-        std::fs::write(path, &summary).expect("write BENCH_recording.json");
-        println!("recording summary written to {path}");
-    }
-
-    if let Ok(min) = std::env::var("STREAMSIM_BENCH_ENFORCE") {
-        let min: f64 = min
-            .trim()
-            .parse()
-            .expect("STREAMSIM_BENCH_ENFORCE is a float");
-        if speedup < min {
-            eprintln!("recording speedup {speedup:.3}x below enforced minimum {min}x");
-            std::process::exit(1);
-        }
-        println!("recording speedup {speedup:.3}x meets enforced minimum {min}x");
-    }
+    streamsim_bench::write_and_enforce("recording", &summary, speedup);
 }

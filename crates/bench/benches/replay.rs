@@ -24,30 +24,17 @@
 //! CI perf smoke uses this).
 //!
 //! Knobs: `STREAMSIM_BENCH_SAMPLES` (default 5 here) and
-//! `STREAMSIM_BENCH_WARMUP` (default 1 here). With
-//! `STREAMSIM_REPLAY_CHUNK_SWEEP=1` the bench instead times the fused
-//! stream path at each candidate chunk length per workload — the
-//! measurement behind the [`REPLAY_CHUNK_EVENTS`] default — and exits.
+//! `STREAMSIM_BENCH_WARMUP` (default 1 here).
 
-use std::time::Instant;
-
+use streamsim_bench::{env_u32, median_ns};
 use streamsim_cache::{CacheConfig, CacheStats, SetSampling};
 use streamsim_core::experiments::{workload_set, ExperimentOptions, Scale};
 use streamsim_core::{
-    record_miss_trace, replay_chunked, replay_l2, replay_streams, FusedStreamObserver, L2Observer,
-    MissEvent, MissObserver, MissTrace,
+    record_miss_trace, replay_l2, replay_streams, L2Observer, MissEvent, MissObserver, MissTrace,
 };
 use streamsim_streams::reference::ReferenceStreamSystem;
 use streamsim_streams::{Allocation, StreamConfig, StreamStats};
 use streamsim_trace::BlockSize;
-
-fn env_u32(key: &str, default: u32) -> u32 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 /// The pre-PR stream replay: walk the event vector once, fan each event
 /// out to every cell through a per-event call into the pre-SoA system.
@@ -119,68 +106,6 @@ fn stream_families() -> Vec<(&'static str, Vec<StreamConfig>)> {
     vec![("fig3", fig3), ("filter", filter), ("czone", czone)]
 }
 
-/// The fused stream path at an explicit chunk length — the production
-/// replay with its one tunable exposed, used by the chunk-size sweep.
-fn replay_streams_at(
-    trace: &MissTrace,
-    configs: &[StreamConfig],
-    chunk: usize,
-) -> Vec<StreamStats> {
-    let mut fused = FusedStreamObserver::new(configs).expect("family shares one geometry");
-    replay_chunked(trace, &mut [&mut fused], chunk);
-    fused.stats()
-}
-
-/// Times the fused stream path at each candidate chunk length over
-/// every (workload, family) pair. This is the measurement behind the
-/// pinned `REPLAY_CHUNK_EVENTS` default; chunking is
-/// behaviour-preserving for any length (the property tests pin that),
-/// so the only question is which length keeps a chunk plus one
-/// observer's tables cache-resident across the workload mix.
-fn chunk_sweep(samples: u32, warmup: u32) {
-    const CANDIDATES: [usize; 4] = [256, 512, 1024, 2048];
-    let record = ExperimentOptions::quick().record_options();
-    let mut totals = [0u128; CANDIDATES.len()];
-    for w in &workload_set(Scale::Quick) {
-        let name = w.name();
-        let trace = record_miss_trace(w.as_ref(), &record).expect("valid L1");
-        for (family, configs) in stream_families() {
-            for (i, &chunk) in CANDIDATES.iter().enumerate() {
-                let ns = median_ns(samples, warmup, || {
-                    replay_streams_at(&trace, &configs, chunk)
-                });
-                totals[i] += ns;
-                println!(
-                    "bench replay-chunk/{name}/{family:<6}/{chunk:<4} median {:>8.2} ms",
-                    ns as f64 / 1e6
-                );
-            }
-        }
-    }
-    for (i, &chunk) in CANDIDATES.iter().enumerate() {
-        println!(
-            "bench replay-chunk/total/{chunk:<4}: {:>8.2} ms",
-            totals[i] as f64 / 1e6
-        );
-    }
-}
-
-/// Median wall time of `f` over the configured samples, in nanoseconds.
-fn median_ns<R>(samples: u32, warmup: u32, mut f: impl FnMut() -> R) -> u128 {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut ns: Vec<u128> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    ns.sort_unstable();
-    ns[ns.len() / 2]
-}
-
 fn report_line(workload: &str, family: &str, path: &str, ns: u128, deliveries: u64) {
     let del_per_sec = deliveries as f64 * 1e9 / ns as f64;
     println!(
@@ -207,10 +132,6 @@ struct FamilyRow {
 fn main() {
     let samples = env_u32("STREAMSIM_BENCH_SAMPLES", 5);
     let warmup = env_u32("STREAMSIM_BENCH_WARMUP", 1);
-    if std::env::var("STREAMSIM_REPLAY_CHUNK_SWEEP").as_deref() == Ok("1") {
-        chunk_sweep(samples, warmup);
-        return;
-    }
     let record = ExperimentOptions::quick().record_options();
     let workloads = workload_set(Scale::Quick);
 
@@ -420,21 +341,5 @@ fn main() {
         cell_rows.join("\n")
     );
 
-    if std::env::var("STREAMSIM_BENCH_WRITE").as_deref() == Ok("1") {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replay.json");
-        std::fs::write(path, &summary).expect("write BENCH_replay.json");
-        println!("replay summary written to {path}");
-    }
-
-    if let Ok(min) = std::env::var("STREAMSIM_BENCH_ENFORCE") {
-        let min: f64 = min
-            .trim()
-            .parse()
-            .expect("STREAMSIM_BENCH_ENFORCE is a float");
-        if speedup < min {
-            eprintln!("replay speedup {speedup:.3}x below enforced minimum {min}x");
-            std::process::exit(1);
-        }
-        println!("replay speedup {speedup:.3}x meets enforced minimum {min}x");
-    }
+    streamsim_bench::write_and_enforce("replay", &summary, speedup);
 }

@@ -1,42 +1,74 @@
-//! Shared plumbing for the experiment bench targets.
+//! Shared plumbing for the self-timed bench targets.
 //!
-//! Each `[[bench]]` target with `harness = false` is a small `main` that
-//! runs one experiment driver from `streamsim-core` at paper scale and
-//! prints the regenerated table or figure with the paper's reported
-//! values alongside. `cargo bench --workspace` therefore reproduces the
-//! entire evaluation section.
+//! Each `[[bench]]` target with `harness = false` is a small `main`
+//! timed with the monotonic wall clock. `micro` measures component
+//! throughput through the in-tree [`timing`] harness; `recording`,
+//! `replay` and `model` time a current path against its frozen
+//! reference and emit the tracked `BENCH_*.json` artifacts the perf
+//! ledger ingests. The paper's tables and figures are regenerated by
+//! `streamsim-report <artifact>`, not by bench targets.
 //!
-//! Set `STREAMSIM_SCALE=quick` to run the reduced inputs (useful when
-//! smoke-testing the harness itself), `STREAMSIM_SAMPLING=paper` to
-//! enable the paper's 10 000-on / 90 000-off time sampling, and
-//! `STREAMSIM_PRESCREEN=1` to let the analytical model prune sweeps to
-//! the predicted Pareto frontier before simulating.
-//!
-//! The `micro` target uses the in-tree [`timing`] harness instead of an
-//! experiment driver; see that module for its output format and knobs.
+//! Knobs shared by every target: `STREAMSIM_BENCH_SAMPLES` and
+//! `STREAMSIM_BENCH_WARMUP` ([`env_u32`]), and, for the tracked
+//! benches, `STREAMSIM_BENCH_WRITE` / `STREAMSIM_BENCH_ENFORCE`
+//! ([`write_and_enforce`]).
 
 pub mod timing;
 
 use std::time::Instant;
 
-use streamsim_core::experiments::{ExperimentOptions, Scale};
+/// A positive integer from the environment variable `key`, or
+/// `default` when it is unset, unparsable or zero.
+pub fn env_u32(key: &str, default: u32) -> u32 {
+    std::env::var(key)
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(default)
+}
 
-/// Reads experiment options from the environment (see crate docs).
-pub fn options_from_env() -> ExperimentOptions {
-    let scale = match std::env::var("STREAMSIM_SCALE").as_deref() {
-        Ok("quick") => Scale::Quick,
-        _ => Scale::Paper,
-    };
-    let sampling = match std::env::var("STREAMSIM_SAMPLING").as_deref() {
-        Ok("paper") => Some((10_000, 90_000)),
-        _ => None,
-    };
-    ExperimentOptions {
-        scale,
-        sampling,
-        prescreen: std::env::var("STREAMSIM_PRESCREEN").as_deref() == Ok("1"),
-        store: Default::default(),
-        executor: Default::default(),
+/// Median wall time of `f` over `samples` timed runs, after `warmup`
+/// untimed ones, in nanoseconds. Each result passes through
+/// [`std::hint::black_box`] so the work cannot be optimised away.
+pub fn median_ns<R>(samples: u32, warmup: u32, mut f: impl FnMut() -> R) -> u128 {
+    for _ in 0..warmup {
+        std::hint::black_box(f());
+    }
+    let mut ns: Vec<u128> = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_nanos()
+        })
+        .collect();
+    ns.sort_unstable();
+    ns[ns.len() / 2]
+}
+
+/// The tail every tracked bench shares. With `STREAMSIM_BENCH_WRITE=1`
+/// it writes `summary` to `BENCH_<benchmark>.json` at the repository
+/// root; with `STREAMSIM_BENCH_ENFORCE=<min>` it exits non-zero unless
+/// `speedup` reaches `<min>` (the CI perf smokes use this).
+pub fn write_and_enforce(benchmark: &str, summary: &str, speedup: f64) {
+    if std::env::var("STREAMSIM_BENCH_WRITE").as_deref() == Ok("1") {
+        let path = format!(
+            "{}/../../BENCH_{benchmark}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        std::fs::write(&path, summary).expect("write the BENCH_*.json artifact");
+        println!("{benchmark} summary written to {path}");
+    }
+
+    if let Ok(min) = std::env::var("STREAMSIM_BENCH_ENFORCE") {
+        let min: f64 = min
+            .trim()
+            .parse()
+            .expect("STREAMSIM_BENCH_ENFORCE is a float");
+        if speedup < min {
+            eprintln!("{benchmark} speedup {speedup:.3}x below enforced minimum {min}x");
+            std::process::exit(1);
+        }
+        println!("{benchmark} speedup {speedup:.3}x meets enforced minimum {min}x");
     }
 }
 
@@ -86,19 +118,6 @@ pub fn bench_detail_line(benchmark: &str, table: &str, fields: &str) -> String {
     )
 }
 
-/// Runs an experiment closure, printing its name, result and wall time.
-pub fn run_experiment<R: std::fmt::Display>(name: &str, f: impl FnOnce(ExperimentOptions) -> R) {
-    // `cargo bench` passes harness flags like `--bench`; ignore them.
-    let options = options_from_env();
-    let scale = options.scale;
-    let start = Instant::now();
-    let result = f(options);
-    let elapsed = start.elapsed();
-    println!("=== {name} (scale: {scale:?}) ===");
-    println!("{result}");
-    println!("[{name} completed in {:.2?}]", elapsed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,14 +141,5 @@ mod tests {
         let detail = bench_detail_line("recording", "workload", "\"name\":\"embar\",\"refs\":7");
         assert!(detail.contains("\"table\":\"workload\""), "{detail}");
         assert!(detail.ends_with("\"refs\":7}"), "{detail}");
-    }
-
-    #[test]
-    fn default_options_are_paper_scale() {
-        // Unless the env vars are set, which the test environment does
-        // not do.
-        if std::env::var("STREAMSIM_SCALE").is_err() {
-            assert_eq!(options_from_env().scale, Scale::Paper);
-        }
     }
 }

@@ -43,17 +43,10 @@ pub struct Group {
 
 /// Starts a benchmark group. Results print as they complete.
 pub fn group(name: &str) -> Group {
-    let env_u32 = |key: &str, default: u32| {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(default)
-    };
     Group {
         name: name.to_string(),
-        samples: env_u32("STREAMSIM_BENCH_SAMPLES", DEFAULT_SAMPLES),
-        warmup: env_u32("STREAMSIM_BENCH_WARMUP", DEFAULT_WARMUP),
+        samples: crate::env_u32("STREAMSIM_BENCH_SAMPLES", DEFAULT_SAMPLES),
+        warmup: crate::env_u32("STREAMSIM_BENCH_WARMUP", DEFAULT_WARMUP),
         elements: None,
     }
 }

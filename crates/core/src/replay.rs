@@ -44,15 +44,14 @@ use crate::{MissEvent, MissTrace};
 /// a chunk plus one observer's hot tables stay L1/L2-resident (the same
 /// cache-residency rationale as the recording loop's chunk size).
 ///
-/// Pinned by measurement, not taste: the replay bench's
-/// `STREAMSIM_REPLAY_CHUNK_SWEEP=1` mode times the fused stream path at
-/// 256/512/1024/2048 over every (workload, family) pair. 1024 has the
-/// best aggregate; the candidates sit within ~2% of each other and no
-/// other length is better outside run-to-run noise — smaller chunks pay
-/// more per-chunk observer switching, larger ones start evicting the
-/// widest families' tables. Chunking is behaviour-preserving for any
-/// length ([`replay_chunked`]), so retuning on new hardware is a
-/// one-line change.
+/// Pinned by measurement, not taste: timing the fused stream path at
+/// 256/512/1024/2048 over every (workload, family) pair of the replay
+/// bench, 1024 had the best aggregate; the candidates sat within ~2% of
+/// each other and no other length was better outside run-to-run noise
+/// — smaller chunks pay more per-chunk observer switching, larger ones
+/// start evicting the widest families' tables. Chunking is
+/// behaviour-preserving for any length ([`replay_chunked`]), so
+/// retuning on new hardware is a one-line change.
 pub const REPLAY_CHUNK_EVENTS: usize = 1024;
 
 /// Anything that consumes a primary-cache miss stream.

@@ -28,7 +28,7 @@ pub struct LintConfig {
     pub wall_clock_sanctioned: Vec<String>,
     /// Prefixes (or exact files) sanctioned to read the environment:
     /// the config entry points (`STREAMSIM_LOG`, `STREAMSIM_QC_*`,
-    /// `STREAMSIM_DST_*`, `STREAMSIM_BENCH_*` / `STREAMSIM_SCALE`).
+    /// `STREAMSIM_DST_*`, `STREAMSIM_BENCH_*`).
     pub env_read_sanctioned: Vec<String>,
     /// Prefixes where `println!`/`print!` output is the product
     /// (binaries, examples, the bench harness's reports).

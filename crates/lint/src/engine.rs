@@ -3,16 +3,12 @@
 //! The walk is deterministic: directory entries are visited in sorted
 //! order and findings are sorted by (file, line, rule), so two runs
 //! over the same tree produce byte-identical reports — the lint holds
-//! itself to the invariant it enforces. The incremental AST cache
-//! preserves that property: a warm run memoizes parses by content
-//! fingerprint but re-runs resolution and every rule, so its findings
-//! are byte-identical to a cold run's.
+//! itself to the invariant it enforces.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::cache::{fnv1a_64, AstCache};
 use crate::config::LintConfig;
 use crate::findings::{summary_json_line, Finding, Level};
 use crate::resolve::Resolver;
@@ -34,10 +30,6 @@ pub struct Report {
     /// Name-resolution edges followed while resolving aliases, calls
     /// and taint flows (a proxy for semantic-analysis work done).
     pub resolution_edges: u64,
-    /// AST-cache hits (fingerprint matched; parse skipped).
-    pub cache_hits: usize,
-    /// AST-cache misses (file parsed this run).
-    pub cache_misses: usize,
 }
 
 impl Report {
@@ -165,26 +157,6 @@ pub fn scan_hot_modules(root: &Path, workspace: bool) -> io::Result<Vec<String>>
 ///
 /// Returns the first I/O error hit while walking or reading files.
 pub fn lint_tree(root: &Path, workspace: bool, config: &LintConfig) -> io::Result<Report> {
-    lint_tree_with(root, workspace, config, None)
-}
-
-/// [`lint_tree`] with an optional on-disk AST cache.
-///
-/// When `cache_path` is given, per-file ASTs are memoized by FNV-1a
-/// content fingerprint: unchanged files skip the parse on the next run.
-/// Only the parse is cached — resolution and every rule re-run in full
-/// — so warm-cache findings are byte-identical to cold-cache findings.
-///
-/// # Errors
-///
-/// Returns the first I/O error hit while walking or reading files, or
-/// while writing the cache back.
-pub fn lint_tree_with(
-    root: &Path,
-    workspace: bool,
-    config: &LintConfig,
-    cache_path: Option<&Path>,
-) -> io::Result<Report> {
     let files = read_files(root, workspace)?;
     let mut effective = config.clone();
     effective.hot_modules.extend(
@@ -196,33 +168,13 @@ pub fn lint_tree_with(
     effective.hot_modules.sort();
     effective.hot_modules.dedup();
 
-    // Parse every Rust file (through the cache when one is configured)
-    // and build the workspace-wide resolver over the ASTs.
-    let mut cache = match cache_path {
-        Some(p) => AstCache::load(p),
-        None => AstCache::empty(),
-    };
-    let mut asts = BTreeMap::new();
-    for (rel, source) in &files {
-        if !rel.ends_with(".rs") {
-            continue;
-        }
-        let fp = fnv1a_64(source.as_bytes());
-        let ast = match cache.lookup(rel, fp) {
-            Some(ast) => ast,
-            None => {
-                let ast = crate::parser::parse(source);
-                cache.insert(rel, fp, ast.clone());
-                ast
-            }
-        };
-        asts.insert(rel.clone(), ast);
-    }
-    if let Some(p) = cache_path {
-        let live: Vec<String> = asts.keys().cloned().collect();
-        cache.retain_files(&live);
-        cache.save(p)?;
-    }
+    // Parse every Rust file and build the workspace-wide resolver over
+    // the ASTs.
+    let asts: BTreeMap<String, _> = files
+        .iter()
+        .filter(|(rel, _)| rel.ends_with(".rs"))
+        .map(|(rel, source)| (rel.clone(), crate::parser::parse(source)))
+        .collect();
 
     let resolver = Resolver::build(&files, &asts);
 
@@ -241,8 +193,6 @@ pub fn lint_tree_with(
 
     let mut report = Report {
         hot_modules: effective.hot_modules.clone(),
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
         ..Report::default()
     };
     for (rel, source) in &files {

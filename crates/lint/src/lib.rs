@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
 pub mod config;
 pub mod engine;
 pub mod findings;
@@ -46,7 +45,7 @@ pub mod rules;
 pub mod taint;
 
 pub use config::{LintConfig, HOT_MODULE_MARKER};
-pub use engine::{lint_tree, lint_tree_with, scan_hot_modules, Report};
+pub use engine::{lint_tree, scan_hot_modules, Report};
 pub use findings::{Finding, Level};
 pub use lexer::{lex, Token, TokenKind};
 pub use rules::{check_manifest, check_rust_source, RULES};

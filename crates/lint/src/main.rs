@@ -11,8 +11,6 @@
 //!                     warning (dead suppression) remains
 //!   --root <DIR>      lint DIR instead of the current directory
 //!   --json <FILE>     write one flat JSON object per finding to FILE
-//!   --cache <FILE>    memoize per-file ASTs in FILE (warm runs skip
-//!                     unchanged files' parses; findings are identical)
 //!   --bench-out <FILE> write a streamsim-bench-v2 summary row to FILE
 //!                     (files scanned, resolution edges, wall seconds)
 //!                     for the perf ledger
@@ -28,7 +26,7 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 
-use streamsim_lint::{lint_tree_with, Level, LintConfig, RULES};
+use streamsim_lint::{lint_tree, Level, LintConfig, RULES};
 
 fn main() -> ExitCode {
     let mut workspace = false;
@@ -36,7 +34,6 @@ fn main() -> ExitCode {
     let mut quiet = false;
     let mut root = String::from(".");
     let mut json_out: Option<String> = None;
-    let mut cache_path: Option<String> = None;
     let mut bench_out: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
@@ -59,13 +56,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--cache" => match args.next() {
-                Some(path) => cache_path = Some(path),
-                None => {
-                    eprintln!("error: --cache needs a file path");
-                    return ExitCode::from(2);
-                }
-            },
             "--bench-out" => match args.next() {
                 Some(path) => bench_out = Some(path),
                 None => {
@@ -84,7 +74,7 @@ fn main() -> ExitCode {
                     "streamsim-lint: static analysis for the streamsim workspace's \
                      determinism, hermeticity and safety invariants\n\n\
                      USAGE: streamsim-lint [--workspace] [--deny-warnings] [--root DIR] \
-                     [--json FILE] [--cache FILE] [--bench-out FILE] [--quiet] [--list-rules]"
+                     [--json FILE] [--bench-out FILE] [--quiet] [--list-rules]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -100,12 +90,7 @@ fn main() -> ExitCode {
     // lint:allow(no-wall-clock, bench-row wall_seconds is operator telemetry, not simulation state)
     let started = std::time::Instant::now();
     let config = LintConfig::default();
-    let report = match lint_tree_with(
-        std::path::Path::new(&root),
-        workspace,
-        &config,
-        cache_path.as_deref().map(std::path::Path::new),
-    ) {
+    let report = match lint_tree(std::path::Path::new(&root), workspace, &config) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("error: cannot lint {root}: {e}");
@@ -139,12 +124,10 @@ fn main() -> ExitCode {
              \"benchmark\":\"lint\",\"run_config\":\"lint-{scale}\",\
              \"scale\":\"{scale}\",\"samples\":1,\"run_steps\":{files},\
              \"files_scanned\":{files},\"resolution_edges\":{edges},\
-             \"findings\":{findings},\"cache_hits\":{hits},\
-             \"wall_seconds\":{wall_seconds:.6}}}",
+             \"findings\":{findings},\"wall_seconds\":{wall_seconds:.6}}}",
             files = report.files_scanned,
             edges = report.resolution_edges,
             findings = report.findings.len(),
-            hits = report.cache_hits,
         );
         if let Err(e) = std::fs::write(path, format!("{line}\n")) {
             eprintln!("error: cannot write {path}: {e}");

@@ -16,12 +16,6 @@
 //! What the item grammar deliberately does NOT model: macro expansion,
 //! trait method dispatch, and glob-import contents. The resolver treats
 //! those as opaque (see `resolve.rs`).
-//!
-//! [`pretty`] renders an AST back to canonical source with every item
-//! and call placed on its recorded line, so `parse(pretty(ast))`
-//! reproduces `ast` exactly — the round-trip the parser property suite
-//! pins, and the contract the incremental cache's serialization layer
-//! builds on.
 
 use crate::lexer::{lex, Token, TokenKind};
 
@@ -812,172 +806,6 @@ impl<'s> Parser<'s> {
     }
 }
 
-/// Renders `ast` back to canonical source: every item and call starts
-/// on its recorded line (newline padding in between), so re-parsing
-/// reproduces the AST exactly. The canonical form covers the item
-/// grammar above; call bodies render as one statement per top-level
-/// call.
-pub fn pretty(ast: &FileAst) -> String {
-    let mut out = String::new();
-    let mut line = 1u32;
-    pretty_items(&ast.items, &mut out, &mut line);
-    if !out.is_empty() && !out.ends_with('\n') {
-        out.push('\n');
-    }
-    out
-}
-
-fn pad_to(out: &mut String, line: &mut u32, target: u32) {
-    while *line < target {
-        out.push('\n');
-        *line += 1;
-    }
-}
-
-fn pretty_items(items: &[Item], out: &mut String, line: &mut u32) {
-    for item in items {
-        // A hot-gate marker occupies the line above its `fn`.
-        match &item.kind {
-            ItemKind::Fn(f) if f.hot_gate => pad_to(out, line, item.line.saturating_sub(1)),
-            _ => pad_to(out, line, item.line),
-        }
-        match &item.kind {
-            ItemKind::Use(u) => {
-                if u.is_pub {
-                    out.push_str("pub ");
-                }
-                out.push_str("use ");
-                out.push_str(&u.path.join("::"));
-                if u.glob {
-                    out.push_str("::*");
-                }
-                if let Some(a) = &u.alias {
-                    out.push_str(" as ");
-                    out.push_str(a);
-                }
-                out.push(';');
-            }
-            ItemKind::TypeAlias(t) => {
-                if t.is_pub {
-                    out.push_str("pub ");
-                }
-                out.push_str("type ");
-                out.push_str(&t.name);
-                out.push_str(" = ");
-                // First path is the head; the rest render as its
-                // generic arguments, which re-parses to the same
-                // flattened path list.
-                if let Some((head, rest)) = t.rhs.split_first() {
-                    out.push_str(&head.join("::"));
-                    if !rest.is_empty() {
-                        out.push('<');
-                        let args: Vec<String> = rest.iter().map(|p| p.join("::")).collect();
-                        out.push_str(&args.join(", "));
-                        out.push('>');
-                    }
-                }
-                out.push(';');
-            }
-            ItemKind::Mod(m) => {
-                if m.cfg_test {
-                    out.push_str("#[cfg(test)] ");
-                }
-                if m.is_pub {
-                    out.push_str("pub ");
-                }
-                out.push_str("mod ");
-                out.push_str(&m.name);
-                match &m.items {
-                    Some(inner) => {
-                        out.push_str(" {");
-                        pretty_items(inner, out, line);
-                        out.push_str(" }");
-                    }
-                    None => out.push(';'),
-                }
-            }
-            ItemKind::Fn(f) => pretty_fn(f, out, line),
-            ItemKind::Impl(b) => {
-                out.push_str("impl ");
-                out.push_str(&b.type_name);
-                out.push_str(" {");
-                for f in &b.fns {
-                    out.push(' ');
-                    pretty_fn(f, out, line);
-                }
-                out.push_str(" }");
-            }
-            ItemKind::TypeDef(name) => {
-                out.push_str("struct ");
-                out.push_str(name);
-                out.push(';');
-            }
-        }
-    }
-}
-
-fn pretty_fn(f: &FnItem, out: &mut String, line: &mut u32) {
-    if f.hot_gate {
-        out.push_str("// lint:hot-gate\n");
-        *line += 1;
-    }
-    if f.is_pub {
-        out.push_str("pub ");
-    }
-    out.push_str("fn ");
-    out.push_str(&f.name);
-    out.push_str("() {");
-    for (idx, call) in f.calls.iter().enumerate() {
-        if call.parent.is_some() {
-            continue; // rendered inside its parent
-        }
-        pad_to(out, line, call.line);
-        out.push(' ');
-        pretty_call(f, idx, out, line);
-        out.push(';');
-    }
-    out.push_str(" }");
-}
-
-fn pretty_call(f: &FnItem, idx: usize, out: &mut String, line: &mut u32) {
-    let call = &f.calls[idx];
-    if let Some(v) = &call.let_var {
-        if f.calls[..idx]
-            .iter()
-            .all(|c| c.let_var.as_deref() != Some(v.as_str()) || c.parent.is_some())
-        {
-            out.push_str("let ");
-            out.push_str(v);
-            out.push_str(" = ");
-        }
-    }
-    if call.method {
-        out.push_str(call.receiver.as_deref().unwrap_or("__recv"));
-        out.push('.');
-    }
-    out.push_str(&call.path.join("::"));
-    out.push('(');
-    let mut first = true;
-    for ident in &call.arg_idents {
-        if !first {
-            out.push_str(", ");
-        }
-        out.push_str(ident);
-        first = false;
-    }
-    for (j, child) in f.calls.iter().enumerate() {
-        if child.parent == Some(idx) {
-            if !first {
-                out.push_str(", ");
-            }
-            pad_to(out, line, child.line);
-            pretty_call(f, j, out, line);
-            first = false;
-        }
-    }
-    out.push(')');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1112,17 +940,8 @@ mod tests {
     }
 
     #[test]
-    fn pretty_round_trips_an_item_soup() {
-        let src = "use std::collections::BTreeMap;\n\npub type M = Vec<u8>;\nmod a;\n\nfn f() {\n    let v = helper(x);\n    sink.row(v);\n}\nstruct S;\n";
-        let ast = parse(src);
-        let printed = pretty(&ast);
-        assert_eq!(parse(&printed), ast, "printed:\n{printed}");
-    }
-
-    #[test]
     fn broken_input_produces_best_effort_items() {
-        let ast = parse("use std::; fn ( { mod x\nstruct ;\n");
         // Nothing to assert beyond "no panic, no infinite loop".
-        let _ = pretty(&ast);
+        let _ = parse("use std::; fn ( { mod x\nstruct ;\n");
     }
 }

@@ -1,7 +1,6 @@
 //! End-to-end tests for the `streamsim-lint` binary: exit codes, the
-//! `--quiet` failure path (a failing gate must still say why), JSON
-//! byte-identity between quiet and verbose runs, and cold/warm AST
-//! cache equivalence.
+//! `--quiet` failure path (a failing gate must still say why), and JSON
+//! byte-identity between quiet and verbose runs.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -90,46 +89,6 @@ fn suppressed_fixture_passes_under_deny_warnings() {
         "--deny-warnings",
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
-}
-
-#[test]
-fn warm_cache_run_is_byte_identical_to_cold() {
-    let dir = std::env::temp_dir().join("streamsim-lint-cli-cache");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let cache = dir.join("ast.cache");
-    let cold_json = dir.join("cold.jsonl");
-    let warm_json = dir.join("warm.jsonl");
-    let root = fixture("violating");
-    let root = root.to_str().unwrap();
-
-    let cold = run(&[
-        "--root",
-        root,
-        "--workspace",
-        "--cache",
-        cache.to_str().unwrap(),
-        "--json",
-        cold_json.to_str().unwrap(),
-    ]);
-    assert!(cache.exists(), "cold run persists the cache");
-
-    let warm = run(&[
-        "--root",
-        root,
-        "--workspace",
-        "--cache",
-        cache.to_str().unwrap(),
-        "--json",
-        warm_json.to_str().unwrap(),
-    ]);
-
-    assert_eq!(
-        std::fs::read(&cold_json).unwrap(),
-        std::fs::read(&warm_json).unwrap(),
-        "warm-cache findings must be byte-identical to cold"
-    );
-    assert_eq!(stdout(&cold), stdout(&warm), "human output identical too");
 }
 
 #[test]

@@ -19,23 +19,23 @@
 //!   band, so a sweep needs to simulate only the cells that could
 //!   plausibly be optimal.
 //!
-//! The crate is hermetic by construction: no dependencies, no clocks,
-//! no hash-order nondeterminism (`BTreeMap` only). Profiles and
-//! predictions are pure functions of the event stream, byte-identical
-//! across runs, threads and executors.
+//! The crate is hermetic by construction: its one dependency is the
+//! in-tree `streamsim-obs` (whose log-linear [`streamsim_obs::Hist`]
+//! holds the reuse-distance histograms), no clocks, no hash-order
+//! nondeterminism (`BTreeMap` only). Profiles and predictions are pure
+//! functions of the event stream, byte-identical across runs, threads
+//! and executors.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod fenwick;
-pub mod hist;
 pub mod pareto;
 pub mod predict;
 pub mod profile;
 
 pub use fenwick::Fenwick;
-pub use hist::DistHist;
 pub use pareto::{frontier, keep_with_band, Band, Objectives};
 pub use predict::{
     predict_l2, predict_streams, AllocModel, L2Estimate, L2Geometry, StreamEstimate, StreamGeometry,

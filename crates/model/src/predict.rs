@@ -165,7 +165,7 @@ pub fn predict_l2(profile: &LocalityProfile, geom: L2Geometry) -> L2Estimate {
             None => 1,
         },
     );
-    let accesses = hist.accesses();
+    let accesses = profile.events;
     if accesses == 0 {
         return L2Estimate { hit_rate: 0.0 };
     }
@@ -176,16 +176,23 @@ pub fn predict_l2(profile: &LocalityProfile, geom: L2Geometry) -> L2Estimate {
     let hits = if sets == 1 {
         hist.count_below(blocks)
     } else {
-        let mut h = 0.0;
-        hist.for_each_bucket(|d, c| {
-            let p = if d < assoc as f64 {
-                1.0
-            } else {
-                poisson_hit(assoc, d / sets as f64)
-            };
-            h += p * c as f64;
-        });
-        h
+        hist.nonempty_buckets()
+            .map(|(low, width, count)| {
+                // A width-1 bucket holds one exact distance; a wider one
+                // stands in at its midpoint.
+                let d = if width == 1 {
+                    low as f64
+                } else {
+                    low as f64 + width as f64 / 2.0
+                };
+                let p = if d < assoc as f64 {
+                    1.0
+                } else {
+                    poisson_hit(assoc, d / sets as f64)
+                };
+                p * count as f64
+            })
+            .sum()
     };
     L2Estimate {
         hit_rate: (hits / accesses as f64).clamp(0.0, 1.0),

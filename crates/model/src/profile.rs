@@ -36,8 +36,9 @@
 
 use std::collections::BTreeMap;
 
+use streamsim_obs::Hist;
+
 use crate::fenwick::Fenwick;
-use crate::hist::DistHist;
 
 /// Reuse-distance granularities profiled, as multiples of the L1 block
 /// size (so a 32-byte L1 block yields 32/64/128-byte histograms).
@@ -157,8 +158,10 @@ pub struct LocalityProfile {
     /// unknown).
     pub l1_misses: u64,
     /// Reuse-distance histograms over all events, one per entry of
-    /// [`REUSE_GRANULARITIES`].
-    pub reuse: Vec<DistHist>,
+    /// [`REUSE_GRANULARITIES`]. Only finite distances are recorded:
+    /// every event touches each granularity once, so its first touches
+    /// number `events - reuse[i].count()`.
+    pub reuse: Vec<Hist>,
     /// Unit-stride run and czone statistics of the fetch stream.
     pub streams: StreamProfile,
 }
@@ -177,7 +180,7 @@ impl LocalityProfile {
 
     /// The reuse histogram whose granularity is nearest
     /// `block_bytes / l1_block_bytes` (ties go to the smaller).
-    pub fn reuse_at(&self, block_bytes: u64) -> &DistHist {
+    pub fn reuse_at(&self, block_bytes: u64) -> &Hist {
         let ratio = (block_bytes.max(1)) as f64 / self.l1_block_bytes.max(1) as f64;
         let mut best = 0;
         let mut best_err = f64::INFINITY;
@@ -197,7 +200,7 @@ impl LocalityProfile {
 struct ReuseStack {
     fen: Fenwick,
     last: BTreeMap<u64, usize>,
-    hist: DistHist,
+    hist: Hist,
 }
 
 impl ReuseStack {
@@ -205,19 +208,17 @@ impl ReuseStack {
         ReuseStack {
             fen: Fenwick::new(capacity),
             last: BTreeMap::new(),
-            hist: DistHist::new(),
+            hist: Hist::new(),
         }
     }
 
     fn touch(&mut self, item: u64, now: usize) {
-        match self.last.insert(item, now) {
-            Some(prev) => {
-                // Marks strictly between prev and now = distinct items
-                // touched since = LRU stack distance.
-                self.hist.record(self.fen.between(prev, now) as u64);
-                self.fen.clear(prev);
-            }
-            None => self.hist.record_cold(),
+        // A first touch (infinite distance) records nothing.
+        if let Some(prev) = self.last.insert(item, now) {
+            // Marks strictly between prev and now = distinct items
+            // touched since = LRU stack distance.
+            self.hist.record(self.fen.between(prev, now) as u64);
+            self.fen.clear(prev);
         }
         self.fen.set(now);
     }
@@ -529,8 +530,8 @@ mod tests {
     fn reuse_distances_are_mattson() {
         // Blocks: A B C A  → A's re-touch sees 2 distinct blocks.
         let p = build(&[(true, 1), (true, 2), (true, 3), (true, 1)]);
-        assert_eq!(p.reuse[0].cold(), 3);
-        assert_eq!(p.reuse[0].total(), 1);
+        assert_eq!(p.reuse[0].count(), 1, "one finite distance");
+        assert_eq!(p.events - p.reuse[0].count(), 3, "three first touches");
         assert_eq!(p.reuse[0].count_below(3), 1.0);
         assert_eq!(p.reuse[0].count_below(2), 0.0);
         assert_eq!(p.events, 4);
@@ -555,8 +556,8 @@ mod tests {
         // Blocks 0 and 1 share a 2x block; distance at 2x is a
         // re-touch, at 1x a cold pair.
         let p = build(&[(true, 0), (true, 1)]);
-        assert_eq!(p.reuse[0].cold(), 2);
-        assert_eq!(p.reuse[1].cold(), 1);
+        assert_eq!(p.reuse[0].count(), 0, "two first touches at 1x");
+        assert_eq!(p.reuse[1].count(), 1, "one first touch at 2x");
         assert_eq!(p.reuse[1].count_below(1), 1.0, "distance 0 at 2x");
     }
 

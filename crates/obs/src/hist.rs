@@ -20,6 +20,10 @@
 //! * **Per-span histograms** — every span close records its duration
 //!   into a plain [`Hist`] beside the phase registry entry, giving
 //!   `--profile` p50/p90/p99/max columns per phase.
+//!
+//! `streamsim-model` also keeps its reuse-distance histograms in plain
+//! [`Hist`]s; [`Hist::count_below`] and [`Hist::nonempty_buckets`] are
+//! the queries its secondary-cache predictor walks.
 
 // lint:hot-module — record_hist sits on the replay delivery loop (once per chunk)
 
@@ -66,6 +70,12 @@ pub fn bucket_low(index: usize) -> u64 {
     } else {
         (SUB_BUCKETS as u64 + offset) << (group - 1)
     }
+}
+
+/// The width of bucket `index`: 1 for values below `2 * SUB_BUCKETS`,
+/// then doubling with each octave.
+fn bucket_width(index: usize) -> u64 {
+    1 << (index / SUB_BUCKETS).saturating_sub(1)
 }
 
 /// Names one of the fixed global histograms.
@@ -280,6 +290,28 @@ impl Hist {
         self.max
     }
 
+    /// Estimated number of recorded values strictly below `limit`.
+    /// Buckets wholly below `limit` count in full; the bucket holding
+    /// `limit` contributes the share of its range below `limit`, as if
+    /// its values were spread evenly. Exact while `limit` falls in a
+    /// width-1 bucket.
+    pub fn count_below(&self, limit: u64) -> f64 {
+        let cut = bucket_index(limit);
+        let below: u64 = self.buckets[..cut].iter().sum();
+        let share = (limit - bucket_low(cut)) as f64 / bucket_width(cut) as f64;
+        below as f64 + self.buckets[cut] as f64 * share
+    }
+
+    /// The non-empty buckets in value order, as `(low, width, count)`:
+    /// `count` recorded values lie in `low..low + width`.
+    pub fn nonempty_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(i, &n)| (bucket_low(i), bucket_width(i), n))
+    }
+
     /// A stable, compact text encoding: header fields plus the sparse
     /// bucket list. Equal histograms encode byte-identically, which is
     /// what the determinism tests pin.
@@ -390,6 +422,64 @@ mod tests {
         let p99 = h.quantile(0.99);
         assert!((900..=990).contains(&p99), "p99 = {p99}");
         assert!(h.quantile(0.0) >= 1);
+    }
+
+    #[test]
+    fn bucket_widths_tile_the_layout() {
+        for i in 0..NUM_BUCKETS - 1 {
+            assert_eq!(
+                bucket_low(i) + bucket_width(i),
+                bucket_low(i + 1),
+                "bucket {i}"
+            );
+        }
+        let last = NUM_BUCKETS - 1;
+        assert_eq!(
+            bucket_low(last).checked_add(bucket_width(last) - 1),
+            Some(u64::MAX)
+        );
+    }
+
+    #[test]
+    fn count_below_is_exact_in_width_one_buckets() {
+        let mut h = Hist::new();
+        for v in [0, 1, 1, 5, 31] {
+            h.record(v);
+        }
+        assert_eq!(h.count_below(0), 0.0);
+        assert_eq!(h.count_below(1), 1.0);
+        assert_eq!(h.count_below(2), 3.0);
+        assert_eq!(h.count_below(31), 4.0);
+        assert_eq!(h.count_below(32), 5.0);
+        assert_eq!(h.count_below(u64::MAX), 5.0);
+    }
+
+    #[test]
+    fn count_below_interpolates_inside_a_bucket() {
+        let mut h = Hist::new();
+        // 8192..8704 is one bucket of the 2^13 octave (width 8192/16).
+        for _ in 0..100 {
+            h.record(8192);
+        }
+        assert_eq!(h.count_below(8192), 0.0);
+        assert_eq!(h.count_below(8704), 100.0, "bucket fully covered");
+        let half = h.count_below(8448);
+        assert!((half - 50.0).abs() < 1e-9, "half-covered bucket: {half}");
+    }
+
+    #[test]
+    fn nonempty_buckets_cover_every_value() {
+        let mut h = Hist::new();
+        let values = [3, 700, 5000, 12345, 1 << 20, u64::MAX];
+        for v in values {
+            h.record(v);
+        }
+        let buckets: Vec<(u64, u64, u64)> = h.nonempty_buckets().collect();
+        assert_eq!(buckets.len(), values.len());
+        for (&v, &(low, width, n)) in values.iter().zip(&buckets) {
+            assert_eq!(n, 1);
+            assert!(low <= v && v - low < width, "{v} outside {low}+{width}");
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Property-based tests for the trace formats and the time sampler,
+//! Property-based tests for the trace format and the time sampler,
 //! on the in-tree `streamsim-quickcheck` harness.
 
 use streamsim_prng::quickcheck::{check, Gen};
 use streamsim_prng::Rng;
 
-use streamsim_trace::io::{read_trace, read_trace_compressed, write_trace, write_trace_compressed};
+use streamsim_trace::io::{read_trace, write_trace};
 use streamsim_trace::{Access, AccessKind, Addr, TimeSampler};
 
 fn arbitrary_trace(g: &mut Gen, max_len: usize) -> Vec<Access> {
@@ -15,10 +15,11 @@ fn arbitrary_trace(g: &mut Gen, max_len: usize) -> Vec<Access> {
     })
 }
 
-/// The raw format round-trips any trace with addresses below 2^62.
+/// The format round-trips any trace, including wild deltas that need
+/// full-width varints.
 #[test]
-fn raw_round_trips() {
-    check("raw_round_trips", |g| {
+fn compressed_round_trips() {
+    check("compressed_round_trips", |g| {
         let trace = arbitrary_trace(g, 200);
         let mut buf = Vec::new();
         write_trace(&mut buf, &trace).unwrap();
@@ -26,32 +27,20 @@ fn raw_round_trips() {
     });
 }
 
-/// The compressed format round-trips any trace, including wild deltas
-/// that need full-width varints.
-#[test]
-fn compressed_round_trips() {
-    check("compressed_round_trips", |g| {
-        let trace = arbitrary_trace(g, 200);
-        let mut buf = Vec::new();
-        write_trace_compressed(&mut buf, &trace).unwrap();
-        assert_eq!(read_trace_compressed(&buf[..]).unwrap(), trace);
-    });
-}
-
-/// Compressed output is never catastrophically larger than raw: at most
-/// 11 bytes per record (1 kind byte + a 10-byte varint) plus the header.
+/// Encoded output is never catastrophically large: at most 11 bytes per
+/// record (1 kind byte + a 10-byte varint) plus the header.
 #[test]
 fn compressed_size_is_bounded() {
     check("compressed_size_is_bounded", |g| {
         let trace = arbitrary_trace(g, 200);
         let mut buf = Vec::new();
-        write_trace_compressed(&mut buf, &trace).unwrap();
+        write_trace(&mut buf, &trace).unwrap();
         assert!(buf.len() <= 16 + trace.len() * 11);
     });
 }
 
-/// Truncating a compressed stream anywhere after the header yields an
-/// error, never a silently short trace.
+/// Truncating a trace anywhere after the header yields an error, never
+/// a silently short trace.
 #[test]
 fn truncation_is_detected() {
     check("truncation_is_detected", |g| {
@@ -59,11 +48,11 @@ fn truncation_is_detected() {
         g.assume(!trace.is_empty());
         let cut = g.gen_range(0usize..200);
         let mut buf = Vec::new();
-        write_trace_compressed(&mut buf, &trace).unwrap();
+        write_trace(&mut buf, &trace).unwrap();
         let cut = 16 + cut % (buf.len() - 16);
         g.assume(cut < buf.len());
         buf.truncate(cut);
-        assert!(read_trace_compressed(&buf[..]).is_err());
+        assert!(read_trace(&buf[..]).is_err());
     });
 }
 

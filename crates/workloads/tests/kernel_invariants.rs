@@ -95,11 +95,11 @@ fn all_kernels_are_deterministic() {
 /// reshuffle a kernel's reference stream.
 #[test]
 fn all_kernels_emit_byte_identical_reference_streams() {
-    use streamsim_trace::io::write_trace_compressed;
+    use streamsim_trace::io::write_trace;
     for w in small_kernels() {
         let encode = || {
             let mut buf = Vec::new();
-            write_trace_compressed(&mut buf, &collect_trace(w.as_ref())).unwrap();
+            write_trace(&mut buf, &collect_trace(w.as_ref())).unwrap();
             buf
         };
         let first = encode();

@@ -15,7 +15,7 @@ use streamsim::{
     benchmark, collect_trace, record_miss_trace, run_streams, Access, RecordOptions, StreamConfig,
     TimeSampler,
 };
-use streamsim_trace::io::{read_trace_compressed, write_trace_compressed};
+use streamsim_trace::io::{read_trace, write_trace};
 use streamsim_workloads::combinators::RecordedTrace;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = std::env::temp_dir().join("applu-sampled.sstr");
     {
         let file = std::fs::File::create(&path)?;
-        write_trace_compressed(std::io::BufWriter::new(file), &sampled)?;
+        write_trace(std::io::BufWriter::new(file), &sampled)?;
     }
     let bytes = std::fs::metadata(&path)?.len();
     println!(
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Reload and replay through two configurations.
     let reloaded = {
         let file = std::fs::File::open(&path)?;
-        read_trace_compressed(std::io::BufReader::new(file))?
+        read_trace(std::io::BufReader::new(file))?
     };
     assert_eq!(reloaded, sampled, "lossless round trip");
     let replay = RecordedTrace::new("applu-sampled", reloaded);

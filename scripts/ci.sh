@@ -55,15 +55,9 @@ echo "==> cargo build --release --offline -p streamsim-lint"
 cargo build --release --offline -p streamsim-lint
 echo "==> streamsim-lint --deny-warnings (root package)"
 ./target/release/streamsim-lint --deny-warnings
-echo "==> streamsim-lint --deny-warnings --workspace (cold AST cache)"
+echo "==> streamsim-lint --deny-warnings --workspace"
 ./target/release/streamsim-lint --deny-warnings --workspace \
-    --cache "$lint_dir/ast.cache" --json "$lint_dir/cold.jsonl" \
-    --bench-out "$lint_dir/BENCH_lint.json"
-echo "==> streamsim-lint --deny-warnings --workspace (warm AST cache)"
-./target/release/streamsim-lint --deny-warnings --workspace \
-    --cache "$lint_dir/ast.cache" --json "$lint_dir/warm.jsonl"
-cmp "$lint_dir/cold.jsonl" "$lint_dir/warm.jsonl" \
-    || { echo "error: warm-cache lint findings differ from cold" >&2; exit 1; }
+    --json "$lint_dir/workspace.jsonl" --bench-out "$lint_dir/BENCH_lint.json"
 echo "==> streamsim-lint fixture smoke (must fail, verbose)"
 if ./target/release/streamsim-lint --deny-warnings --workspace \
     --json "$lint_dir/fixture-verbose.jsonl" \

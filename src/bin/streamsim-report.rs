@@ -73,8 +73,7 @@
 //! `about:tracing` or Perfetto, checkable with `--trace-check`.
 //!
 //! `--ledger` ingests `BENCH_*.json` artifacts (the flat
-//! `streamsim-bench-v2` schema; pre-v2 nested files still parse, with a
-//! deprecation note) and appends one sequenced row per file to
+//! `streamsim-bench-v2` schema) and appends one sequenced row per file to
 //! `PERF_LEDGER.jsonl`; `--ledger-check` re-reads the whole history and
 //! fails if the latest entry of any benchmark violates a per-metric
 //! floor (the same floors the CI perf smokes enforce live).
@@ -213,24 +212,8 @@ fn diff_reports(path_a: &str, path_b: &str) -> Result<Vec<DriftRecord>, String> 
             if line.trim().is_empty() {
                 continue;
             }
-            let fields = match parse_flat_json_line(line) {
-                Ok(fields) => fields,
-                Err(e) => {
-                    // Pre-v2 nested bench artifact: compare its
-                    // top-level scalars as one row, for one release.
-                    let fields = legacy_top_level_scalars(&text);
-                    if fields.is_empty() {
-                        return Err(format!("{path}:{}: {e}", i + 1));
-                    }
-                    eprintln!(
-                        "note: {path} is a pre-v2 nested bench artifact (deprecated — \
-                         regenerate with STREAMSIM_BENCH_WRITE=1)"
-                    );
-                    let key = row_key(&fields);
-                    rows.push((key, 0, fields));
-                    break;
-                }
-            };
+            let fields =
+                parse_flat_json_line(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
             if is_provenance_row(&fields) {
                 continue;
             }
@@ -403,83 +386,6 @@ fn summarize_drift(drift: &[DriftRecord]) -> Vec<String> {
         .collect()
 }
 
-/// Extracts the top-level *scalar* fields of a nested (pre-v2) JSON
-/// document by depth tracking: strings and numbers at depth 1 are
-/// returned in file order, nested objects/arrays are skipped. Just
-/// enough to keep reading the old `BENCH_*.json` shape for one release.
-fn legacy_top_level_scalars(text: &str) -> Vec<(String, JsonValue)> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut depth = 0i64;
-    let mut i = 0usize;
-    let read_string = |i: &mut usize| -> String {
-        // Called with *i on the opening quote.
-        let start = *i + 1;
-        let mut j = start;
-        while j < bytes.len() && bytes[j] != b'"' {
-            if bytes[j] == b'\\' {
-                j += 1;
-            }
-            j += 1;
-        }
-        *i = (j + 1).min(bytes.len());
-        String::from_utf8_lossy(&bytes[start..j.min(bytes.len())]).into_owned()
-    };
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => {
-                depth += 1;
-                i += 1;
-            }
-            b'}' | b']' => {
-                depth -= 1;
-                i += 1;
-            }
-            b'"' if depth == 1 => {
-                let key = read_string(&mut i);
-                let mut j = i;
-                while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                    j += 1;
-                }
-                if bytes.get(j) != Some(&b':') {
-                    continue; // a string value, not a key
-                }
-                j += 1;
-                while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                    j += 1;
-                }
-                match bytes.get(j) {
-                    Some(b'"') => {
-                        i = j;
-                        let value = read_string(&mut i);
-                        out.push((key, JsonValue::Text(value)));
-                    }
-                    Some(b'{') | Some(b'[') | None => i = j,
-                    Some(_) => {
-                        let start = j;
-                        while j < bytes.len() && !b",}]\n".contains(&bytes[j]) {
-                            j += 1;
-                        }
-                        let token = String::from_utf8_lossy(&bytes[start..j]);
-                        let token = token.trim();
-                        if let Ok(n) = token.parse::<f64>() {
-                            out.push((key, JsonValue::Num(n)));
-                        } else if token == "true" || token == "false" {
-                            out.push((key, JsonValue::Bool(token == "true")));
-                        }
-                        i = j;
-                    }
-                }
-            }
-            b'"' => {
-                read_string(&mut i);
-            }
-            _ => i += 1,
-        }
-    }
-    out
-}
-
 fn field_text(fields: &[(String, JsonValue)], key: &str) -> Option<String> {
     fields.iter().find_map(|(k, v)| match v {
         JsonValue::Text(s) if k == key => Some(s.clone()),
@@ -582,13 +488,7 @@ fn entry_from_fields(fields: &[(String, JsonValue)], fallback_benchmark: &str) -
         run_config: field_text(fields, "run_config").unwrap_or_else(|| "legacy".to_owned()),
         scale: field_text(fields, "scale").unwrap_or_else(|| "unknown".to_owned()),
         samples: field_num(fields, "samples").unwrap_or(0.0) as u64,
-        run_steps: field_num(fields, "run_steps")
-            // Pre-v2 files carried the work count under a per-benchmark
-            // name; fold the known ones into `run_steps`.
-            .or_else(|| field_num(fields, "total_refs"))
-            .or_else(|| field_num(fields, "total_deliveries"))
-            .or_else(|| field_num(fields, "cells_simulated"))
-            .unwrap_or(0.0) as u64,
+        run_steps: field_num(fields, "run_steps").unwrap_or(0.0) as u64,
         metrics: fields
             .iter()
             .filter_map(|(k, v)| match v {
@@ -599,36 +499,20 @@ fn entry_from_fields(fields: &[(String, JsonValue)], fallback_benchmark: &str) -
     }
 }
 
-/// Reads one `BENCH_*.json` artifact into a ledger entry. The v2 shape
-/// is flat JSONL led by a `"table":"summary"` row; the pre-v2 nested
-/// shape still parses via its top-level scalars, with a deprecation
-/// note on stderr.
+/// Reads one `BENCH_*.json` artifact into a ledger entry: flat
+/// `streamsim-bench-v2` JSONL led by a `"table":"summary"` row.
 fn bench_summary_entry(path: &str) -> Result<LedgerEntry, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let first = text
         .lines()
         .find(|l| !l.trim().is_empty())
         .ok_or_else(|| format!("{path}: empty file"))?;
-    if let Ok(fields) = parse_flat_json_line(first) {
-        if field_text(&fields, "table").as_deref() == Some("summary") {
-            return Ok(entry_from_fields(&fields, "unknown"));
-        }
+    let fields = parse_flat_json_line(first).map_err(|e| format!("{path}: {e}"))?;
+    if field_text(&fields, "table").as_deref() != Some("summary") {
         return Err(format!(
             "{path}: first row is not a \"table\":\"summary\" row"
         ));
     }
-    // Legacy nested document: one release of grace.
-    let fields = legacy_top_level_scalars(&text);
-    if fields.is_empty() {
-        return Err(format!(
-            "{path}: neither flat bench-v2 JSONL nor legacy nested JSON"
-        ));
-    }
-    eprintln!(
-        "note: {path} is a pre-v2 nested bench artifact (deprecated — regenerate \
-         with STREAMSIM_BENCH_WRITE=1 to move to the flat {} schema)",
-        streamsim_obs::BENCH_SCHEMA
-    );
     Ok(entry_from_fields(&fields, "unknown"))
 }
 

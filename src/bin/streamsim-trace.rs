@@ -3,7 +3,6 @@
 //! ```text
 //! USAGE:
 //!   streamsim-trace gen <benchmark> <file>     generate a benchmark trace
-//!                                              (compressed v2 format)
 //!   streamsim-trace info <file>                print trace statistics
 //!   streamsim-trace replay <file> [streams]    run a stored trace through
 //!                                              the paper's memory system
@@ -11,15 +10,17 @@
 //!   streamsim-trace list                       list benchmark names
 //! ```
 //!
-//! Traces are stored in the delta-compressed `SSTR` v2 format (see
-//! `streamsim_trace::io`), typically 3–6× smaller than raw.
+//! Traces are stored in the delta-compressed `SSTR` format (see
+//! `streamsim_trace::io`), typically 3–6× smaller than eight bytes per
+//! reference. A malformed or truncated file fails with an `error:` line
+//! and exit status 1.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
 use streamsim::{MemorySystemBuilder, StreamConfig, TraceStats};
-use streamsim_trace::io::{read_trace_compressed, write_trace_compressed};
+use streamsim_trace::io::{read_trace, write_trace};
 use streamsim_workloads::combinators::RecordedTrace;
 use streamsim_workloads::{benchmark, benchmark_names, collect_trace};
 
@@ -37,7 +38,7 @@ fn cmd_gen(name: &str, path: &str) -> ExitCode {
         Ok(f) => f,
         Err(e) => return fail(&format!("cannot create {path}: {e}")),
     };
-    if let Err(e) = write_trace_compressed(BufWriter::new(file), &trace) {
+    if let Err(e) = write_trace(BufWriter::new(file), &trace) {
         return fail(&format!("cannot write {path}: {e}"));
     }
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
@@ -52,8 +53,7 @@ fn cmd_gen(name: &str, path: &str) -> ExitCode {
 
 fn load(path: &str) -> Result<Vec<streamsim::Access>, ExitCode> {
     let file = File::open(path).map_err(|e| fail(&format!("cannot open {path}: {e}")))?;
-    read_trace_compressed(BufReader::new(file))
-        .map_err(|e| fail(&format!("cannot read {path}: {e}")))
+    read_trace(BufReader::new(file)).map_err(|e| fail(&format!("cannot read {path}: {e}")))
 }
 
 fn cmd_info(path: &str) -> ExitCode {

@@ -669,6 +669,26 @@ fn ledger_append_and_check_round_trip() {
     let history = std::fs::read_to_string(&ledger).unwrap();
     assert!(history.contains("\"seq\":2,"), "{history}");
 
+    // A nested (pre-v2) artifact is rejected, and the ledger is untouched.
+    std::fs::write(
+        &bench,
+        "{\n  \"benchmark\": \"replay\",\n  \"speedup\": 2.0\n}\n",
+    )
+    .unwrap();
+    let nested = report()
+        .args([
+            "--ledger",
+            bench.to_str().unwrap(),
+            "--ledger-file",
+            ledger.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(!nested.status.success(), "a nested artifact must fail");
+    let err = String::from_utf8_lossy(&nested.stderr);
+    assert!(err.contains("error:"), "{err}");
+    assert_eq!(std::fs::read_to_string(&ledger).unwrap(), history);
+
     for p in [&bench, &ledger] {
         std::fs::remove_file(p).ok();
     }
@@ -698,50 +718,6 @@ fn ledger_check_fails_on_a_regressed_latest_row() {
     assert!(err.contains("floor violation"), "{err}");
     assert!(err.contains("speedup"), "{err}");
     std::fs::remove_file(&ledger).ok();
-}
-
-#[test]
-fn legacy_nested_bench_ingests_with_a_deprecation_note() {
-    let dir = std::env::temp_dir().join("streamsim-report-ledger-legacy-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let bench = dir.join("BENCH_legacy.json");
-    let ledger = dir.join("ledger.jsonl");
-    std::fs::remove_file(&ledger).ok();
-    std::fs::write(
-        &bench,
-        "{\n  \"benchmark\": \"replay\",\n  \"scale\": \"quick\",\n  \"samples\": 5,\n  \
-         \"total_deliveries\": 4200,\n  \
-         \"reference\": {\"total_ns\": 200},\n  \"current\": {\"total_ns\": 100},\n  \
-         \"speedup\": 2.0,\n  \"per_family\": [\n    {\"family\":\"x\",\"speedup\":2.0}\n  ]\n}\n",
-    )
-    .unwrap();
-    let append = report()
-        .args([
-            "--ledger",
-            bench.to_str().unwrap(),
-            "--ledger-file",
-            ledger.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        append.status.success(),
-        "{}",
-        String::from_utf8_lossy(&append.stderr)
-    );
-    let err = String::from_utf8_lossy(&append.stderr);
-    assert!(err.contains("pre-v2"), "deprecation note expected: {err}");
-    let history = std::fs::read_to_string(&ledger).unwrap();
-    assert!(history.contains("\"benchmark\":\"replay\""), "{history}");
-    assert!(
-        history.contains("\"run_steps\":4200"),
-        "legacy work count folds into run_steps: {history}"
-    );
-    // The nested per-family values never leak into the entry.
-    assert!(!history.contains("family"), "{history}");
-    for p in [&bench, &ledger] {
-        std::fs::remove_file(p).ok();
-    }
 }
 
 #[test]
@@ -975,7 +951,7 @@ fn lint_bench_row_feeds_the_ledger_coverage_floor() {
         "{\"schema\":\"streamsim-bench-v2\",\"table\":\"summary\",\"benchmark\":\"lint\",\
          \"run_config\":\"lint-workspace\",\"scale\":\"workspace\",\"samples\":1,\
          \"run_steps\":180,\"files_scanned\":180,\"resolution_edges\":950,\"findings\":10,\
-         \"cache_hits\":0,\"wall_seconds\":0.2}\n",
+         \"wall_seconds\":0.2}\n",
     )
     .unwrap();
     let append = report()
@@ -1008,7 +984,7 @@ fn lint_bench_row_feeds_the_ledger_coverage_floor() {
         "{\"schema\":\"streamsim-bench-v2\",\"table\":\"summary\",\"benchmark\":\"lint\",\
          \"run_config\":\"lint-root\",\"scale\":\"root\",\"samples\":1,\
          \"run_steps\":12,\"files_scanned\":12,\"resolution_edges\":40,\"findings\":2,\
-         \"cache_hits\":0,\"wall_seconds\":0.01}\n",
+         \"wall_seconds\":0.01}\n",
     )
     .unwrap();
     let append = report()

@@ -71,6 +71,25 @@ fn replay_rejects_missing_file() {
 }
 
 #[test]
+fn info_rejects_a_header_claiming_more_records_than_the_file_holds() {
+    // A bare 16-byte header claiming 2^40 records must fail cleanly,
+    // not abort trying to allocate for the claim.
+    let path = tmp("hostile.sstr");
+    let mut header = b"SSTR".to_vec();
+    header.extend_from_slice(&2u32.to_le_bytes());
+    header.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    std::fs::write(&path, header).unwrap();
+    let out = trace_tool()
+        .args(["info", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.starts_with("error: "), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn help_runs() {
     let out = trace_tool().arg("--help").output().expect("binary runs");
     assert!(out.status.success());
