@@ -25,19 +25,15 @@
 //!   against full simulation.
 
 use std::fmt;
-use std::sync::Arc;
 
 use streamsim_cache::{CacheConfig, Replacement, SetSampling, VictimL1, VictimL1Outcome};
 use streamsim_streams::{Allocation, MatchPolicy, StreamConfig, StreamSystem};
 use streamsim_trace::{AccessKind, Addr, BlockSize};
 use streamsim_workloads::Workload;
 
-use crate::experiments::{workload_set, ExperimentOptions};
+use crate::experiments::{stream_rows, workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{
-    replay, replay_l2, replay_streams, run_streams, MissObserver, MissTrace, RecordOptions,
-    StreamObserver,
-};
+use crate::{replay, MissObserver, RecordOptions};
 
 /// The benchmarks used for ablations: one stream-friendly, one strided,
 /// one short-burst, one irregular.
@@ -79,13 +75,6 @@ fn ablation_workloads(options: &ExperimentOptions) -> Vec<Box<dyn Workload>> {
         .collect()
 }
 
-fn trace_of(w: &dyn Workload, options: &ExperimentOptions) -> Arc<MissTrace> {
-    options
-        .store
-        .record(w, &options.record_options())
-        .expect("valid L1")
-}
-
 /// Partitioned-stream observer: instruction misses feed a 2-stream
 /// system, data misses an 8-stream system (same total hardware as the
 /// unified ten).
@@ -121,77 +110,80 @@ impl MissObserver for PartitionedObserver {
 
 /// Runs the ablation suite.
 pub fn run(options: &ExperimentOptions) -> Ablations {
-    let workloads = ablation_workloads(options);
-    let traces: Vec<(String, Arc<MissTrace>)> = options.parallel_map(workloads, |w| {
-        (w.name().to_owned(), trace_of(w.as_ref(), options))
-    });
+    let record = options.record_options();
+    let basic = StreamConfig::paper_basic(10).expect("valid");
 
-    // Each family sweep replays one trace against a fused configuration
-    // family; the per-benchmark fan-out runs under the Executor seam so
+    // Each family sweep is one stream request per benchmark: cells other
+    // drivers already replayed (the paper's basic, filtered and strided
+    // systems) are served from the store and the rest replay as one fused
+    // family. The per-benchmark fan-out runs under the Executor seam so
     // DST can drive its interleavings (tests/dst_engine.rs).
-    let depth = options.parallel_map(traces.clone(), |(name, trace)| {
-        let configs: Vec<StreamConfig> = DEPTHS
-            .iter()
-            .map(|&d| StreamConfig::new(10, d, Allocation::OnMiss).expect("valid"))
-            .collect();
-        let rates = replay_streams(&trace, &configs)
-            .iter()
-            .map(|s| s.hit_rate())
-            .collect();
-        (name, rates)
-    });
+    let family = |configs: &[StreamConfig]| {
+        stream_rows(options, ablation_workloads(options), configs).into_iter()
+    };
 
-    let match_policy = options.parallel_map(traces.clone(), |(name, trace)| {
-        let configs = [
-            StreamConfig::paper_basic(10).expect("valid"),
-            StreamConfig::new(10, 4, Allocation::OnMiss)
-                .expect("valid")
-                .with_match_policy(MatchPolicy::AnyEntry),
-        ];
-        let stats = replay_streams(&trace, &configs);
-        (name, [stats[0].hit_rate(), stats[1].hit_rate()])
-    });
+    let depth_configs: Vec<StreamConfig> = DEPTHS
+        .iter()
+        .map(|&d| StreamConfig::new(10, d, Allocation::OnMiss).expect("valid"))
+        .collect();
+    let depth = family(&depth_configs)
+        .map(|(name, stats)| (name, stats.iter().map(|s| s.hit_rate()).collect()))
+        .collect();
 
-    let filter_size = options.parallel_map(traces.clone(), |(name, trace)| {
-        let configs: Vec<StreamConfig> = FILTER_SIZES
-            .iter()
-            .map(|&entries| {
-                StreamConfig::new(10, 2, Allocation::UnitFilter { entries }).expect("valid")
-            })
-            .collect();
-        let cells = replay_streams(&trace, &configs)
-            .iter()
-            .map(|stats| (stats.hit_rate(), stats.extra_bandwidth()))
-            .collect();
-        (name, cells)
-    });
+    let match_policy = family(&[
+        basic,
+        StreamConfig::new(10, 4, Allocation::OnMiss)
+            .expect("valid")
+            .with_match_policy(MatchPolicy::AnyEntry),
+    ])
+    .map(|(name, stats)| (name, [stats[0].hit_rate(), stats[1].hit_rate()]))
+    .collect();
 
-    let stride_scheme = options.parallel_map(traces.clone(), |(name, trace)| {
-        let configs = [
-            StreamConfig::paper_strided(10, 16).expect("valid"),
-            StreamConfig::new(
-                10,
-                2,
-                Allocation::MinDelta {
-                    entries: 16,
-                    max_stride_words: 1 << 20,
-                },
-            )
-            .expect("valid"),
-        ];
-        let stats = replay_streams(&trace, &configs);
-        (name, [stats[0].hit_rate(), stats[1].hit_rate()])
-    });
+    let filter_configs: Vec<StreamConfig> = FILTER_SIZES
+        .iter()
+        .map(|&entries| {
+            StreamConfig::new(10, 2, Allocation::UnitFilter { entries }).expect("valid")
+        })
+        .collect();
+    let filter_size = family(&filter_configs)
+        .map(|(name, stats)| {
+            let cells = stats
+                .iter()
+                .map(|s| (s.hit_rate(), s.extra_bandwidth()))
+                .collect();
+            (name, cells)
+        })
+        .collect();
 
-    // Topology: the unified system and the partitioned variant observe
-    // the same replay pass over the unified miss stream.
-    let topology = options.parallel_map(traces.clone(), |(name, trace)| {
-        let mut unified = StreamObserver::new(StreamConfig::paper_basic(10).expect("valid"));
+    let stride_scheme = family(&[
+        StreamConfig::paper_strided(10, 16).expect("valid"),
+        StreamConfig::new(
+            10,
+            2,
+            Allocation::MinDelta {
+                entries: 16,
+                max_stride_words: 1 << 20,
+            },
+        )
+        .expect("valid"),
+    ])
+    .map(|(name, stats)| (name, [stats[0].hit_rate(), stats[1].hit_rate()]))
+    .collect();
+
+    // Topology: the unified system is an ordinary stream request; the
+    // partitioned variant couples two systems behind one observer, so it
+    // replays the unified miss stream on its own.
+    let topology = options.parallel_map(ablation_workloads(options), |w| {
+        let unified = options
+            .store
+            .stream_stats(w.as_ref(), &record, &[basic])
+            .expect("valid L1")[0];
         let mut part = PartitionedObserver {
             isys: StreamSystem::new(StreamConfig::paper_basic(2).expect("valid")),
             dsys: StreamSystem::new(StreamConfig::paper_basic(8).expect("valid")),
         };
-        replay(&trace, &mut [&mut unified, &mut part]);
+        let trace = options.store.record(w.as_ref(), &record).expect("valid L1");
+        replay(&trace, &mut [&mut part]);
         let (i, d) = (part.isys.stats(), part.dsys.stats());
         let lookups = i.lookups + d.lookups;
         let part_rate = if lookups == 0 {
@@ -199,7 +191,7 @@ pub fn run(options: &ExperimentOptions) -> Ablations {
         } else {
             (i.hits + d.hits) as f64 / lookups as f64
         };
-        (name, [unified.stats().hit_rate(), part_rate])
+        (w.name().to_owned(), [unified.hit_rate(), part_rate])
     });
 
     // L1 replacement policy: re-record each miss trace under random,
@@ -207,32 +199,42 @@ pub fn run(options: &ExperimentOptions) -> Ablations {
     // store keys on the full RecordOptions, so each policy gets its own
     // cached trace.
     let l1_replacement = options.parallel_map(ablation_workloads(options), |w| {
-        let base = options.record_options();
         let rates = [
             Replacement::Random { seed: 0x5eed },
             Replacement::Lru,
             Replacement::TreePlru,
         ]
         .map(|policy| {
-            let cfg = base.dcache.with_replacement(policy);
-            let record = RecordOptions {
+            let cfg = record.dcache.with_replacement(policy);
+            let policy_record = RecordOptions {
                 icache: cfg,
                 dcache: cfg,
-                sampling: base.sampling,
+                sampling: record.sampling,
             };
-            let trace = options.store.record(w.as_ref(), &record).expect("valid L1");
-            run_streams(&trace, StreamConfig::paper_basic(10).expect("valid")).hit_rate()
+            options
+                .store
+                .stream_stats(w.as_ref(), &policy_record, &[basic])
+                .expect("valid L1")[0]
+                .hit_rate()
         });
         (w.name().to_owned(), rates)
     });
 
     // Set-sampling validation: the paper's Table 4 estimator against
-    // full simulation of a 1 MB L2 — both observers share one pass.
-    let sampling = options.parallel_map(traces, |(name, trace)| {
-        let cfg = CacheConfig::new(1 << 20, 2, trace.l1_block()).expect("valid L2");
+    // full simulation of a 1 MB L2 — one L2 request, so both cells share
+    // one pass when neither is stored yet.
+    let sampling = options.parallel_map(ablation_workloads(options), |w| {
+        let cfg = CacheConfig::new(1 << 20, 2, record.dcache.block()).expect("valid L2");
         let cells = [(cfg, None), (cfg, Some(SetSampling::new(2, 1)))];
-        let stats = replay_l2(&trace, &cells).expect("valid");
-        (name, stats[0].hit_rate(), stats[1].hit_rate())
+        let stats = options
+            .store
+            .l2_stats(w.as_ref(), &record, &cells)
+            .expect("valid");
+        (
+            w.name().to_owned(),
+            stats[0].hit_rate(),
+            stats[1].hit_rate(),
+        )
     });
 
     // Victim buffer: Jouppi's original front end — a direct-mapped data

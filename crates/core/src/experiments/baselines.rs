@@ -21,8 +21,7 @@ use std::fmt;
 
 use streamsim_streams::{Allocation, StreamConfig, StreamStats};
 
-use crate::experiments::{miss_traces, ExperimentOptions};
-use crate::replay_streams;
+use crate::experiments::{stream_rows, workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
 
 /// The five configurations compared, in lineage order.
@@ -67,13 +66,13 @@ fn configs() -> Vec<StreamConfig> {
     ]
 }
 
-/// Runs the experiment. The whole lineage replays over each benchmark's
-/// trace in a single pass.
+/// Runs the experiment. The lineage steps not yet replayed replay over
+/// each benchmark's trace in a single pass.
 pub fn run(options: &ExperimentOptions) -> Baselines {
-    let rows = options.parallel_map(miss_traces(options), |(name, trace)| Row {
-        name,
-        stats: replay_streams(&trace, &configs()),
-    });
+    let rows = stream_rows(options, workload_set(options.scale), &configs())
+        .into_iter()
+        .map(|(name, stats)| Row { name, stats })
+        .collect();
     Baselines { rows }
 }
 

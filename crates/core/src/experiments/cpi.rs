@@ -29,7 +29,7 @@ use streamsim_trace::BlockSize;
 
 use crate::experiments::{workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{run_streams, MissTrace};
+use crate::MissTrace;
 
 /// The assumed memory-system timing, in processor cycles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,12 +120,19 @@ fn measure(
     options: &ExperimentOptions,
     timing: Timing,
 ) -> Row {
+    let record = options.record_options();
     let refs = trace.l1().refs();
     let misses = trace.l1().misses();
-    let streams = run_streams(trace, StreamConfig::paper_filtered(10).expect("valid"));
+    let streams = options
+        .store
+        .stream_stats(
+            workload,
+            &record,
+            &[StreamConfig::paper_filtered(10).expect("valid")],
+        )
+        .expect("valid L1")[0];
 
     // Conventional 1 MB L2 over the same reference stream.
-    let record = options.record_options();
     let l2_cfg = CacheConfig::new(1 << 20, 2, BlockSize::default()).expect("valid");
     let mut two_level = TwoLevel::new(record.icache, record.dcache, l2_cfg).expect("valid");
     workload.generate(&mut |a| {

@@ -10,9 +10,9 @@ use std::fmt;
 
 use streamsim_streams::StreamConfig;
 
-use crate::experiments::{miss_traces, ExperimentOptions};
+use crate::experiments::{stream_rows, workload_set, ExperimentOptions};
+use crate::paper;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{paper, replay_streams};
 
 /// The stream counts swept, as in the figure's x-axis.
 pub const STREAM_COUNTS: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
@@ -50,21 +50,20 @@ impl Fig3 {
     }
 }
 
-/// Runs the experiment. The ten stream-count configurations replay over
-/// each benchmark's trace in a single pass.
+/// Runs the experiment. The stream-count configurations not yet
+/// replayed replay over each benchmark's trace in a single pass.
 pub fn run(options: &ExperimentOptions) -> Fig3 {
     let configs: Vec<StreamConfig> = STREAM_COUNTS
         .iter()
         .map(|&n| StreamConfig::paper_basic(n).expect("stream counts are positive"))
         .collect();
-    let traces = miss_traces(options);
-    let rows = options.parallel_map(traces, move |(name, trace)| {
-        let hit_rates = replay_streams(&trace, &configs)
-            .iter()
-            .map(|s| s.hit_rate())
-            .collect();
-        Row { name, hit_rates }
-    });
+    let rows = stream_rows(options, workload_set(options.scale), &configs)
+        .into_iter()
+        .map(|(name, stats)| Row {
+            name,
+            hit_rates: stats.iter().map(|s| s.hit_rate()).collect(),
+        })
+        .collect();
     Fig3 { rows }
 }
 

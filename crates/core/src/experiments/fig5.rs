@@ -11,9 +11,9 @@ use std::fmt;
 
 use streamsim_streams::{StreamConfig, StreamStats};
 
-use crate::experiments::{miss_traces, ExperimentOptions};
+use crate::experiments::{stream_rows, workload_set, ExperimentOptions};
+use crate::paper;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{paper, replay_streams};
 
 /// One benchmark's with/without-filter comparison.
 #[derive(Clone, Debug)]
@@ -41,21 +41,18 @@ impl Fig5 {
 }
 
 /// Runs the experiment. Both configurations share one replay pass per
-/// benchmark.
+/// benchmark unless the store already holds them.
 pub fn run(options: &ExperimentOptions) -> Fig5 {
     let configs = [
         StreamConfig::paper_basic(10).expect("valid"),
         StreamConfig::paper_filtered(10).expect("valid"),
     ];
-    let rows = miss_traces(options)
+    let rows = stream_rows(options, workload_set(options.scale), &configs)
         .into_iter()
-        .map(|(name, trace)| {
-            let mut stats = replay_streams(&trace, &configs).into_iter();
-            Row {
-                name,
-                unfiltered: stats.next().expect("two configs"),
-                filtered: stats.next().expect("two configs"),
-            }
+        .map(|(name, stats)| Row {
+            name,
+            unfiltered: stats[0],
+            filtered: stats[1],
         })
         .collect();
     Fig5 { rows }

@@ -10,9 +10,9 @@ use std::fmt;
 
 use streamsim_streams::{StreamConfig, StreamStats};
 
-use crate::experiments::{miss_traces, ExperimentOptions};
+use crate::experiments::{stream_rows, workload_set, ExperimentOptions};
+use crate::paper;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{paper, replay_streams};
 
 /// Czone size (bits of the word address) used when a benchmark has no
 /// tuned value: large enough for plane-sized strides, small enough to
@@ -52,21 +52,19 @@ pub fn run(options: &ExperimentOptions) -> Fig8 {
 }
 
 /// Runs the experiment with an explicit czone size. Both configurations
-/// share one replay pass per benchmark.
+/// share one replay pass per benchmark unless the store already holds
+/// them.
 pub fn run_with_czone(options: &ExperimentOptions, czone_bits: u32) -> Fig8 {
     let configs = [
         StreamConfig::paper_filtered(10).expect("valid"),
         StreamConfig::paper_strided(10, czone_bits).expect("valid"),
     ];
-    let rows = miss_traces(options)
+    let rows = stream_rows(options, workload_set(options.scale), &configs)
         .into_iter()
-        .map(|(name, trace)| {
-            let mut stats = replay_streams(&trace, &configs).into_iter();
-            Row {
-                name,
-                unit_only: stats.next().expect("two configs"),
-                strided: stats.next().expect("two configs"),
-            }
+        .map(|(name, stats)| Row {
+            name,
+            unit_only: stats[0],
+            strided: stats[1],
         })
         .collect();
     Fig8 { rows, czone_bits }

@@ -11,8 +11,7 @@ use std::fmt;
 
 use streamsim_streams::StreamConfig;
 
-use crate::experiments::{miss_traces, ExperimentOptions};
-use crate::replay_streams;
+use crate::experiments::{stream_rows, workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
 
 /// The czone sizes swept (bits of the word address), as in the figure.
@@ -54,24 +53,24 @@ impl Fig9 {
     }
 }
 
-/// Runs the experiment. The nine czone sizes replay over each
-/// benchmark's trace in a single pass.
+/// Runs the experiment. The czone sizes not yet replayed replay over
+/// each benchmark's trace in a single pass.
 pub fn run(options: &ExperimentOptions) -> Fig9 {
     let configs: Vec<StreamConfig> = CZONE_BITS
         .iter()
         .map(|&bits| StreamConfig::paper_strided(10, bits).expect("valid czone"))
         .collect();
-    let traces: Vec<_> = miss_traces(options)
+    let workloads = workload_set(options.scale)
         .into_iter()
-        .filter(|(name, _)| FIG9_BENCHMARKS.contains(&name.as_str()))
+        .filter(|w| FIG9_BENCHMARKS.contains(&w.name()))
         .collect();
-    let rows = options.parallel_map(traces, move |(name, trace)| {
-        let hit_rates = replay_streams(&trace, &configs)
-            .iter()
-            .map(|s| s.hit_rate())
-            .collect();
-        Row { name, hit_rates }
-    });
+    let rows = stream_rows(options, workloads, &configs)
+        .into_iter()
+        .map(|(name, stats)| Row {
+            name,
+            hit_rates: stats.iter().map(|s| s.hit_rate()).collect(),
+        })
+        .collect();
     Fig9 { rows }
 }
 

@@ -22,8 +22,7 @@ use std::fmt;
 
 use streamsim_streams::{Allocation, StreamConfig, StreamStats};
 
-use crate::experiments::{miss_traces, ExperimentOptions};
-use crate::replay_streams;
+use crate::experiments::{stream_rows, workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
 
 /// Memory latencies swept, in units of the mean inter-miss interval.
@@ -63,21 +62,19 @@ impl Latency {
     }
 }
 
-/// Runs the experiment. Both depths share one replay pass per benchmark.
+/// Runs the experiment. Both depths share one replay pass per benchmark
+/// unless the store already holds them.
 pub fn run(options: &ExperimentOptions) -> Latency {
     let configs = [
         StreamConfig::new(10, 2, Allocation::OnMiss).expect("valid"),
         StreamConfig::new(10, 8, Allocation::OnMiss).expect("valid"),
     ];
-    let rows = miss_traces(options)
+    let rows = stream_rows(options, workload_set(options.scale), &configs)
         .into_iter()
-        .map(|(name, trace)| {
-            let mut stats = replay_streams(&trace, &configs).into_iter();
-            Row {
-                name,
-                depth2: stats.next().expect("two configs"),
-                depth8: stats.next().expect("two configs"),
-            }
+        .map(|(name, stats)| Row {
+            name,
+            depth2: stats[0],
+            depth8: stats[1],
         })
         .collect();
     Latency { rows }

@@ -46,6 +46,7 @@ pub mod traffic;
 
 use std::sync::Arc;
 
+use streamsim_streams::{StreamConfig, StreamStats};
 use streamsim_workloads::{all_benchmarks, kernels, Workload};
 
 use crate::sink::Artifact;
@@ -93,7 +94,8 @@ pub fn default_artifacts() -> Vec<&'static str> {
 ///
 /// All drivers run against the options' shared [`TraceStore`], so a
 /// sequence of `run_artifact` calls with one options value simulates
-/// each L1 configuration exactly once.
+/// each L1 configuration exactly once and replays each (trace, stream
+/// or L2 configuration) cell at most once.
 pub fn run_artifact(name: &str, options: &ExperimentOptions) -> Option<Box<dyn Artifact>> {
     let artifact: Box<dyn Artifact> = match name {
         "table1" => Box::new(table1::run(options)),
@@ -131,9 +133,9 @@ pub enum Scale {
 /// Options shared by all experiment drivers.
 ///
 /// Cloning is cheap and *shares* the [`TraceStore`]: drivers run with
-/// clones of one options value reuse each other's recorded miss traces,
-/// which is what makes a full multi-driver sweep simulate each L1
-/// exactly once.
+/// clones of one options value reuse each other's recorded miss traces
+/// and replay results, which is what makes a full multi-driver sweep
+/// simulate each L1, and each cell behind it, exactly once.
 #[derive(Clone, Debug, Default)]
 pub struct ExperimentOptions {
     /// Input-size scale.
@@ -389,6 +391,37 @@ pub fn miss_traces(options: &ExperimentOptions) -> Vec<(String, Arc<MissTrace>)>
         .map(|w| w.name().to_owned())
         .zip(traces)
         .collect()
+}
+
+/// Replays the stream family `configs` over each of `workloads`,
+/// returning `(benchmark, statistics in configs order)` rows in workload
+/// order.
+///
+/// This is the fan-out every stream-replaying driver shares. Cold
+/// traces are recorded first, concurrently, by the store's
+/// [`prefill`](TraceStore::prefill_on); then workloads go through
+/// [`ExperimentOptions::parallel_map`], so the run's executor schedules
+/// them, and each request goes through the options' shared
+/// [`TraceStore::stream_stats`]: a (trace, configuration) cell another
+/// driver already replayed is served from the store and only the cold
+/// cells replay, as one fused family.
+pub fn stream_rows(
+    options: &ExperimentOptions,
+    workloads: Vec<Box<dyn Workload>>,
+    configs: &[StreamConfig],
+) -> Vec<(String, Vec<StreamStats>)> {
+    let record = options.record_options();
+    options
+        .store
+        .prefill_on(&workloads, &record, options.executor.executor())
+        .expect("paper L1 configuration is valid");
+    options.parallel_map(workloads, |w| {
+        let stats = options
+            .store
+            .stream_stats(w.as_ref(), &record, configs)
+            .expect("paper L1 configuration is valid");
+        (w.name().to_owned(), stats)
+    })
 }
 
 #[cfg(test)]

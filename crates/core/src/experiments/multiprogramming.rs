@@ -20,7 +20,6 @@ use streamsim_workloads::combinators::Interleaved;
 use streamsim_workloads::Workload;
 
 use crate::experiments::{workload_set, ExperimentOptions, Scale};
-use crate::run_streams;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
 
 /// Reference quanta swept (references per time slice).
@@ -72,12 +71,13 @@ pub fn run(options: &ExperimentOptions) -> Multiprogramming {
         let wa = find(scale, a);
         let wb = find(scale, b);
 
-        // Solo hit rates, miss-weighted. The solo traces come from the
-        // shared store, so other drivers' recordings are reused.
-        let ta = store.record(wa.as_ref(), &record).expect("valid L1");
-        let tb = store.record(wb.as_ref(), &record).expect("valid L1");
-        let sa = run_streams(&ta, config);
-        let sb = run_streams(&tb, config);
+        // Solo hit rates, miss-weighted. The solo cells come from the
+        // shared store, so other drivers' recordings and replays are
+        // reused.
+        let streams =
+            |w: &dyn Workload| store.stream_stats(w, &record, &[config]).expect("valid L1")[0];
+        let sa = streams(wa.as_ref());
+        let sb = streams(wb.as_ref());
         let solo_hit = (sa.hits + sb.hits) as f64 / (sa.lookups + sb.lookups).max(1) as f64;
 
         let interleaved_hit = QUANTA
@@ -85,8 +85,7 @@ pub fn run(options: &ExperimentOptions) -> Multiprogramming {
             .map(|&q| {
                 let mix =
                     Interleaved::new(format!("{a}+{b}"), vec![find(scale, a), find(scale, b)], q);
-                let trace = store.record(&mix, &record).expect("valid L1");
-                run_streams(&trace, config).hit_rate()
+                streams(&mix).hit_rate()
             })
             .collect();
 

@@ -18,9 +18,8 @@ use std::fmt;
 
 use streamsim_streams::StreamConfig;
 
-use crate::experiments::{fig9, miss_traces, table4, ExperimentOptions};
+use crate::experiments::{fig9, stream_rows, table4, workload_set, ExperimentOptions};
 use crate::paper;
-use crate::replay_streams;
 use crate::sink::{col, Artifact, ArtifactSink, Cell as SinkCell};
 
 /// Tolerance for hit-rate comparisons, in percentage points.
@@ -120,7 +119,9 @@ impl Scorecard {
 ///
 /// The three stream configurations share one replay pass per benchmark,
 /// and the nested Figure 9 / Table 4 runs reuse the same [`TraceStore`]
-/// as this driver (via the shared options), so no L1 is simulated twice.
+/// as this driver (via the shared options). No L1 is simulated twice and
+/// no (trace, configuration) cell is replayed twice: after the drivers
+/// it summarises, the scorecard replays nothing.
 ///
 /// [`TraceStore`]: crate::TraceStore
 pub fn run(options: &ExperimentOptions) -> Scorecard {
@@ -130,14 +131,11 @@ pub fn run(options: &ExperimentOptions) -> Scorecard {
         StreamConfig::paper_strided(10, 16).expect("valid"),
     ];
     let mut cells = Vec::new();
-    for (name, trace) in miss_traces(options) {
+    for (name, stats) in stream_rows(options, workload_set(options.scale), &configs) {
         let Some(p) = paper::benchmark(&name) else {
             continue;
         };
-        let mut stats = replay_streams(&trace, &configs).into_iter();
-        let basic = stats.next().expect("three configs");
-        let filtered = stats.next().expect("three configs");
-        let strided = stats.next().expect("three configs");
+        let (basic, filtered, strided) = (stats[0], stats[1], stats[2]);
 
         let mut grade = |metric, measured: f64, reported: f64, tol| {
             cells.push(Cell {

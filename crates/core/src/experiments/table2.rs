@@ -10,9 +10,9 @@ use std::fmt;
 
 use streamsim_streams::{StreamConfig, StreamStats};
 
-use crate::experiments::{miss_traces, ExperimentOptions};
+use crate::experiments::{stream_rows, workload_set, ExperimentOptions};
+use crate::paper;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{paper, replay_streams};
 
 /// One benchmark's bandwidth accounting.
 #[derive(Clone, Debug)]
@@ -47,12 +47,13 @@ impl Table2 {
 /// Runs the experiment.
 pub fn run(options: &ExperimentOptions) -> Table2 {
     let config = StreamConfig::paper_basic(10).expect("ten streams is valid");
-    let rows = options.parallel_map(miss_traces(options), move |(name, trace)| Row {
-        name,
-        stats: replay_streams(&trace, &[config])
-            .pop()
-            .expect("one config in, one stats out"),
-    });
+    let rows = stream_rows(options, workload_set(options.scale), &[config])
+        .into_iter()
+        .map(|(name, stats)| Row {
+            name,
+            stats: stats[0],
+        })
+        .collect();
     Table2 { rows }
 }
 

@@ -11,9 +11,9 @@ use std::fmt;
 
 use streamsim_streams::{LengthBucket, LengthHistogram, StreamConfig};
 
-use crate::experiments::{miss_traces, ExperimentOptions};
+use crate::experiments::{stream_rows, workload_set, ExperimentOptions};
+use crate::paper;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{paper, run_streams};
 
 /// One benchmark's length distribution.
 #[derive(Clone, Debug)]
@@ -40,11 +40,12 @@ impl Table3 {
 
 /// Runs the experiment.
 pub fn run(options: &ExperimentOptions) -> Table3 {
-    let rows = miss_traces(options)
+    let config = StreamConfig::paper_basic(10).expect("valid");
+    let rows = stream_rows(options, workload_set(options.scale), &[config])
         .into_iter()
-        .map(|(name, trace)| Row {
+        .map(|(name, stats)| Row {
             name,
-            lengths: run_streams(&trace, StreamConfig::paper_basic(10).expect("valid")).lengths,
+            lengths: stats[0].lengths,
         })
         .collect();
     Table3 { rows }

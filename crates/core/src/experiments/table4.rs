@@ -21,9 +21,9 @@ use streamsim_cache::CacheConfig;
 use streamsim_streams::StreamConfig;
 
 use crate::experiments::{table4_pairs, ExperimentOptions};
+use crate::paper;
 use crate::report::size;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{paper, replay, L2Observer, MissObserver, StreamObserver};
 
 /// The L2 capacities swept, smallest to largest.
 pub const L2_SIZES: [u64; 7] = [
@@ -80,40 +80,42 @@ fn measure(
     workload: &dyn streamsim_workloads::Workload,
     options: &ExperimentOptions,
 ) -> Row {
-    let trace = options
-        .store
-        .record(workload, &options.record_options())
-        .expect("paper L1 configuration is valid");
-    let block = trace.l1_block();
+    let record = options.record_options();
+    // The L2 block matches the primary cache's (the trace's fetch
+    // granularity).
+    let block = record.dcache.block();
 
-    // The stream system and the full capacity × associativity L2 grid
-    // observe the trace in one pass; the minimum-capacity scan then runs
-    // over the collected hit rates.
-    let mut streams = StreamObserver::new(
-        StreamConfig::paper_strided(10, CZONE_BITS).expect("paper stream configuration is valid"),
-    );
-    let mut grid: Vec<(u64, L2Observer)> = L2_SIZES
+    // One stream request and one request for the full capacity ×
+    // associativity L2 grid, each served from the store when another
+    // driver (or an earlier run of this one) already replayed it; the
+    // minimum-capacity scan then runs over the collected hit rates.
+    let streams =
+        StreamConfig::paper_strided(10, CZONE_BITS).expect("paper stream configuration is valid");
+    let stream_hit = options
+        .store
+        .stream_stats(workload, &record, &[streams])
+        .expect("paper L1 configuration is valid")[0]
+        .hit_rate();
+    let (caps, cells): (Vec<u64>, Vec<_>) = L2_SIZES
         .iter()
         .flat_map(|&cap| [1u32, 2, 4].map(|assoc| (cap, assoc)))
         .filter_map(|(cap, assoc)| {
-            let cfg = CacheConfig::secondary(cap, assoc, block).ok()?;
-            Some((cap, L2Observer::new(cfg, None).ok()?))
+            Some((cap, (CacheConfig::secondary(cap, assoc, block).ok()?, None)))
         })
-        .collect();
-    {
-        let mut observers: Vec<&mut dyn MissObserver> = vec![&mut streams];
-        observers.extend(grid.iter_mut().map(|(_, o)| o as &mut dyn MissObserver));
-        replay(&trace, &mut observers);
-    }
+        .unzip();
+    let grid = options
+        .store
+        .l2_stats(workload, &record, &cells)
+        .expect("paper L2 grid is valid");
 
-    let stream_hit = streams.stats().hit_rate();
     let mut min_l2_bytes = None;
     let mut l2_hit = 0.0;
     for &cap in &L2_SIZES {
-        let best = grid
+        let best = caps
             .iter()
-            .filter(|(c, _)| *c == cap)
-            .map(|(_, o)| o.stats().hit_rate())
+            .zip(&grid)
+            .filter(|(c, _)| **c == cap)
+            .map(|(_, stats)| stats.hit_rate())
             .fold(0.0f64, f64::max);
         l2_hit = best;
         if best >= stream_hit {

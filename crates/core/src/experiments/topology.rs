@@ -23,14 +23,13 @@ use std::fmt;
 
 use streamsim_cache::{CacheConfig, SetAssocCache};
 use streamsim_streams::{StreamConfig, StreamSystem};
-use streamsim_trace::{AccessKind, BlockSize};
-
-use streamsim_trace::Addr;
+use streamsim_trace::{AccessKind, Addr, BlockSize};
+use streamsim_workloads::Workload;
 
 use crate::experiments::cpi::Timing;
-use crate::experiments::{miss_traces, ExperimentOptions};
+use crate::experiments::{workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{replay, L2Observer, MissObserver, MissTrace};
+use crate::{replay, MissObserver};
 
 /// One benchmark's topology comparison (memory CPI per system).
 #[derive(Clone, Debug)]
@@ -89,25 +88,31 @@ impl MissObserver for JouppiChain {
     }
 }
 
-fn measure(name: String, trace: &MissTrace, timing: Timing) -> Row {
+fn measure(workload: &dyn Workload, options: &ExperimentOptions, timing: Timing) -> Row {
+    let record = options.record_options();
     let config = StreamConfig::paper_filtered(10).expect("valid");
     let l2_cfg = CacheConfig::new(1 << 20, 2, BlockSize::default()).expect("valid");
 
-    // One replay drives the Jouppi chain (streams + residual L2) and the
-    // conventional L2 (seeing every miss) side by side.
+    // The Jouppi chain (streams + residual L2) couples its two halves, so
+    // it replays on its own; the conventional L2 (seeing every miss) is
+    // an ordinary L2 request the store may already hold.
+    let trace = options.store.record(workload, &record).expect("valid L1");
     let mut jouppi = JouppiChain {
         streams: StreamSystem::new(config),
         residual_l2: SetAssocCache::new(l2_cfg).expect("valid"),
     };
-    let mut full_l2 = L2Observer::new(l2_cfg, None).expect("valid");
-    replay(trace, &mut [&mut jouppi, &mut full_l2]);
+    replay(&trace, &mut [&mut jouppi]);
     let stats = jouppi.streams.stats();
 
     let refs = trace.l1().refs() as f64;
     let misses = trace.l1().misses() as f64;
     let hit = stats.hit_rate();
     let residual_hit = jouppi.residual_l2.stats().hit_rate();
-    let l2_hit = full_l2.stats().hit_rate();
+    let l2_hit = options
+        .store
+        .l2_stats(workload, &record, &[(l2_cfg, None)])
+        .expect("valid")[0]
+        .hit_rate();
 
     let lm = timing.memory_latency as f64;
     let ll2 = timing.l2_latency as f64;
@@ -125,7 +130,7 @@ fn measure(name: String, trace: &MissTrace, timing: Timing) -> Row {
     let conventional = (misses * (l2_hit * ll2 + (1.0 - l2_hit) * lm)) / refs;
 
     Row {
-        name,
+        name: workload.name().to_owned(),
         stream_hit: hit,
         residual_l2_hit: residual_hit,
         l2_hit,
@@ -136,8 +141,8 @@ fn measure(name: String, trace: &MissTrace, timing: Timing) -> Row {
 /// Runs the comparison with [`Timing::default`].
 pub fn run(options: &ExperimentOptions) -> Topology {
     let timing = Timing::default();
-    let rows = options.parallel_map(miss_traces(options), move |(name, trace)| {
-        measure(name, &trace, timing)
+    let rows = options.parallel_map(workload_set(options.scale), |w| {
+        measure(w.as_ref(), options, timing)
     });
     Topology { rows, timing }
 }
@@ -195,6 +200,7 @@ impl fmt::Display for Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::miss_traces;
 
     #[test]
     fn jouppi_topology_never_loses_to_paper_topology_on_cpi() {

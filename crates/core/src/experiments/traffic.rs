@@ -26,7 +26,7 @@ use streamsim_trace::BlockSize;
 
 use crate::experiments::{workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{run_streams, MissTrace};
+use crate::MissTrace;
 
 /// The conventional system's L2 capacity.
 pub const L2_BYTES: u64 = 1 << 20;
@@ -89,7 +89,13 @@ pub fn run(options: &ExperimentOptions) -> Traffic {
     let store = options.store.clone();
     let rows = options.parallel_map(workload_set(options.scale), move |w| {
         let trace = store.record(w.as_ref(), &record).expect("valid L1");
-        let streams = run_streams(&trace, StreamConfig::paper_filtered(10).expect("valid"));
+        let streams = store
+            .stream_stats(
+                w.as_ref(),
+                &record,
+                &[StreamConfig::paper_filtered(10).expect("valid")],
+            )
+            .expect("valid L1")[0];
         let baseline = baseline_bytes(&trace);
         let streams_bytes = baseline + streams.useless_prefetches() * trace.l1_block().bytes();
 

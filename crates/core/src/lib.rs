@@ -11,8 +11,10 @@
 //!   against any number of stream-buffer or secondary-cache
 //!   configurations at a tiny fraction of the full simulation cost.
 //! * [`TraceStore`] — memoizes recorded traces per (workload, L1
-//!   geometry, sampling) key; drivers sharing a store via
-//!   [`experiments::ExperimentOptions`] simulate each L1 exactly once.
+//!   geometry, sampling) key, and replay results per (trace, observer
+//!   configuration); drivers sharing a store via
+//!   [`experiments::ExperimentOptions`] simulate each L1, and replay
+//!   each configuration over each trace, exactly once.
 //! * [`replay`] — drives any number of [`MissObserver`]s
 //!   ([`StreamObserver`], [`L2Observer`], or custom) over one recorded
 //!   trace in a single pass ([`replay_streams`], [`replay_l2`];

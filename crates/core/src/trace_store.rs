@@ -1,4 +1,4 @@
-//! A shared, memoizing store of recorded miss traces.
+//! A shared, memoizing store of recorded miss traces and their replays.
 //!
 //! The paper's methodology (§4) records the primary-cache miss stream
 //! once per benchmark and replays it against every configuration of
@@ -11,21 +11,38 @@
 //! time sampling), so a full sweep simulates each L1 exactly once no
 //! matter how many drivers ask for it.
 //!
+//! It also completes the replay-many half: the results of replaying a
+//! trace against one observer configuration — a stream system or a
+//! secondary cache — are memoized per (trace key, configuration), so a
+//! cell that several drivers share (Table 2's ten streams reappear in
+//! Table 3, Figures 3 and 5, the baselines, the ablations and the
+//! scorecard) is simulated once per store. The replay engine itself
+//! ([`replay_streams`], [`replay_l2`]) stays uncached; only the
+//! [`TraceStore::stream_stats`] and [`TraceStore::l2_stats`] front doors
+//! consult the memo.
+//!
 //! The store is a cheap clone-able handle (`Arc` inside); experiment
 //! workers on different threads share one underlying map. Recording
-//! happens outside the lock, so a miss never serialises the other
-//! workers behind a multi-second L1 simulation.
+//! and replay happen outside the locks, so a miss never serialises the
+//! other workers behind a multi-second simulation.
 
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use streamsim_cache::CacheConfigError;
+use streamsim_cache::{CacheConfig, CacheConfigError, CacheStats, SetSampling};
+use streamsim_streams::{StreamConfig, StreamStats};
 use streamsim_workloads::Workload;
 
-use crate::{record_miss_trace, MissTrace, RecordOptions};
+use crate::{record_miss_trace, replay_l2, replay_streams, MissTrace, RecordOptions};
 
-/// A memoizing cache of [`MissTrace`]s shared across experiment drivers.
+/// Replay results of one observer kind: trace key, then the observer
+/// configuration's `Debug` form, to the statistics it produced.
+type ReplayMemo<V> = Mutex<BTreeMap<String, BTreeMap<String, V>>>;
+
+/// A memoizing cache of [`MissTrace`]s and of their replay results,
+/// shared across experiment drivers.
 ///
 /// # Example
 ///
@@ -54,8 +71,15 @@ struct Inner {
     /// Locality profiles, keyed like `traces`: one extra recording-time
     /// pass per (workload, L1) cell serves every model query after it.
     profiles: Mutex<BTreeMap<String, Arc<streamsim_model::LocalityProfile>>>,
+    /// Stream-system replay results per (trace, [`StreamConfig`]).
+    streams: ReplayMemo<StreamStats>,
+    /// Secondary-cache replay results per (trace, L2 geometry and set
+    /// sampling).
+    l2: ReplayMemo<CacheStats>,
     hits: AtomicU64,
     misses: AtomicU64,
+    replay_hits: AtomicU64,
+    replay_misses: AtomicU64,
 }
 
 impl TraceStore {
@@ -206,6 +230,112 @@ impl TraceStore {
             .collect()
     }
 
+    /// The statistics of replaying `workload`'s miss trace (recorded
+    /// under `options`) against each stream configuration in `configs`,
+    /// in request order.
+    ///
+    /// Each (trace, configuration) cell is simulated at most once per
+    /// store: cells already memoized are served, and the rest replay as
+    /// one fused family through [`replay_streams`], which also records
+    /// the trace if the store lacks it. A request that is served in full
+    /// touches neither the trace nor the replay engine. The memo key is
+    /// the trace key plus the configuration's `Debug` form, so every
+    /// field — count, depth, allocation policy and its parameters, match
+    /// policy, block and word size — tells two cells apart.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheConfigError`] if either cache configuration in
+    /// `options` is invalid.
+    pub fn stream_stats(
+        &self,
+        workload: &dyn Workload,
+        options: &RecordOptions,
+        configs: &[StreamConfig],
+    ) -> Result<Vec<StreamStats>, CacheConfigError> {
+        self.memoized(
+            &self.inner.streams,
+            workload,
+            options,
+            configs,
+            |trace, family| Ok(replay_streams(trace, family)),
+        )
+    }
+
+    /// The statistics of replaying `workload`'s miss trace (recorded
+    /// under `options`) against each secondary-cache cell — a geometry
+    /// and an optional set sampling — in request order.
+    ///
+    /// Memoized exactly like [`TraceStore::stream_stats`]: cold cells
+    /// replay together through [`replay_l2`], and the key covers the
+    /// cache geometry, replacement and write policies and the sampling.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheConfigError`] if a cache configuration in
+    /// `options`, or a cold cell's configuration or sampling, is
+    /// invalid.
+    pub fn l2_stats(
+        &self,
+        workload: &dyn Workload,
+        options: &RecordOptions,
+        cells: &[(CacheConfig, Option<SetSampling>)],
+    ) -> Result<Vec<CacheStats>, CacheConfigError> {
+        self.memoized(&self.inner.l2, workload, options, cells, replay_l2)
+    }
+
+    /// Serves `cells` from `memo`, replaying the cold ones (in request
+    /// order) as one family with `simulate`.
+    ///
+    /// Like [`TraceStore::profile`], the replay runs outside the lock;
+    /// racing workers on the same cold cell both simulate and the first
+    /// result stored wins, harmlessly, because replay is deterministic.
+    fn memoized<C, V>(
+        &self,
+        memo: &ReplayMemo<V>,
+        workload: &dyn Workload,
+        options: &RecordOptions,
+        cells: &[C],
+        simulate: impl FnOnce(&MissTrace, &[C]) -> Result<Vec<V>, CacheConfigError>,
+    ) -> Result<Vec<V>, CacheConfigError>
+    where
+        C: Copy + Debug,
+        V: Clone,
+    {
+        let trace_key = Self::key(workload, options);
+        let keys: Vec<String> = cells.iter().map(|c| format!("{c:?}")).collect();
+        let mut results: Vec<Option<V>> = {
+            let memo = memo.lock().expect("store lock");
+            let served = memo.get(&trace_key);
+            keys.iter()
+                .map(|k| served.and_then(|s| s.get(k)).cloned())
+                .collect()
+        };
+        let cold: Vec<usize> = (0..cells.len()).filter(|&i| results[i].is_none()).collect();
+        let simulated = cold.len() as u64;
+        let served = cells.len() as u64 - simulated;
+        self.inner.replay_hits.fetch_add(served, Ordering::Relaxed);
+        self.inner
+            .replay_misses
+            .fetch_add(simulated, Ordering::Relaxed);
+        streamsim_obs::count(streamsim_obs::Counter::ReplayMemoHits, served);
+        streamsim_obs::count(streamsim_obs::Counter::ReplayMemoMisses, simulated);
+        if !cold.is_empty() {
+            let trace = self.record(workload, options)?;
+            let family: Vec<C> = cold.iter().map(|&i| cells[i]).collect();
+            let fresh = simulate(&trace, &family)?;
+            let mut memo = memo.lock().expect("store lock");
+            let stored = memo.entry(trace_key).or_default();
+            for (&i, result) in cold.iter().zip(fresh) {
+                results[i] = Some(stored.entry(keys[i].clone()).or_insert(result).clone());
+            }
+        }
+        Ok(results
+            .into_iter()
+            .map(|r| r.expect("every cell is served or simulated"))
+            .collect())
+    }
+
     /// Number of distinct traces currently stored.
     pub fn len(&self) -> usize {
         self.inner.traces.lock().expect("store lock").len()
@@ -226,10 +356,25 @@ impl TraceStore {
         self.inner.misses.load(Ordering::Relaxed)
     }
 
-    /// Drops every stored trace and profile (counters are kept).
+    /// How many replay cells ([`TraceStore::stream_stats`] and
+    /// [`TraceStore::l2_stats`] configurations) were served from the
+    /// memo.
+    pub fn replay_hits(&self) -> u64 {
+        self.inner.replay_hits.load(Ordering::Relaxed)
+    }
+
+    /// How many replay cells had to be simulated.
+    pub fn replay_misses(&self) -> u64 {
+        self.inner.replay_misses.load(Ordering::Relaxed)
+    }
+
+    /// Drops every stored trace, profile and replay result (counters
+    /// are kept).
     pub fn clear(&self) {
         self.inner.traces.lock().expect("store lock").clear();
         self.inner.profiles.lock().expect("store lock").clear();
+        self.inner.streams.lock().expect("store lock").clear();
+        self.inner.l2.lock().expect("store lock").clear();
     }
 }
 
@@ -371,6 +516,191 @@ mod tests {
             let serial = store.profile(w.as_ref(), &opts).unwrap();
             assert!(Arc::ptr_eq(p, &serial), "{}", w.name());
         }
+    }
+
+    /// A trace with long sequential runs, random-access gaps and dirty
+    /// write-backs, so stream and L2 cells of different shapes disagree.
+    fn memo_workload() -> SequentialSweep {
+        SequentialSweep {
+            arrays: 2,
+            bytes_per_array: 128 * 1024,
+            passes: 2,
+            elem: 8,
+        }
+    }
+
+    fn l2_cell(bytes: u64, assoc: u32) -> (CacheConfig, Option<SetSampling>) {
+        let block = streamsim_trace::BlockSize::default();
+        (CacheConfig::new(bytes, assoc, block).unwrap(), None)
+    }
+
+    #[test]
+    fn served_replays_equal_fresh_replays() {
+        let store = TraceStore::new();
+        let w = memo_workload();
+        let opts = RecordOptions::default();
+        let configs = [
+            StreamConfig::paper_basic(4).unwrap(),
+            StreamConfig::paper_filtered(4).unwrap(),
+            StreamConfig::paper_strided(4, 16).unwrap(),
+        ];
+        let cells = [l2_cell(64 << 10, 1), l2_cell(256 << 10, 4)];
+        let trace = record_miss_trace(&w, &opts).unwrap();
+        let fresh_streams = replay_streams(&trace, &configs);
+        let fresh_l2 = replay_l2(&trace, &cells).unwrap();
+        for _ in 0..2 {
+            assert_eq!(
+                store.stream_stats(&w, &opts, &configs).unwrap(),
+                fresh_streams
+            );
+            assert_eq!(store.l2_stats(&w, &opts, &cells).unwrap(), fresh_l2);
+        }
+        assert_eq!((store.replay_misses(), store.replay_hits()), (5, 5));
+        assert_eq!(store.misses(), 1, "both observer kinds share one trace");
+    }
+
+    #[test]
+    fn configs_differing_in_one_key_field_are_distinct_entries() {
+        use streamsim_cache::{Replacement, WritePolicy};
+        use streamsim_streams::{Allocation, MatchPolicy};
+        use streamsim_trace::{BlockSize, WordSize};
+
+        let store = TraceStore::new();
+        let w = memo_workload();
+        let opts = RecordOptions::default();
+        let min_delta = |entries, max_stride_words| {
+            StreamConfig::new(
+                4,
+                2,
+                Allocation::MinDelta {
+                    entries,
+                    max_stride_words,
+                },
+            )
+            .unwrap()
+        };
+        let strided = |unit_entries, stride_entries, czone_bits| {
+            StreamConfig::new(
+                4,
+                2,
+                Allocation::UnitAndStrideFilters {
+                    unit_entries,
+                    stride_entries,
+                    czone_bits,
+                },
+            )
+            .unwrap()
+        };
+        let base = StreamConfig::paper_basic(4).unwrap();
+        let streams = [
+            base,
+            StreamConfig::paper_basic(5).unwrap(),
+            StreamConfig::new(4, 3, Allocation::OnMiss).unwrap(),
+            StreamConfig::paper_filtered(4).unwrap(),
+            StreamConfig::new(4, 2, Allocation::UnitFilter { entries: 8 }).unwrap(),
+            strided(16, 16, 16),
+            strided(16, 16, 18),
+            strided(8, 16, 16),
+            strided(16, 8, 16),
+            min_delta(16, 1 << 20),
+            min_delta(8, 1 << 20),
+            min_delta(16, 1 << 10),
+            base.with_match_policy(MatchPolicy::AnyEntry),
+            base.with_block(BlockSize::new(64).unwrap()),
+            base.with_word(WordSize::new(8).unwrap()),
+        ];
+        let got = store.stream_stats(&w, &opts, &streams).unwrap();
+        assert_eq!(
+            store.replay_misses(),
+            streams.len() as u64,
+            "two configs shared a memo entry"
+        );
+        let trace = store.record(&w, &opts).unwrap();
+        for (config, stats) in streams.iter().zip(&got) {
+            assert_eq!(*stats, crate::run_streams(&trace, *config), "{config:?}");
+        }
+
+        let (geometry, sampling) = l2_cell(256 << 10, 2);
+        let l2 = [
+            (geometry, sampling),
+            l2_cell(512 << 10, 2),
+            l2_cell(256 << 10, 4),
+            (
+                CacheConfig::new(256 << 10, 2, BlockSize::new(64).unwrap()).unwrap(),
+                None,
+            ),
+            (geometry.with_replacement(Replacement::Fifo), None),
+            (
+                geometry.with_write_policy(WritePolicy::WriteThroughNoAllocate),
+                None,
+            ),
+            (geometry, Some(SetSampling::new(2, 0))),
+            (geometry, Some(SetSampling::new(2, 1))),
+            (geometry, Some(SetSampling::new(1, 0))),
+        ];
+        let before = store.replay_misses();
+        let got = store.l2_stats(&w, &opts, &l2).unwrap();
+        assert_eq!(store.replay_misses() - before, l2.len() as u64);
+        for (&(config, sampling), stats) in l2.iter().zip(&got) {
+            assert_eq!(
+                *stats,
+                crate::run_l2(&trace, config, sampling).unwrap(),
+                "{config:?} {sampling:?}"
+            );
+        }
+
+        // The trace key is part of the memo key: the same cell over a
+        // different recording is a different entry.
+        let sampled = RecordOptions::default().with_paper_sampling();
+        let before = store.replay_misses();
+        store.stream_stats(&w, &sampled, &[base]).unwrap();
+        assert_eq!(store.replay_misses() - before, 1);
+    }
+
+    #[test]
+    fn mixed_requests_replay_only_cold_cells_in_request_order() {
+        let store = TraceStore::new();
+        let w = memo_workload();
+        let opts = RecordOptions::default();
+        let [a, b, c, d] = [
+            StreamConfig::paper_basic(2).unwrap(),
+            StreamConfig::paper_filtered(4).unwrap(),
+            StreamConfig::paper_strided(6, 16).unwrap(),
+            StreamConfig::paper_basic(8).unwrap(),
+        ];
+        store.stream_stats(&w, &opts, &[a, b]).unwrap();
+        assert_eq!((store.replay_misses(), store.replay_hits()), (2, 0));
+
+        // Two warm cells between two cold ones: only the cold ones
+        // replay, and every result lands in request order.
+        let request = [c, a, d, b];
+        let got = store.stream_stats(&w, &opts, &request).unwrap();
+        assert_eq!((store.replay_misses(), store.replay_hits()), (4, 2));
+        let trace = store.record(&w, &opts).unwrap();
+        assert_eq!(got, replay_streams(&trace, &request));
+
+        // Fully served: no replay, and the trace is not even consulted.
+        let (hits, misses) = (store.hits(), store.misses());
+        store.stream_stats(&w, &opts, &[d, b]).unwrap();
+        assert_eq!((store.replay_misses(), store.replay_hits()), (4, 4));
+        assert_eq!((store.hits(), store.misses()), (hits, misses));
+    }
+
+    #[test]
+    fn clear_drops_the_replay_memo() {
+        let store = TraceStore::new();
+        let w = memo_workload();
+        let opts = RecordOptions::default();
+        let config = [StreamConfig::paper_basic(4).unwrap()];
+        let cell = [l2_cell(256 << 10, 2)];
+        let streams = store.stream_stats(&w, &opts, &config).unwrap();
+        let l2 = store.l2_stats(&w, &opts, &cell).unwrap();
+        assert_eq!(store.replay_misses(), 2);
+        store.clear();
+        assert_eq!(store.stream_stats(&w, &opts, &config).unwrap(), streams);
+        assert_eq!(store.l2_stats(&w, &opts, &cell).unwrap(), l2);
+        assert_eq!(store.replay_misses(), 4, "cleared cells replay again");
+        assert_eq!(store.misses(), 2, "and their trace re-records");
     }
 
     #[test]

@@ -43,10 +43,15 @@ pub enum Counter {
     /// Czone stride-FSM state transitions (entry inserted, META1→META2,
     /// stride re-guess, or verified allocation).
     CzoneTransitions,
+    /// Replay cells (one observer configuration over one trace) served
+    /// from the trace store's replay memo.
+    ReplayMemoHits,
+    /// Replay cells the trace store had to simulate.
+    ReplayMemoMisses,
 }
 
 /// Number of distinct counters.
-pub const NUM_COUNTERS: usize = Counter::CzoneTransitions as usize + 1;
+pub const NUM_COUNTERS: usize = Counter::ReplayMemoMisses as usize + 1;
 
 /// All counters, in declaration order (for snapshots).
 const ALL: [Counter; NUM_COUNTERS] = [
@@ -61,6 +66,8 @@ const ALL: [Counter; NUM_COUNTERS] = [
     Counter::UnitFilterAccepts,
     Counter::UnitFilterRejects,
     Counter::CzoneTransitions,
+    Counter::ReplayMemoHits,
+    Counter::ReplayMemoMisses,
 ];
 
 impl Counter {
@@ -78,6 +85,8 @@ impl Counter {
             Counter::UnitFilterAccepts => "unit_filter_accepts",
             Counter::UnitFilterRejects => "unit_filter_rejects",
             Counter::CzoneTransitions => "czone_transitions",
+            Counter::ReplayMemoHits => "replay_memo_hits",
+            Counter::ReplayMemoMisses => "replay_memo_misses",
         }
     }
 }

@@ -126,6 +126,19 @@ done
 grep -q '"ph":"B"' "$obs_dir/trace.json"
 ./target/release/streamsim-report --trace-check "$obs_dir/trace.json"
 
+# Quick-report golden: every default artifact at quick scale,
+# regenerated and diffed against tests/golden/report-quick.jsonl (made by
+# `streamsim-report --quick --json` before the trace store memoized
+# replay results). --diff skips the manifest and ignores run_* keys, so
+# thread count and provenance do not matter; a drifted, missing or
+# extra row fails the gate. It pins the whole report, including the
+# artifacts tests/paper_shapes.rs does not.
+echo "==> quick report golden (--diff tests/golden/report-quick.jsonl)"
+./target/release/streamsim-report --quick --out /dev/null \
+    --json "$obs_dir/report-quick.jsonl"
+./target/release/streamsim-report --diff tests/golden/report-quick.jsonl \
+    "$obs_dir/report-quick.jsonl"
+
 # Perf-regression ledger gate: the committed PERF_LEDGER.jsonl must
 # clear every metric floor (recording/replay speedups, model pruning
 # fraction — see DESIGN.md, "Perf-regression ledger"). The three

@@ -980,6 +980,15 @@ fn main() -> ExitCode {
         report.push_str(&format!("[{name}: {:.2?}]\n\n", start.elapsed()));
         eprintln!("{name} done in {:.2?}", start.elapsed());
     }
+    if streamsim_obs::enabled(streamsim_obs::Level::Info) {
+        // The trace store's replay memo: (trace, configuration) cells the
+        // drivers shared versus cells actually simulated.
+        eprintln!(
+            "replay memo: {} cells served, {} simulated",
+            streamsim_obs::counter(streamsim_obs::Counter::ReplayMemoHits),
+            streamsim_obs::counter(streamsim_obs::Counter::ReplayMemoMisses)
+        );
+    }
 
     let phases = ProfileArtifact::capture();
     if profile {

@@ -511,3 +511,73 @@ fn model_profiles_are_byte_identical_across_executors() {
         );
     });
 }
+
+/// The replay memo under contention: several workers request the same
+/// cold (trace, configuration) cells from one fresh store, each in its
+/// own order. Under every seeded interleaving each request renders the
+/// bytes an uncached replay of that request renders, the store records
+/// the trace once, and each distinct cell is simulated once (the
+/// simulated scheduler runs a claimed item to completion, so the first
+/// claim of a cell simulates it and later claims are served).
+#[test]
+fn workers_requesting_one_cold_cell_render_identical_bytes() {
+    const REQUESTS: usize = 9;
+    let family = [
+        StreamConfig::paper_basic(4).expect("valid"),
+        StreamConfig::paper_filtered(4).expect("valid"),
+        StreamConfig::paper_strided(4, 16).expect("valid"),
+    ];
+    let workload = small_gather(3);
+    let options = RecordOptions::default();
+    // Request i asks for the family rotated by i, so requests overlap
+    // in their cells but not in their order.
+    let request = |i: usize| -> Vec<StreamConfig> {
+        let mut cells = family.to_vec();
+        cells.rotate_left(i % family.len());
+        cells
+    };
+    let render = |i: usize, stats: &[streamsim_core::StreamStats]| {
+        let rows = stats
+            .iter()
+            .enumerate()
+            .map(|(j, s)| (format!("req{i}/cell{j}"), s.lookups, s.hit_rate() * 100.0))
+            .collect();
+        render_json_lines(&MiniArtifact { rows })
+    };
+    let trace = streamsim_core::record_miss_trace(&workload, &options).expect("valid L1");
+    let reference: Vec<Vec<String>> = (0..REQUESTS)
+        .map(|i| render(i, &replay_streams(&trace, &request(i))))
+        .collect();
+    let run = |exec: &dyn Executor| {
+        let store = TraceStore::new();
+        let lines = parallel_map_on(exec, (0..REQUESTS).collect::<Vec<usize>>(), |i| {
+            let stats = store
+                .stream_stats(&workload, &options, &request(i))
+                .expect("valid L1");
+            render(i, &stats)
+        });
+        (lines, store)
+    };
+
+    // Real threads race for the cold cells; racing workers may both
+    // simulate a cell, but they must agree on its bytes.
+    let (lines, store) = run(&ThreadExecutor::new(4));
+    assert_eq!(lines, reference, "threads rendered different bytes");
+    assert_eq!(store.len(), 1);
+    assert!(store.replay_misses() >= family.len() as u64);
+
+    sweep_with("memo_cold_cell_contention", 40, |seed| {
+        let exec = SimExecutor::new(seed, 2 + (seed % 4) as usize);
+        let (lines, store) = run(&exec);
+        assert_eq!(lines, reference, "a request's bytes depend on scheduling");
+        assert_eq!(store.len(), 1, "the trace recorded more than once");
+        assert_eq!(
+            (store.replay_misses(), store.replay_hits()),
+            (
+                family.len() as u64,
+                (REQUESTS * family.len() - family.len()) as u64
+            ),
+            "a cell was simulated twice"
+        );
+    });
+}

@@ -169,3 +169,40 @@ fn victim_cache_recovers_direct_mapped_ping_pong() {
         "victim buffer recovers nearly all conflicts: {recovered}"
     );
 }
+
+/// The trace store shares replay results per (trace, configuration)
+/// cell across drivers. Rendering the default report in report order on
+/// one shared `ExperimentOptions` must give the same bytes as rendering
+/// each artifact alone on fresh options: a memo key that merged two
+/// distinct cells would hand one driver another driver's numbers.
+#[test]
+fn shared_store_report_equals_each_artifact_rendered_alone() {
+    use streamsim::experiments::{default_artifacts, run_artifact, ExperimentOptions};
+    use streamsim::render_json_lines;
+
+    let render = |name: &str, options: &ExperimentOptions| {
+        render_json_lines(
+            run_artifact(name, options)
+                .expect("known artifact")
+                .as_ref(),
+        )
+    };
+    let shared = ExperimentOptions::quick();
+    let together: Vec<(&str, Vec<String>)> = default_artifacts()
+        .into_iter()
+        .map(|name| (name, render(name, &shared)))
+        .collect();
+    assert_eq!(together.len(), 16);
+    assert!(
+        shared.store.replay_hits() > 0,
+        "the report's drivers share cells"
+    );
+    for (name, lines) in together {
+        assert!(!lines.is_empty(), "{name} rendered nothing");
+        assert_eq!(
+            render(name, &ExperimentOptions::quick()),
+            lines,
+            "{name} depends on the artifacts rendered before it"
+        );
+    }
+}

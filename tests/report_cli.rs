@@ -128,6 +128,30 @@ fn json_flag_writes_parseable_rows() {
 }
 
 #[test]
+fn info_level_reports_replay_memo_cells() {
+    // Table 3 replays Table 2's cell (ten basic streams) over the same
+    // fifteen traces, so the second driver is served in full. Off, the
+    // line is absent.
+    let run = |level: Option<&str>| {
+        let mut cmd = report();
+        cmd.args(["--quick", "--out", "/dev/null", "table2", "table3"]);
+        match level {
+            Some(level) => cmd.env("STREAMSIM_LOG", level),
+            None => cmd.env_remove("STREAMSIM_LOG"),
+        };
+        let out = cmd.output().expect("binary runs");
+        assert!(out.status.success());
+        String::from_utf8(out.stderr).unwrap()
+    };
+    let info = run(Some("info"));
+    assert!(
+        info.contains("replay memo: 15 cells served, 15 simulated"),
+        "{info}"
+    );
+    assert!(!run(None).contains("replay memo"));
+}
+
+#[test]
 fn profile_flag_emits_phase_timings() {
     let dir = std::env::temp_dir().join("streamsim-report-profile-test");
     std::fs::create_dir_all(&dir).unwrap();
