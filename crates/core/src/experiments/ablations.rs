@@ -28,12 +28,12 @@ use std::fmt;
 
 use streamsim_cache::{CacheConfig, Replacement, SetSampling, VictimL1, VictimL1Outcome};
 use streamsim_streams::{Allocation, MatchPolicy, StreamConfig, StreamSystem};
-use streamsim_trace::{AccessKind, Addr, BlockSize};
+use streamsim_trace::BlockSize;
 use streamsim_workloads::Workload;
 
 use crate::experiments::{stream_rows, workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{replay, MissObserver, RecordOptions};
+use crate::{replay, PartitionedObserver, RecordOptions};
 
 /// The benchmarks used for ablations: one stream-friendly, one strided,
 /// one short-burst, one irregular.
@@ -73,39 +73,6 @@ fn ablation_workloads(options: &ExperimentOptions) -> Vec<Box<dyn Workload>> {
         .into_iter()
         .filter(|w| ABLATION_BENCHMARKS.contains(&w.name()))
         .collect()
-}
-
-/// Partitioned-stream observer: instruction misses feed a 2-stream
-/// system, data misses an 8-stream system (same total hardware as the
-/// unified ten).
-struct PartitionedObserver {
-    isys: StreamSystem,
-    dsys: StreamSystem,
-}
-
-impl MissObserver for PartitionedObserver {
-    fn on_fetch(&mut self, addr: Addr, kind: AccessKind) {
-        if kind == AccessKind::IFetch {
-            self.isys.on_l1_miss(addr);
-        } else {
-            self.dsys.on_l1_miss(addr);
-        }
-    }
-
-    fn on_writeback(&mut self, base: Addr) {
-        // Broadcast to both partitions at each system's own block
-        // granularity — mirrors MemorySystem's one-pass Partitioned
-        // branch exactly (see system.rs), which a regression test pins.
-        self.isys
-            .on_writeback(base.block(self.isys.config().block()));
-        self.dsys
-            .on_writeback(base.block(self.dsys.config().block()));
-    }
-
-    fn finish(&mut self) {
-        self.isys.finalize();
-        self.dsys.finalize();
-    }
 }
 
 /// Runs the ablation suite.
@@ -178,20 +145,15 @@ pub fn run(options: &ExperimentOptions) -> Ablations {
             .store
             .stream_stats(w.as_ref(), &record, &[basic])
             .expect("valid L1")[0];
-        let mut part = PartitionedObserver {
-            isys: StreamSystem::new(StreamConfig::paper_basic(2).expect("valid")),
-            dsys: StreamSystem::new(StreamConfig::paper_basic(8).expect("valid")),
-        };
+        // Instruction misses feed 2 streams and data misses 8: the same
+        // total hardware as the unified ten.
+        let mut part = PartitionedObserver::new(
+            StreamConfig::paper_basic(2).expect("valid"),
+            StreamConfig::paper_basic(8).expect("valid"),
+        );
         let trace = options.store.record(w.as_ref(), &record).expect("valid L1");
         replay(&trace, &mut [&mut part]);
-        let (i, d) = (part.isys.stats(), part.dsys.stats());
-        let lookups = i.lookups + d.lookups;
-        let part_rate = if lookups == 0 {
-            0.0
-        } else {
-            (i.hits + d.hits) as f64 / lookups as f64
-        };
-        (w.name().to_owned(), [unified.hit_rate(), part_rate])
+        (w.name().to_owned(), [unified.hit_rate(), part.hit_rate()])
     });
 
     // L1 replacement policy: re-record each miss trace under random,
@@ -490,48 +452,6 @@ mod tests {
                 "{name}: LRU {lru} vs random {random}"
             );
         }
-    }
-
-    #[test]
-    fn partitioned_observer_matches_the_one_pass_system() {
-        // The replay-path PartitionedObserver and MemorySystem's
-        // Partitioned branch must agree on writeback handling: both
-        // broadcast every writeback to BOTH partitions at each system's
-        // own block size. A store-heavy workload with a write-back L1
-        // exercises the writeback path.
-        let opts = ExperimentOptions::quick();
-        let w = streamsim_workloads::kernels::Cgm {
-            rows: 400,
-            nnz: 12_000,
-            bandwidth: Some(60),
-            iters: 3,
-            seed: 0xc6,
-        };
-        let record = opts.record_options();
-        let (icfg, dcfg) = (
-            StreamConfig::paper_basic(2).expect("valid"),
-            StreamConfig::paper_basic(8).expect("valid"),
-        );
-
-        let mut system = crate::MemorySystemBuilder::with_l1(record.icache, record.dcache)
-            .partitioned_streams(icfg, dcfg)
-            .build()
-            .expect("valid L1");
-        system.run(&w);
-        let report = system.finish();
-        let trace = crate::record_miss_trace(&w, &record).expect("valid L1");
-        assert!(trace.writebacks() > 0, "need a writeback-heavy workload");
-
-        let mut part = PartitionedObserver {
-            isys: StreamSystem::new(icfg),
-            dsys: StreamSystem::new(dcfg),
-        };
-        replay(&trace, &mut [&mut part]);
-        assert_eq!(
-            report.instruction_streams.expect("partitioned"),
-            part.isys.stats()
-        );
-        assert_eq!(report.data_streams.expect("partitioned"), part.dsys.stats());
     }
 
     #[test]

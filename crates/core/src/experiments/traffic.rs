@@ -22,7 +22,7 @@ use std::fmt;
 
 use streamsim_cache::{CacheConfig, TwoLevel};
 use streamsim_streams::{StreamConfig, StreamStats};
-use streamsim_trace::BlockSize;
+use streamsim_trace::{BlockSize, ChunkSampler};
 
 use crate::experiments::{workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
@@ -104,11 +104,17 @@ pub fn run(options: &ExperimentOptions) -> Traffic {
         let mut two_level =
             TwoLevel::new(record.icache, record.dcache, l2_cfg).expect("valid hierarchy");
         match record.sampling {
+            // The same window record_miss_trace applies: chunks split
+            // into kept sub-slices by the sampler.
             Some((on, off)) => {
-                let mut sink = streamsim_trace::sampling_sink(on, off, |a| {
-                    two_level.access(a);
+                let mut sampler = ChunkSampler::new(on, off);
+                w.generate_chunks(&mut Vec::new(), &mut |chunk| {
+                    sampler.sample(chunk, &mut |kept| {
+                        for &a in kept {
+                            two_level.access(a);
+                        }
+                    });
                 });
-                w.generate(&mut sink);
             }
             None => w.generate(&mut |a| {
                 two_level.access(a);

@@ -9,12 +9,12 @@
 //! smaller, which is what makes the paper's parameter sweeps (ten stream
 //! counts × fifteen benchmarks, dozens of L2 geometries) cheap.
 
-use streamsim_cache::{AccessOutcome, CacheConfig, CacheConfigError, SetSampling, SplitL1};
+use streamsim_cache::{
+    AccessOutcome, CacheConfig, CacheConfigError, CacheStats, SetSampling, SplitL1,
+};
 use streamsim_streams::{StreamConfig, StreamStats};
 use streamsim_trace::{Access, AccessKind, Addr, BlockSize, ChunkSampler};
 use streamsim_workloads::Workload;
-
-use crate::L1Summary;
 
 /// One event in the primary cache's external traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,6 +66,51 @@ impl RecordOptions {
     pub fn with_paper_sampling(mut self) -> Self {
         self.sampling = Some((10_000, 90_000));
         self
+    }
+}
+
+/// The primary-cache statistics of one recording.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct L1Summary {
+    /// Instruction-cache counters.
+    pub icache: CacheStats,
+    /// Data-cache counters.
+    pub dcache: CacheStats,
+}
+
+impl L1Summary {
+    fn from_split(l1: &SplitL1) -> Self {
+        L1Summary {
+            icache: *l1.icache().stats(),
+            dcache: *l1.dcache().stats(),
+        }
+    }
+
+    /// Total references.
+    pub fn refs(&self) -> u64 {
+        self.icache.accesses() + self.dcache.accesses()
+    }
+
+    /// Total L1 misses (the unified miss stream length).
+    pub fn misses(&self) -> u64 {
+        self.icache.misses() + self.dcache.misses()
+    }
+
+    /// Data miss rate — the paper's Table 1 metric.
+    pub fn data_miss_rate(&self) -> f64 {
+        self.dcache.data_miss_rate()
+    }
+
+    /// Misses per instruction — Table 1's "MPI", with instruction fetches
+    /// standing in for the instruction count. Returns 0.0 with no
+    /// ifetches (ifetch emission disabled).
+    pub fn mpi(&self) -> f64 {
+        let instr = self.icache.accesses_of(AccessKind::IFetch);
+        if instr == 0 {
+            0.0
+        } else {
+            self.misses() as f64 / instr as f64
+        }
     }
 }
 
@@ -197,7 +242,7 @@ pub fn run_l2(
     trace: &MissTrace,
     config: CacheConfig,
     sampling: Option<SetSampling>,
-) -> Result<streamsim_cache::CacheStats, CacheConfigError> {
+) -> Result<CacheStats, CacheConfigError> {
     let mut observer = crate::replay::L2Observer::new(config, sampling)?;
     crate::replay(trace, &mut [&mut observer]);
     Ok(observer.stats())
@@ -348,6 +393,14 @@ mod tests {
             full.hit_rate(),
             sampled.hit_rate()
         );
+    }
+
+    #[test]
+    fn mpi_uses_instruction_fetches() {
+        let trace =
+            record_miss_trace(&SequentialSweep::default(), &RecordOptions::default()).unwrap();
+        assert!(trace.l1().mpi() > 0.0);
+        assert!(trace.l1().data_miss_rate() > 0.0);
     }
 
     #[test]

@@ -20,12 +20,14 @@
 //! loop body.
 //!
 //! Two observers cover the common cases: [`StreamObserver`] wraps a
-//! [`StreamSystem`], [`L2Observer`] wraps a [`SetAssocCache`]. A third,
-//! [`FusedStreamObserver`], evaluates a whole *family* of stream
+//! [`StreamSystem`], [`L2Observer`] wraps a [`SetAssocCache`].
+//! [`FusedStreamObserver`] evaluates a whole *family* of stream
 //! configurations sharing one block/word geometry — the shape of every
 //! paper sweep (ten stream counts, four filter sizes...) — splitting
 //! each address into block and word exactly once per event instead of
-//! once per configuration. Drivers with bespoke plumbing (e.g. the
+//! once per configuration. [`PartitionedObserver`] splits the miss
+//! stream between instruction and data streams, the one topology beside
+//! the paper's unified streams. Drivers with bespoke plumbing (e.g. the
 //! Jouppi topology, where a secondary cache sees only the stream-miss
 //! residual) implement [`MissObserver`] themselves and join the same
 //! pass.
@@ -287,6 +289,76 @@ impl MissObserver for L2Observer {
                 }
             }
         }
+    }
+}
+
+/// Partitioned stream buffers as a replay observer: instruction misses
+/// feed one [`StreamSystem`], load and store misses another — the
+/// MacroTek variant the paper mentions beside its unified streams.
+///
+/// A write-back is broadcast to *both* partitions, each at its own block
+/// granularity: stream buffers snoop the bus by address, and a dirty
+/// block's address says nothing about which partition may have
+/// prefetched it.
+#[derive(Debug)]
+pub struct PartitionedObserver {
+    instruction: StreamSystem,
+    data: StreamSystem,
+}
+
+impl PartitionedObserver {
+    /// Fresh instruction and data stream systems, charging
+    /// internal-event counts to the global observability set.
+    pub fn new(instruction: StreamConfig, data: StreamConfig) -> Self {
+        PartitionedObserver {
+            instruction: StreamSystem::new(instruction),
+            data: StreamSystem::new(data),
+        }
+    }
+
+    /// The instruction partition's finalized statistics (call after
+    /// [`replay`]).
+    pub fn instruction_stats(&self) -> StreamStats {
+        self.instruction.stats()
+    }
+
+    /// The data partition's finalized statistics (call after [`replay`]).
+    pub fn data_stats(&self) -> StreamStats {
+        self.data.stats()
+    }
+
+    /// The combined hit rate: hits over lookups summed across both
+    /// partitions, or 0.0 before any lookup.
+    pub fn hit_rate(&self) -> f64 {
+        let (i, d) = (self.instruction_stats(), self.data_stats());
+        let lookups = i.lookups + d.lookups;
+        if lookups == 0 {
+            0.0
+        } else {
+            (i.hits + d.hits) as f64 / lookups as f64
+        }
+    }
+}
+
+impl MissObserver for PartitionedObserver {
+    fn on_fetch(&mut self, addr: Addr, kind: AccessKind) {
+        if kind == AccessKind::IFetch {
+            self.instruction.on_l1_miss(addr);
+        } else {
+            self.data.on_l1_miss(addr);
+        }
+    }
+
+    fn on_writeback(&mut self, base: Addr) {
+        self.instruction
+            .on_writeback(base.block(self.instruction.config().block()));
+        self.data
+            .on_writeback(base.block(self.data.config().block()));
+    }
+
+    fn finish(&mut self) {
+        self.instruction.finalize();
+        self.data.finalize();
     }
 }
 
@@ -640,6 +712,141 @@ mod tests {
                 None
             )
             .unwrap()
+        );
+    }
+
+    #[test]
+    fn partitioned_streams_split_the_miss_stream() {
+        let trace = trace();
+        let cfg = StreamConfig::paper_basic(4).unwrap();
+        let mut part = PartitionedObserver::new(cfg, cfg);
+        replay(&trace, &mut [&mut part]);
+        let (i, d) = (part.instruction_stats(), part.data_stats());
+        assert!(d.lookups > 0);
+        assert_eq!(i.lookups + d.lookups, trace.l1().misses());
+        assert_eq!(
+            part.hit_rate(),
+            (i.hits + d.hits) as f64 / (i.lookups + d.lookups) as f64
+        );
+        assert!(part.hit_rate() > 0.8);
+        assert_eq!(PartitionedObserver::new(cfg, cfg).hit_rate(), 0.0);
+    }
+
+    /// A [`StreamSystem`] driven event by event with one partition's
+    /// fetches and, when `writebacks`, every write-back at its own
+    /// block size.
+    fn partition_reference(
+        trace: &MissTrace,
+        config: StreamConfig,
+        instruction: bool,
+        writebacks: bool,
+    ) -> StreamStats {
+        let mut sys = StreamSystem::new(config);
+        for event in trace.events() {
+            match *event {
+                MissEvent::Fetch { addr, kind } => {
+                    if (kind == AccessKind::IFetch) == instruction {
+                        sys.on_l1_miss(addr);
+                    }
+                }
+                MissEvent::Writeback { base } => {
+                    if writebacks {
+                        sys.on_writeback(base.block(config.block()));
+                    }
+                }
+            }
+        }
+        sys.finalize();
+        sys.stats()
+    }
+
+    /// Each partition sees its own fetches plus *every* write-back, at
+    /// its own block size: pinned against [`partition_reference`] on the
+    /// write-back-heavy quick `cgm` trace, where the write-backs change
+    /// the data partition's statistics.
+    #[test]
+    fn partitioned_observer_broadcasts_every_writeback() {
+        use crate::experiments::{workload_set, ExperimentOptions, Scale};
+
+        let cgm = workload_set(Scale::Quick)
+            .into_iter()
+            .find(|w| w.name() == "cgm")
+            .unwrap();
+        let record = ExperimentOptions::quick().record_options();
+        let trace = record_miss_trace(cgm.as_ref(), &record).unwrap();
+        assert!(trace.writebacks() > 0, "need a write-back-heavy trace");
+
+        let wide = BlockSize::new(64).unwrap();
+        for (icfg, dcfg) in [
+            (
+                StreamConfig::paper_basic(2).unwrap(),
+                StreamConfig::paper_basic(8).unwrap(),
+            ),
+            (
+                StreamConfig::paper_basic(2).unwrap(),
+                StreamConfig::paper_basic(8).unwrap().with_block(wide),
+            ),
+        ] {
+            let mut part = PartitionedObserver::new(icfg, dcfg);
+            replay(&trace, &mut [&mut part]);
+            assert_eq!(
+                part.instruction_stats(),
+                partition_reference(&trace, icfg, true, true)
+            );
+            assert_eq!(
+                part.data_stats(),
+                partition_reference(&trace, dcfg, false, true)
+            );
+            assert_ne!(
+                part.data_stats(),
+                partition_reference(&trace, dcfg, false, false),
+                "cgm's write-backs must reach the data partition"
+            );
+        }
+    }
+
+    /// The broadcast reaches the instruction partition too. Code and data
+    /// blocks never overlap in the kernels, so this uses code that
+    /// stores into its own next block: the data cache evicts that dirty
+    /// block while the instruction streams hold it as a prefetch.
+    #[test]
+    fn partitioned_writebacks_invalidate_instruction_prefetches() {
+        use streamsim_trace::Access;
+        use streamsim_workloads::combinators::RecordedTrace;
+
+        // Direct-mapped 256 B caches: `x` and `x + 256` share a set.
+        let l1 = CacheConfig::new(256, 1, BlockSize::new(32).unwrap()).unwrap();
+        let mut refs = Vec::new();
+        for k in 0..64u64 {
+            let x = 0x1_0000 + k * 1024;
+            refs.extend([
+                Access::store(Addr::new(x)),
+                Access::ifetch(Addr::new(x - 32)),
+                Access::store(Addr::new(x + 256)),
+                Access::ifetch(Addr::new(x)),
+            ]);
+        }
+        let options = RecordOptions {
+            icache: l1,
+            dcache: l1,
+            sampling: None,
+        };
+        let trace = record_miss_trace(&RecordedTrace::new("smc", refs), &options).unwrap();
+        let cfg = StreamConfig::paper_basic(2).unwrap();
+        let mut part = PartitionedObserver::new(cfg, cfg);
+        replay(&trace, &mut [&mut part]);
+        assert_eq!(
+            part.instruction_stats(),
+            partition_reference(&trace, cfg, true, true)
+        );
+        assert_ne!(
+            part.instruction_stats(),
+            partition_reference(&trace, cfg, true, false),
+            "write-backs must reach the instruction partition"
+        );
+        assert_eq!(
+            part.data_stats(),
+            partition_reference(&trace, cfg, false, true)
         );
     }
 

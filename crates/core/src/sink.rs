@@ -4,11 +4,10 @@
 //! cells plus free-form notes — through an [`ArtifactSink`]. The sink
 //! decides the rendering: [`TextSink`] reproduces the aligned
 //! [`TextTable`](crate::report::TextTable) output the drivers always
-//! printed, [`JsonLinesSink`] emits one JSON object per data row
-//! (extending the convention the `streamsim-bench` timing harness set),
-//! and [`MultiSink`] fans one emission out to both. A driver's result
-//! type implements [`Artifact`]; its `Display` impl is just
-//! [`render_text`].
+//! printed, and [`JsonLinesSink`] emits one JSON object per data row
+//! (extending the convention the `streamsim-bench` timing harness set).
+//! A driver's result type implements [`Artifact`]; its `Display` impl is
+//! just [`render_text`].
 //!
 //! The JSONL schema is flat by design: every line carries `artifact` and
 //! `table` keys naming its origin, then one key per column. Text cells
@@ -261,45 +260,6 @@ impl ArtifactSink for JsonLinesSink {
     }
 
     fn note(&mut self, _text: &str) {}
-}
-
-/// Forwards every call to each wrapped sink.
-#[derive(Debug, Default)]
-pub struct MultiSink<'a> {
-    sinks: Vec<&'a mut dyn ArtifactSink>,
-}
-
-impl std::fmt::Debug for dyn ArtifactSink + '_ {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ArtifactSink")
-    }
-}
-
-impl<'a> MultiSink<'a> {
-    /// Fans one emission out to all of `sinks`.
-    pub fn new(sinks: Vec<&'a mut dyn ArtifactSink>) -> Self {
-        MultiSink { sinks }
-    }
-}
-
-impl ArtifactSink for MultiSink<'_> {
-    fn begin_table(&mut self, artifact: &str, table: &str, title: &str, columns: &[Column]) {
-        for s in &mut self.sinks {
-            s.begin_table(artifact, table, title, columns);
-        }
-    }
-
-    fn row(&mut self, cells: &[Cell]) {
-        for s in &mut self.sinks {
-            s.row(cells);
-        }
-    }
-
-    fn note(&mut self, text: &str) {
-        for s in &mut self.sinks {
-            s.note(text);
-        }
-    }
 }
 
 /// A fail-stop wrapper that models a faulty artifact consumer.
@@ -622,18 +582,6 @@ mod tests {
             lines[1],
             "{\"artifact\":\"demo\",\"table\":\"hit_rate\",\"bench\":\"adm\",\"hit_pct\":4.25}"
         );
-    }
-
-    #[test]
-    fn multi_sink_feeds_both_renderings() {
-        let mut text = TextSink::new();
-        let mut json = JsonLinesSink::new();
-        {
-            let mut both = MultiSink::new(vec![&mut text, &mut json]);
-            Demo.emit(&mut both);
-        }
-        assert!(text.into_string().contains("mgrid"));
-        assert_eq!(json.lines().len(), 2);
     }
 
     #[test]

@@ -9,23 +9,24 @@
 //! * [`BlockAddr`] — a cache-block-granular address,
 //! * [`Access`] — one memory reference (load, store or instruction fetch),
 //! * [`BlockSize`] / [`WordSize`] — validated power-of-two granularities,
-//! * [`TimeSampler`] — the paper's 10 000-on / 90 000-off time-sampling
-//!   scheme as a reusable adaptor,
+//! * [`ChunkSampler`] — the paper's 10 000-on / 90 000-off time-sampling
+//!   scheme over chunks of references,
 //! * [`TraceStats`] — descriptive statistics over a reference stream,
 //! * [`io`] — a compact binary trace format for storing reference streams.
 //!
 //! # Example
 //!
 //! ```
-//! use streamsim_trace::{Access, Addr, BlockSize, TimeSampler};
+//! use streamsim_trace::{Access, Addr, BlockSize, ChunkSampler};
 //!
 //! let block = BlockSize::new(32)?;
-//! let trace = (0..8u64).map(|i| Access::load(Addr::new(i * 8)));
+//! let trace: Vec<Access> = (0..8u64).map(|i| Access::load(Addr::new(i * 8))).collect();
 //!
 //! // Sample 2 references on, 2 off.
-//! let sampled: Vec<Access> = TimeSampler::new(trace, 2, 2).collect();
+//! let mut sampled = Vec::new();
+//! ChunkSampler::new(2, 2).sample(&trace, &mut |kept| sampled.extend_from_slice(kept));
 //! assert_eq!(sampled.len(), 4);
-//! assert_eq!(sampled[0].addr.block(block).index(), 0);
+//! assert_eq!(sampled[2].addr.block(block).index(), 1);
 //! # Ok::<(), streamsim_trace::GranularityError>(())
 //! ```
 
@@ -41,5 +42,5 @@ mod stats;
 
 pub use access::{Access, AccessKind};
 pub use addr::{Addr, BlockAddr, BlockSize, GranularityError, WordAddr, WordSize};
-pub use sample::{sampling_sink, ChunkSampler, TimeSampler};
+pub use sample::ChunkSampler;
 pub use stats::{StrideClass, StrideHistogram, TraceStats};

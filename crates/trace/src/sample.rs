@@ -2,130 +2,20 @@
 //!
 //! The paper reduced trace sizes by *time sampling* (Kessler, Hill & Wood
 //! [11]): tracing is switched on for 10 000 references, then off for
-//! 90 000, so 10 % of the full trace is observed. [`TimeSampler`] implements
-//! the same scheme as an iterator adaptor so it can wrap any reference
-//! source.
+//! 90 000, so 10 % of the full trace is observed. [`ChunkSampler`]
+//! implements the same scheme over the chunks workloads emit.
 
 use crate::Access;
 
-/// Iterator adaptor that passes through `on` references, then drops `off`
-/// references, repeating.
+/// On/off time-sampling over *chunks* of references: keeps `on`
+/// references, then skips `off`, repeating — reference `i` of the stream
+/// survives exactly when `i % (on + off) < on`. The paper's configuration
+/// is `ChunkSampler::new(10_000, 90_000)`; `off == 0` keeps everything.
 ///
-/// The paper's configuration is `TimeSampler::new(trace, 10_000, 90_000)`.
-/// `off == 0` passes everything through.
-///
-/// # Example
-///
-/// ```
-/// use streamsim_trace::{Access, Addr, TimeSampler};
-///
-/// let refs = (0..10u64).map(|i| Access::load(Addr::new(i)));
-/// let kept: Vec<u64> = TimeSampler::new(refs, 2, 3).map(|a| a.addr.raw()).collect();
-/// assert_eq!(kept, [0, 1, 5, 6]);
-/// ```
-#[derive(Clone, Debug)]
-pub struct TimeSampler<I> {
-    inner: I,
-    on: u64,
-    off: u64,
-    /// How many more references remain in the current "on" window;
-    /// when it reaches zero we skip `off` references and reset.
-    remaining_on: u64,
-}
-
-impl<I> TimeSampler<I> {
-    /// Creates a sampler that keeps `on` references then skips `off`,
-    /// repeating for the whole trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `on == 0` (the sampler would produce nothing forever).
-    pub fn new(inner: I, on: u64, off: u64) -> Self {
-        assert!(on > 0, "sampling window must keep at least one reference");
-        TimeSampler {
-            inner,
-            on,
-            off,
-            remaining_on: on,
-        }
-    }
-
-    /// Creates the paper's 10 000-on / 90 000-off (10 %) sampler.
-    pub fn paper_default(inner: I) -> Self {
-        TimeSampler::new(inner, 10_000, 90_000)
-    }
-
-    /// The fraction of references kept, in `(0, 1]`.
-    pub fn sampling_fraction(&self) -> f64 {
-        self.on as f64 / (self.on + self.off) as f64
-    }
-
-    /// Consumes the sampler, returning the underlying iterator.
-    pub fn into_inner(self) -> I {
-        self.inner
-    }
-}
-
-impl<I: Iterator<Item = Access>> Iterator for TimeSampler<I> {
-    type Item = Access;
-
-    fn next(&mut self) -> Option<Access> {
-        if self.remaining_on == 0 {
-            for _ in 0..self.off {
-                self.inner.next()?;
-            }
-            self.remaining_on = self.on;
-        }
-        let item = self.inner.next()?;
-        self.remaining_on -= 1;
-        Some(item)
-    }
-}
-
-/// A sampling *sink* wrapper for push-style trace generation.
-///
-/// The workload kernels in `streamsim-workloads` push references into a
-/// sink closure rather than materialising iterators; `SamplingSink` applies
-/// the same on/off windowing in push direction.
-///
-/// # Example
-///
-/// ```
-/// use streamsim_trace::{Access, Addr};
-/// use streamsim_trace::sampling_sink;
-///
-/// let mut kept = Vec::new();
-/// {
-///     let mut sink = sampling_sink(2, 3, |a: Access| kept.push(a.addr.raw()));
-///     for i in 0..10u64 {
-///         sink(Access::load(Addr::new(i)));
-///     }
-/// }
-/// assert_eq!(kept, [0, 1, 5, 6]);
-/// ```
-pub fn sampling_sink<F: FnMut(Access)>(on: u64, off: u64, mut inner: F) -> impl FnMut(Access) {
-    assert!(on > 0, "sampling window must keep at least one reference");
-    let period = on + off;
-    let mut phase: u64 = 0;
-    move |access| {
-        if phase < on {
-            inner(access);
-        }
-        phase += 1;
-        if phase == period {
-            phase = 0;
-        }
-    }
-}
-
-/// On/off time-sampling over *chunks* of references.
-///
-/// The chunked recording path hands whole slices to the consumer, so
-/// per-reference windowing would re-introduce a branch per reference.
-/// `ChunkSampler` instead splits each incoming chunk into kept and
-/// skipped sub-slices by range arithmetic — the kept sub-slices are
-/// exactly the references [`sampling_sink`] with the same `(on, off)`
-/// would have passed through (pinned by a property test).
+/// Workloads hand whole slices to their consumer, so per-reference
+/// windowing would add a branch per reference. `ChunkSampler` instead
+/// splits each incoming chunk into kept and skipped sub-slices by range
+/// arithmetic, and the window position persists across chunks.
 ///
 /// # Example
 ///
@@ -148,7 +38,7 @@ pub struct ChunkSampler {
 
 impl ChunkSampler {
     /// Creates a sampler that keeps `on` references then skips `off`,
-    /// repeating — the same windowing as [`sampling_sink`].
+    /// repeating.
     ///
     /// # Panics
     ///
@@ -192,86 +82,65 @@ mod tests {
     use super::*;
     use crate::Addr;
 
-    fn seq(n: u64) -> impl Iterator<Item = Access> {
-        (0..n).map(|i| Access::load(Addr::new(i)))
+    fn seq(n: u64) -> Vec<Access> {
+        (0..n).map(|i| Access::load(Addr::new(i))).collect()
+    }
+
+    /// Samples `refs` fed in `chunk_size` slices, returning the kept
+    /// addresses.
+    fn sampled(refs: &[Access], on: u64, off: u64, chunk_size: usize) -> Vec<u64> {
+        let mut kept = Vec::new();
+        let mut s = ChunkSampler::new(on, off);
+        for chunk in refs.chunks(chunk_size) {
+            s.sample(chunk, &mut |keep| {
+                kept.extend(keep.iter().map(|a| a.addr.raw()))
+            });
+        }
+        kept
+    }
+
+    /// The closed-form window: reference `i` survives iff
+    /// `i % (on + off) < on`.
+    fn oracle(n: u64, on: u64, off: u64) -> Vec<u64> {
+        (0..n).filter(|i| i % (on + off) < on).collect()
     }
 
     #[test]
     fn keeps_on_window_and_skips_off() {
-        let kept: Vec<u64> = TimeSampler::new(seq(20), 3, 2)
-            .map(|a| a.addr.raw())
-            .collect();
-        assert_eq!(kept, [0, 1, 2, 5, 6, 7, 10, 11, 12, 15, 16, 17]);
+        assert_eq!(
+            sampled(&seq(20), 3, 2, 20),
+            [0, 1, 2, 5, 6, 7, 10, 11, 12, 15, 16, 17]
+        );
     }
 
     #[test]
     fn off_zero_passes_everything() {
-        let kept: Vec<Access> = TimeSampler::new(seq(7), 4, 0).collect();
-        assert_eq!(kept.len(), 7);
+        assert_eq!(sampled(&seq(7), 4, 0, 3).len(), 7);
     }
 
     #[test]
-    fn stops_when_inner_exhausted_mid_skip() {
-        // 5 kept of the first window, inner ends during the skip.
-        let kept: Vec<Access> = TimeSampler::new(seq(8), 5, 10).collect();
-        assert_eq!(kept.len(), 5);
+    fn stops_when_input_ends_mid_skip() {
+        // 5 kept of the first window; the input ends during the skip.
+        assert_eq!(sampled(&seq(8), 5, 10, 8), [0, 1, 2, 3, 4]);
     }
 
     #[test]
-    fn paper_default_is_ten_percent() {
-        let s = TimeSampler::paper_default(seq(0));
-        assert!((s.sampling_fraction() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one reference")]
-    fn zero_on_window_panics() {
-        let _ = TimeSampler::new(seq(1), 0, 5);
-    }
-
-    #[test]
-    fn sink_matches_iterator_semantics() {
-        for (on, off) in [(1, 1), (3, 2), (10, 90), (4, 0)] {
-            let via_iter: Vec<u64> = TimeSampler::new(seq(100), on, off)
-                .map(|a| a.addr.raw())
-                .collect();
-            let mut via_sink = Vec::new();
-            {
-                let mut sink = sampling_sink(on, off, |a: Access| via_sink.push(a.addr.raw()));
-                for a in seq(100) {
-                    sink(a);
-                }
-            }
-            assert_eq!(via_iter, via_sink, "on={on} off={off}");
-        }
-    }
-
-    #[test]
-    fn chunk_sampler_matches_sink_across_chunk_boundaries() {
+    fn matches_the_closed_form_window_across_chunk_boundaries() {
+        let refs = seq(500);
         for (on, off) in [(1u64, 1u64), (3, 2), (10, 90), (4, 0), (7, 13)] {
-            let refs: Vec<Access> = seq(500).collect();
-            let mut via_sink = Vec::new();
-            {
-                let mut sink = sampling_sink(on, off, |a: Access| via_sink.push(a.addr.raw()));
-                for &a in &refs {
-                    sink(a);
-                }
-            }
+            let expected = oracle(500, on, off);
             for chunk_size in [1usize, 3, 7, 64, 500, 1000] {
-                let mut via_chunks = Vec::new();
-                let mut s = ChunkSampler::new(on, off);
-                for chunk in refs.chunks(chunk_size) {
-                    s.sample(chunk, &mut |keep| {
-                        via_chunks.extend(keep.iter().map(|a| a.addr.raw()))
-                    });
-                }
-                assert_eq!(via_sink, via_chunks, "on={on} off={off} chunk={chunk_size}");
+                assert_eq!(
+                    sampled(&refs, on, off, chunk_size),
+                    expected,
+                    "on={on} off={off} chunk={chunk_size}"
+                );
             }
         }
     }
 
     #[test]
-    fn chunk_sampler_ignores_empty_chunks() {
+    fn ignores_empty_chunks() {
         let mut s = ChunkSampler::new(2, 2);
         let mut calls = 0;
         s.sample(&[], &mut |_| calls += 1);
@@ -280,15 +149,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "at least one reference")]
-    fn chunk_sampler_zero_on_panics() {
+    fn zero_on_window_panics() {
         let _ = ChunkSampler::new(0, 5);
-    }
-
-    #[test]
-    fn into_inner_returns_rest() {
-        let mut s = TimeSampler::new(seq(10), 1, 0);
-        let _ = s.next();
-        let rest: Vec<Access> = s.into_inner().collect();
-        assert_eq!(rest.len(), 9);
     }
 }

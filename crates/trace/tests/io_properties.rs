@@ -5,7 +5,7 @@ use streamsim_prng::quickcheck::{check, Gen};
 use streamsim_prng::Rng;
 
 use streamsim_trace::io::{read_trace, write_trace};
-use streamsim_trace::{Access, AccessKind, Addr, TimeSampler};
+use streamsim_trace::{Access, AccessKind, Addr, ChunkSampler};
 
 fn arbitrary_trace(g: &mut Gen, max_len: usize) -> Vec<Access> {
     g.vec(0..max_len, |g| {
@@ -57,14 +57,21 @@ fn truncation_is_detected() {
 }
 
 /// The sampler keeps exactly the references whose position falls in an
-/// "on" window, in order.
+/// "on" window, in order, however the stream is split into chunks.
 #[test]
 fn sampler_matches_reference_model() {
     check("sampler_matches_reference_model", |g| {
         let trace = arbitrary_trace(g, 150);
         let on = g.gen_range(1u64..20);
         let off = g.gen_range(0u64..20);
-        let sampled: Vec<Access> = TimeSampler::new(trace.iter().copied(), on, off).collect();
+        let mut sampler = ChunkSampler::new(on, off);
+        let mut sampled = Vec::new();
+        let mut rest = &trace[..];
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(g.gen_range(0usize..40).min(rest.len()));
+            sampler.sample(chunk, &mut |kept| sampled.extend_from_slice(kept));
+            rest = tail;
+        }
         let expected: Vec<Access> = trace
             .iter()
             .enumerate()

@@ -12,10 +12,11 @@
 //! scatter/gather, `cgm` by sequential index/value arrays plus a banded
 //! gather).
 //!
-//! Kernels push references into a sink (`FnMut(Access)`) so traces never
-//! need to be materialised; wrap the sink with
-//! [`streamsim_trace::sampling_sink`] for the paper's time sampling, or
-//! use [`collect_trace`] when a `Vec` is convenient.
+//! Kernels push references into a sink (`FnMut(Access)`), or in chunks
+//! through [`Workload::generate_chunks`], so traces never need to be
+//! materialised; feed the chunks through [`streamsim_trace::ChunkSampler`]
+//! for the paper's time sampling, or use [`collect_trace`] when a `Vec`
+//! is convenient.
 //!
 //! # Example
 //!

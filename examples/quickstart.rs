@@ -1,16 +1,17 @@
 //! Quickstart: simulate one workload through the paper's memory system.
 //!
-//! Builds the paper's hierarchy — 64K I + 64K D primary caches backed by
-//! ten stream buffers with the unit-stride filter — runs the `mgrid`
-//! benchmark through it, and prints the hit rates the paper's evaluation
-//! revolves around.
+//! Simulates the paper's hierarchy — 64K I + 64K D primary caches backed
+//! by ten stream buffers with the unit-stride filter — on the `mgrid`
+//! benchmark, and prints the hit rates the paper's evaluation revolves
+//! around. As in every driver, the primary cache's miss stream is
+//! recorded once and then replayed into the stream buffers.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use streamsim::{MemorySystemBuilder, StreamConfig};
+use streamsim::{record_miss_trace, run_streams, RecordOptions, StreamConfig};
 use streamsim_workloads::benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,24 +23,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.data_set_bytes() as f64 / (1 << 20) as f64
     );
 
-    // The memory system of Figure 1: split L1 + unified stream buffers.
-    let mut system = MemorySystemBuilder::paper_l1()
-        .streams(StreamConfig::paper_filtered(10)?)
-        .build()?;
+    // The memory system of Figure 1: split L1 (the paper's geometry is
+    // the default) + unified stream buffers replaying its miss stream.
+    let trace = record_miss_trace(workload.as_ref(), &RecordOptions::default())?;
+    let streams = run_streams(&trace, StreamConfig::paper_filtered(10)?);
 
-    system.run(workload.as_ref());
-    let report = system.finish();
-
+    let l1 = trace.l1();
     println!();
     println!("primary cache:");
-    println!("  references      {:>12}", report.l1.refs());
-    println!("  misses          {:>12}", report.l1.misses());
-    println!(
-        "  data miss rate  {:>11.2}%",
-        report.l1.data_miss_rate() * 100.0
-    );
+    println!("  references      {:>12}", l1.refs());
+    println!("  misses          {:>12}", l1.misses());
+    println!("  data miss rate  {:>11.2}%", l1.data_miss_rate() * 100.0);
 
-    let streams = report.streams.expect("streams configured");
     println!();
     println!("stream buffers (10 streams, depth 2, 16-entry unit filter):");
     println!("  lookups         {:>12}", streams.lookups);

@@ -12,8 +12,8 @@
 //! ```
 
 use streamsim::{
-    benchmark, collect_trace, record_miss_trace, run_streams, Access, RecordOptions, StreamConfig,
-    TimeSampler,
+    benchmark, collect_trace, record_miss_trace, run_streams, Access, ChunkSampler, RecordOptions,
+    StreamConfig,
 };
 use streamsim_trace::io::{read_trace, write_trace};
 use streamsim_workloads::combinators::RecordedTrace;
@@ -22,7 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Generate and time-sample, as the paper did (10k on / 90k off).
     let workload = benchmark("applu").expect("known benchmark");
     let full: Vec<Access> = collect_trace(workload.as_ref());
-    let sampled: Vec<Access> = TimeSampler::paper_default(full.iter().copied()).collect();
+    let mut sampled: Vec<Access> = Vec::new();
+    ChunkSampler::new(10_000, 90_000).sample(&full, &mut |kept| sampled.extend_from_slice(kept));
     println!(
         "generated {} references, paper sampling kept {} ({:.1}%)",
         full.len(),

@@ -139,6 +139,17 @@ echo "==> quick report golden (--diff tests/golden/report-quick.jsonl)"
 ./target/release/streamsim-report --diff tests/golden/report-quick.jsonl \
     "$obs_dir/report-quick.jsonl"
 
+# The same report under the paper's 10k-on/90k-off time sampling, against
+# tests/golden/report-quick-sampled.jsonl (made by `streamsim-report
+# --quick --sampling --json`). It is the only gate on the sampled paths:
+# record_miss_trace's ChunkSampler window and traffic's sampled
+# two-level pass.
+echo "==> sampled quick report golden (--diff tests/golden/report-quick-sampled.jsonl)"
+./target/release/streamsim-report --quick --sampling --out /dev/null \
+    --json "$obs_dir/report-quick-sampled.jsonl"
+./target/release/streamsim-report --diff tests/golden/report-quick-sampled.jsonl \
+    "$obs_dir/report-quick-sampled.jsonl"
+
 # Perf-regression ledger gate: the committed PERF_LEDGER.jsonl must
 # clear every metric floor (recording/replay speedups, model pruning
 # fraction — see DESIGN.md, "Perf-regression ledger"). The three

@@ -7,7 +7,6 @@
 //!   streamsim-report --ledger <BENCH.json>... [--ledger-file <FILE>]
 //!   streamsim-report --ledger-check [FILE]
 //!   streamsim-report --trace-check <FILE>
-//!   streamsim-report --lint <FINDINGS.jsonl>
 //!
 //! OPTIONS:
 //!   --quick           run reduced inputs (smoke test)
@@ -26,10 +25,6 @@
 //!                     per-metric floors; exit 1 on violation
 //!   --trace-check <F> validate an exported trace_event file (well-formed
 //!                     flat JSON, balanced B/E events); exit 1 on failure
-//!   --lint <F>        pretty-print a `streamsim-lint --json` findings
-//!                     file grouped by source file, with cross-file
-//!                     resolution chains and taint flows indented under
-//!                     their findings; exit 1 if it records any deny
 //!   --list            list experiment names and exit
 //!   -h, --help        show this help
 //!
@@ -400,83 +395,6 @@ fn field_num(fields: &[(String, JsonValue)], key: &str) -> Option<f64> {
     })
 }
 
-/// Pretty-prints a `streamsim-lint --json` findings file: findings
-/// grouped per source file in level/line order, with the semantic
-/// provenance columns (`resolved_path` for cross-file alias chains,
-/// `taint_chain` for determinism-taint flows) indented under their
-/// finding, and the summary row last. Returns whether any deny-level
-/// finding was recorded (the caller turns that into exit 1, so the
-/// renderer doubles as a gate).
-fn render_lint_report(path: &str) -> Result<bool, String> {
-    // One finding, sortable by (line, level, rule): the remaining
-    // columns are the message and the indented provenance lines.
-    type LintRow = (u64, String, String, String, Vec<String>);
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut by_file: BTreeMap<String, Vec<LintRow>> = BTreeMap::new();
-    let mut summary: Option<String> = None;
-    for raw in text.lines().filter(|l| !l.trim().is_empty()) {
-        let fields = parse_flat_json_line(raw).map_err(|e| format!("{path}: {e}: {raw}"))?;
-        if field_text(&fields, "artifact").as_deref() != Some("lint") {
-            return Err(format!("{path}: not a lint artifact: {raw}"));
-        }
-        match field_text(&fields, "table").as_deref() {
-            Some("summary") => {
-                let get = |k| field_num(&fields, k).unwrap_or(0.0);
-                summary = Some(format!(
-                    "{} file(s) scanned, {} violation(s), {} warning(s), {} suppression(s)",
-                    get("files"),
-                    get("deny"),
-                    get("warn"),
-                    get("allow")
-                ));
-            }
-            Some("findings") => {
-                let get = |k| field_text(&fields, k).unwrap_or_default();
-                let mut provenance = Vec::new();
-                let resolved = get("resolved_path");
-                if !resolved.is_empty() {
-                    provenance.push(format!("resolves: {resolved}"));
-                }
-                let taint = get("taint_chain");
-                if !taint.is_empty() {
-                    provenance.push(format!("taint: {taint}"));
-                }
-                let reason = get("reason");
-                if !reason.is_empty() {
-                    provenance.push(format!("reason: {reason}"));
-                }
-                by_file.entry(get("file")).or_default().push((
-                    field_num(&fields, "line").unwrap_or(0.0) as u64,
-                    get("level"),
-                    get("rule"),
-                    get("message"),
-                    provenance,
-                ));
-            }
-            other => {
-                return Err(format!("{path}: unexpected table {other:?}: {raw}"));
-            }
-        }
-    }
-    let mut denies = false;
-    for (file, findings) in &mut by_file {
-        println!("{file}");
-        findings.sort();
-        for (line, level, rule, message, provenance) in findings {
-            denies |= level == "deny";
-            println!("  {line:>5} [{level}] {rule}: {message}");
-            for extra in provenance {
-                println!("        └─ {extra}");
-            }
-        }
-    }
-    match summary {
-        Some(s) => println!("lint: {s}"),
-        None => return Err(format!("{path}: no summary row — truncated artifact?")),
-    }
-    Ok(denies)
-}
-
 /// Builds a ledger entry (seq 0 — the appender assigns the real one)
 /// from parsed summary-row fields: header keys by name, every other
 /// numeric field a metric.
@@ -655,7 +573,6 @@ fn main() -> ExitCode {
     let mut ledger_file = "PERF_LEDGER.jsonl".to_owned();
     let mut ledger_check: Option<Option<String>> = None;
     let mut trace_check: Option<String> = None;
-    let mut lint_pretty: Option<String> = None;
 
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
@@ -720,13 +637,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--lint" => match args.next() {
-                Some(path) => lint_pretty = Some(path),
-                None => {
-                    eprintln!("error: --lint needs a streamsim-lint --json file path");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--list" => {
                 for name in ARTIFACT_NAMES {
                     println!("{name}");
@@ -741,8 +651,7 @@ fn main() -> ExitCode {
                      streamsim-report --diff A.jsonl B.jsonl [--summary]\n       \
                      streamsim-report --ledger BENCH.json... [--ledger-file FILE]\n       \
                      streamsim-report --ledger-check [FILE]\n       \
-                     streamsim-report --trace-check FILE\n       \
-                     streamsim-report --lint FINDINGS.jsonl\n\nEXPERIMENTS: {}\n\n\
+                     streamsim-report --trace-check FILE\n\nEXPERIMENTS: {}\n\n\
                      `sweep` (the ~1000-cell design-space grid) must be selected by name; \
                      --prescreen prunes it to the model-predicted Pareto frontier.\n\
                      STREAMSIM_TRACE_OUT=FILE exports a Chrome trace_event timeline of the run.",
@@ -758,22 +667,8 @@ fn main() -> ExitCode {
         }
     }
 
-    // Ledger, trace and lint maintenance modes run instead of experiments.
-    if !ledger_inputs.is_empty()
-        || ledger_check.is_some()
-        || trace_check.is_some()
-        || lint_pretty.is_some()
-    {
-        if let Some(path) = &lint_pretty {
-            match render_lint_report(path) {
-                Ok(false) => {}
-                Ok(true) => return ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+    // Ledger and trace maintenance modes run instead of experiments.
+    if !ledger_inputs.is_empty() || ledger_check.is_some() || trace_check.is_some() {
         if !ledger_inputs.is_empty() {
             match append_to_ledger(&ledger_file, &ledger_inputs) {
                 Ok(n) => println!("{n} benchmark run(s) appended to {ledger_file}"),

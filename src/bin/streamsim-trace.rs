@@ -19,7 +19,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
-use streamsim::{MemorySystemBuilder, StreamConfig, TraceStats};
+use streamsim::{record_miss_trace, run_streams, RecordOptions, StreamConfig, TraceStats};
 use streamsim_trace::io::{read_trace, write_trace};
 use streamsim_workloads::combinators::RecordedTrace;
 use streamsim_workloads::{benchmark, benchmark_names, collect_trace};
@@ -80,17 +80,15 @@ fn cmd_replay(path: &str, streams: usize) -> ExitCode {
         Ok(c) => c,
         Err(e) => return fail(&e.to_string()),
     };
-    let mut system = match MemorySystemBuilder::paper_l1().streams(config).build() {
-        Ok(s) => s,
+    let trace = match record_miss_trace(&workload, &RecordOptions::default()) {
+        Ok(t) => t,
         Err(e) => return fail(&e.to_string()),
     };
-    system.run(&workload);
-    let report = system.finish();
-    let stats = report.streams.expect("streams configured");
+    let stats = run_streams(&trace, config);
     println!(
         "refs {}  L1 misses {}  stream hit {:.1}%  EB {:.1}%",
-        report.l1.refs(),
-        report.l1.misses(),
+        trace.l1().refs(),
+        trace.l1().misses(),
         stats.hit_rate() * 100.0,
         stats.extra_bandwidth() * 100.0,
     );

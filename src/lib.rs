@@ -13,9 +13,9 @@
 //!   stride detection (plus the minimum-delta alternative);
 //! * [`streamsim_workloads`] — synthetic kernels reproducing the access
 //!   patterns of the paper's fifteen NAS/PERFECT benchmarks;
-//! * [`streamsim_core`] — memory-system composition, miss-trace
-//!   record/replay, and a driver for every table and figure in the
-//!   paper's evaluation.
+//! * [`streamsim_core`] — miss-trace record/replay (the one way a
+//!   memory system is simulated), and a driver for every table and
+//!   figure in the paper's evaluation.
 //!
 //! This facade re-exports the commonly used types so most programs need
 //! a single dependency.
@@ -23,15 +23,14 @@
 //! # Example
 //!
 //! ```
-//! use streamsim::{MemorySystemBuilder, StreamConfig};
+//! use streamsim::{record_miss_trace, run_streams, RecordOptions, StreamConfig};
 //! use streamsim_workloads::generators::SequentialSweep;
 //!
-//! let mut system = MemorySystemBuilder::paper_l1()
-//!     .streams(StreamConfig::paper_filtered(8)?)
-//!     .build()?;
-//! system.run(&SequentialSweep::default());
-//! let report = system.finish();
-//! assert!(report.stream_hit_rate().unwrap() > 0.9);
+//! // Record the paper L1's miss stream once, then replay it into streams.
+//! let trace = record_miss_trace(&SequentialSweep::default(), &RecordOptions::default())?;
+//! let stats = run_streams(&trace, StreamConfig::paper_filtered(8)?);
+//! assert_eq!(stats.lookups, trace.l1().misses());
+//! assert!(stats.hit_rate() > 0.9);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -46,17 +45,16 @@ pub use streamsim_core::{
     experiments, l2_geometry, paper, parse_flat_json_line, profile_trace, record_miss_trace,
     render_json_lines, render_text, replay, replay_chunked, replay_l2, replay_streams, report,
     run_l2, run_streams, stream_geometry, Artifact, ArtifactSink, Cell, ExecutorHandle,
-    GuardedSink, JsonLinesSink, JsonValue, L1Summary, L2Observer, MemorySystem,
-    MemorySystemBuilder, MissEvent, MissObserver, MissTrace, MultiSink, ProfileArtifact,
-    ProfilePhase, RecordOptions, SimReport, StreamObserver, StreamTopology, TextSink, TraceStore,
-    Value,
+    GuardedSink, JsonLinesSink, JsonValue, L1Summary, L2Observer, MissEvent, MissObserver,
+    MissTrace, PartitionedObserver, ProfileArtifact, ProfilePhase, RecordOptions, StreamObserver,
+    TextSink, TraceStore, Value,
 };
 pub use streamsim_streams::{
     Allocation, CzoneFilter, LengthBucket, LengthHistogram, MatchPolicy, MinDeltaDetector,
     StreamBuffer, StreamConfig, StreamConfigError, StreamOutcome, StreamStats, StreamSystem,
 };
 pub use streamsim_trace::{
-    Access, AccessKind, Addr, BlockAddr, BlockSize, TimeSampler, TraceStats, WordAddr, WordSize,
+    Access, AccessKind, Addr, BlockAddr, BlockSize, ChunkSampler, TraceStats, WordAddr, WordSize,
 };
 pub use streamsim_workloads::{
     all_benchmarks, benchmark, benchmark_names, collect_trace, generators, kernels, AddressSpace,

@@ -3,12 +3,12 @@
 //! of the `streamsim` facade.
 
 use streamsim::{
-    record_miss_trace, run_l2, run_streams, Access, CacheConfig, MemorySystemBuilder,
-    RecordOptions, StreamConfig,
+    record_miss_trace, run_l2, run_streams, Access, CacheConfig, ChunkSampler, RecordOptions,
+    StreamConfig,
 };
-use streamsim_trace::{BlockSize, TimeSampler};
+use streamsim_trace::BlockSize;
 use streamsim_workloads::generators::{InterleavedStreams, RandomGather, SequentialSweep};
-use streamsim_workloads::{benchmark, benchmark_names, collect_trace};
+use streamsim_workloads::{benchmark, benchmark_names, collect_trace, Workload};
 
 #[test]
 fn every_benchmark_runs_through_the_paper_system() {
@@ -22,15 +22,10 @@ fn every_benchmark_runs_through_the_paper_system() {
     // Drive a couple of representative benchmarks fully.
     for name in ["is", "mdg"] {
         let w = benchmark(name).unwrap();
-        let mut system = MemorySystemBuilder::paper_l1()
-            .streams(StreamConfig::paper_filtered(10).unwrap())
-            .build()
-            .unwrap();
-        system.run(w.as_ref());
-        let report = system.finish();
-        assert!(report.l1.refs() > 0, "{name}");
-        let streams = report.streams.unwrap();
-        assert_eq!(streams.lookups, report.l1.misses(), "{name}");
+        let trace = record_miss_trace(w.as_ref(), &RecordOptions::default()).unwrap();
+        assert!(trace.l1().refs() > 0, "{name}");
+        let streams = run_streams(&trace, StreamConfig::paper_filtered(10).unwrap());
+        assert_eq!(streams.lookups, trace.l1().misses(), "{name}");
         assert!(streams.prefetch_accounting_balances(), "{name}");
     }
 }
@@ -126,10 +121,20 @@ fn sampler_wrapping_matches_generated_subset() {
         elem: 8,
     };
     let trace = collect_trace(&workload);
-    let sampled: Vec<Access> = TimeSampler::new(trace.iter().copied(), 100, 300).collect();
+    let mut sampled = Vec::new();
+    let mut sampler = ChunkSampler::new(100, 300);
+    workload.generate_chunks(&mut Vec::new(), &mut |chunk| {
+        sampler.sample(chunk, &mut |kept| sampled.extend_from_slice(kept));
+    });
     assert!(!sampled.is_empty());
     assert!(sampled.len() <= trace.len() / 3);
-    assert_eq!(sampled[0], trace[0]);
+    let expected: Vec<Access> = trace
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 400 < 100)
+        .map(|(_, &a)| a)
+        .collect();
+    assert_eq!(sampled, expected);
 }
 
 #[test]

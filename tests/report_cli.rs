@@ -892,77 +892,6 @@ fn run_steps_trails_the_json_artifact() {
 }
 
 #[test]
-fn lint_mode_renders_findings_and_gates_on_denies() {
-    let dir = std::env::temp_dir().join("streamsim-report-lint-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let failing = dir.join("failing.jsonl");
-    std::fs::write(
-        &failing,
-        "{\"artifact\":\"lint\",\"table\":\"findings\",\"rule\":\"no-hash-collections\",\
-         \"level\":\"deny\",\"file\":\"src/b.rs\",\"line\":7,\"message\":\"FastMap resolves \
-         to a banned type\",\"reason\":\"\",\"resolved_path\":\"FastMap -> crate::a::FastMap \
-         -> std::collections::HashMap\",\"taint_chain\":\"\"}\n\
-         {\"artifact\":\"lint\",\"table\":\"findings\",\"rule\":\"determinism-taint\",\
-         \"level\":\"deny\",\"file\":\"src/flows.rs\",\"line\":9,\"message\":\"clock value \
-         reaches an artifact sink\",\"reason\":\"\",\"resolved_path\":\"\",\
-         \"taint_chain\":\"std::time::Instant -> stamp -> store.row\"}\n\
-         {\"artifact\":\"lint\",\"table\":\"summary\",\"files\":4,\"deny\":2,\"warn\":0,\
-         \"allow\":0}\n",
-    )
-    .unwrap();
-
-    let out = report()
-        .args(["--lint", failing.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success(), "deny findings must exit nonzero");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("src/b.rs"), "{text}");
-    assert!(
-        text.contains("resolves: FastMap -> crate::a::FastMap -> std::collections::HashMap"),
-        "cross-file chain rendered: {text}"
-    );
-    assert!(
-        text.contains("taint: std::time::Instant -> stamp -> store.row"),
-        "taint chain rendered: {text}"
-    );
-    assert!(
-        text.contains("lint: 4 file(s) scanned, 2 violation(s), 0 warning(s), 0 suppression(s)"),
-        "{text}"
-    );
-
-    // A deny-free file exits 0; a summary-less file is rejected.
-    let clean = dir.join("clean.jsonl");
-    std::fs::write(
-        &clean,
-        "{\"artifact\":\"lint\",\"table\":\"summary\",\"files\":4,\"deny\":0,\"warn\":0,\
-         \"allow\":1}\n",
-    )
-    .unwrap();
-    let out = report()
-        .args(["--lint", clean.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let truncated = dir.join("truncated.jsonl");
-    std::fs::write(&truncated, "").unwrap();
-    let out = report()
-        .args(["--lint", truncated.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success(), "a summary-less artifact must fail");
-
-    for p in [&failing, &clean, &truncated] {
-        std::fs::remove_file(p).ok();
-    }
-}
-
-#[test]
 fn lint_bench_row_feeds_the_ledger_coverage_floor() {
     let dir = std::env::temp_dir().join("streamsim-report-lint-ledger-test");
     std::fs::create_dir_all(&dir).unwrap();

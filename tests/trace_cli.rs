@@ -2,6 +2,10 @@
 
 use std::process::Command;
 
+use streamsim::{record_miss_trace, run_streams, RecordOptions, StreamConfig};
+use streamsim_trace::io::read_trace;
+use streamsim_workloads::combinators::RecordedTrace;
+
 fn trace_tool() -> Command {
     Command::new(env!("CARGO_BIN_EXE_streamsim-trace"))
 }
@@ -46,7 +50,22 @@ fn gen_info_replay_round_trip() {
         .expect("binary runs");
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("stream hit"), "{text}");
+
+    // The printed numbers are the library's for the same file: record
+    // the stored trace through the paper L1, replay 4 filtered streams.
+    let file = std::fs::File::open(&path).unwrap();
+    let refs = read_trace(std::io::BufReader::new(file)).unwrap();
+    let workload = RecordedTrace::new(path.to_str().unwrap(), refs);
+    let trace = record_miss_trace(&workload, &RecordOptions::default()).unwrap();
+    let stats = run_streams(&trace, StreamConfig::paper_filtered(4).unwrap());
+    let expected = format!(
+        "refs {}  L1 misses {}  stream hit {:.1}%  EB {:.1}%",
+        trace.l1().refs(),
+        trace.l1().misses(),
+        stats.hit_rate() * 100.0,
+        stats.extra_bandwidth() * 100.0,
+    );
+    assert_eq!(text.trim_end(), expected);
 
     std::fs::remove_file(&path).ok();
 }
