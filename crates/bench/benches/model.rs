@@ -29,6 +29,10 @@
 //! the full thousand-cell sweep) and `STREAMSIM_BENCH_WARMUP`
 //! (default 0).
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the timing harness reads the monotonic clock"
+)]
 use std::time::Instant;
 
 use streamsim_bench::env_u32;
@@ -41,6 +45,7 @@ use streamsim_core::experiments::{miss_traces, ExperimentOptions};
 /// trace-hot store. The fast path goes first so the cold profile pass
 /// it depends on lands inside its own measurement; the full path
 /// replays every cell of the grid.
+#[expect(clippy::disallowed_types, reason = "times each sweep path")]
 fn sample() -> ((Sweep, u128), (Sweep, u128)) {
     let base = ExperimentOptions::quick();
     miss_traces(&base);

@@ -15,10 +15,18 @@
 
 pub mod timing;
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the timing harness reads the monotonic clock"
+)]
 use std::time::Instant;
 
 /// A positive integer from the environment variable `key`, or
 /// `default` when it is unset, unparsable or zero.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the STREAMSIM_BENCH_* knobs are the harness's configuration"
+)]
 pub fn env_u32(key: &str, default: u32) -> u32 {
     std::env::var(key)
         .ok()
@@ -30,6 +38,7 @@ pub fn env_u32(key: &str, default: u32) -> u32 {
 /// Median wall time of `f` over `samples` timed runs, after `warmup`
 /// untimed ones, in nanoseconds. Each result passes through
 /// [`std::hint::black_box`] so the work cannot be optimised away.
+#[expect(clippy::disallowed_types, reason = "times each sample")]
 pub fn median_ns<R>(samples: u32, warmup: u32, mut f: impl FnMut() -> R) -> u128 {
     for _ in 0..warmup {
         std::hint::black_box(f());
@@ -49,6 +58,10 @@ pub fn median_ns<R>(samples: u32, warmup: u32, mut f: impl FnMut() -> R) -> u128
 /// it writes `summary` to `BENCH_<benchmark>.json` at the repository
 /// root; with `STREAMSIM_BENCH_ENFORCE=<min>` it exits non-zero unless
 /// `speedup` reaches `<min>` (the CI perf smokes use this).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "STREAMSIM_BENCH_WRITE and STREAMSIM_BENCH_ENFORCE are the harness's configuration"
+)]
 pub fn write_and_enforce(benchmark: &str, summary: &str, speedup: f64) {
     if std::env::var("STREAMSIM_BENCH_WRITE").as_deref() == Ok("1") {
         let path = format!(

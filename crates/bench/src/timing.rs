@@ -23,6 +23,10 @@
 //! group.finish();
 //! ```
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the timing harness reads the monotonic clock"
+)]
 use std::time::Instant;
 
 /// Default number of timed samples per benchmark.
@@ -67,6 +71,7 @@ impl Group {
     /// Times `f`: `warmup` untimed runs, then `samples` timed runs;
     /// reports the median. The closure's result is passed through
     /// [`std::hint::black_box`] so the work cannot be optimised away.
+    #[expect(clippy::disallowed_types, reason = "times each sample")]
     pub fn bench_function<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
         for _ in 0..self.warmup {
             std::hint::black_box(f());

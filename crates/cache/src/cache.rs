@@ -1,6 +1,7 @@
 //! The generic set-associative cache simulator.
 
-// lint:hot-module — the per-access lookup below is the simulation's inner loop
+// Hot-loop module: the per-access lookup below is the simulation's inner loop.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use streamsim_prng::{Rng, Xoshiro256StarStar};
 
@@ -450,8 +451,11 @@ impl SetAssocCache {
         // 4-way case (every L1 in the paper) gets a fixed-length scan the
         // compiler fully unrolls; other associativities take the dynamic
         // loop.
+        #[expect(
+            clippy::expect_used,
+            reason = "the slice is base..base+4 by construction, so the array conversion cannot fail"
+        )]
         let (hit_way, first_invalid) = if assoc == 4 {
-            // lint:allow(no-unwrap-hot, slice is base..base+4 by construction so the array conversion cannot fail)
             scan_ways::<4>(self.tags[base..base + 4].try_into().expect("len 4"), tag)
         } else {
             scan_ways_dyn(&self.tags[base..base + assoc], tag)
@@ -475,6 +479,11 @@ impl SetAssocCache {
         }
 
         // Choose a victim: first invalid way, otherwise per policy.
+        #[expect(
+            clippy::expect_used,
+            reason = "CacheConfig rejects associativity 0, so a set is never empty; the \
+                      constructor seeds an rng whenever the policy is Random"
+        )]
         let victim = if first_invalid != usize::MAX {
             first_invalid
         } else {
@@ -486,14 +495,12 @@ impl SetAssocCache {
                     .enumerate()
                     .min_by_key(|&(_, s)| s)
                     .map(|(w, _)| w)
-                    // lint:allow(no-unwrap-hot, CacheConfig rejects associativity 0 so the set is never empty)
                     .expect("associativity >= 1"),
                 // Exactly one PRNG draw per full-set eviction, over the
                 // same range as the pre-SoA implementation.
                 Replacement::Random { .. } => self
                     .rng
                     .as_mut()
-                    // lint:allow(no-unwrap-hot, the constructor seeds an rng whenever the policy is Random)
                     .expect("random replacement has an rng")
                     .gen_range(0..assoc),
                 Replacement::TreePlru => plru_victim(self.plru[row as usize], self.assoc) as usize,

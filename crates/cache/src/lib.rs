@@ -36,7 +36,7 @@
 //! # Ok::<(), streamsim_cache::CacheConfigError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::dbg_macro)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

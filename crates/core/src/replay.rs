@@ -32,7 +32,8 @@
 //! residual) implement [`MissObserver`] themselves and join the same
 //! pass.
 
-// lint:hot-module — the replay loop touches every recorded miss event per observer
+// Hot-loop module: the replay loop touches every recorded miss event per observer.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fmt;
 

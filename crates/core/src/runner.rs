@@ -388,6 +388,10 @@ mod tests {
                 }
                 // Give the panicking worker time to raise the flag
                 // before this one re-polls the queue.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "a test widens the race window; no artifact depends on the delay"
+                )]
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 i
             })

@@ -81,6 +81,10 @@ impl Executor for ThreadExecutor {
             while step(0) == StepOutcome::Progress {}
             return;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the Executor seam's production implementation: every other fan-out goes through it"
+        )]
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| scope.spawn(move || while step(w) == StepOutcome::Progress {}))

@@ -30,7 +30,7 @@
 //! `streamsim-prng`, no wall clock is consulted, and a given seed
 //! produces the same schedule on every platform.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 mod executor;

@@ -71,6 +71,10 @@ pub fn sweep_with(name: &str, seeds: u64, mut case: impl FnMut(u64)) {
 
 /// The replay seed from `STREAMSIM_DST_SEED`, if set (hex with `0x`
 /// prefix, or decimal).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "STREAMSIM_DST_SEED is the sanctioned replay knob"
+)]
 pub fn replay_seed() -> Option<u64> {
     let raw = std::env::var("STREAMSIM_DST_SEED").ok()?;
     let raw = raw.trim();
@@ -81,6 +85,10 @@ pub fn replay_seed() -> Option<u64> {
     Some(parsed.unwrap_or_else(|_| panic!("STREAMSIM_DST_SEED is not a valid u64: {raw:?}")))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "STREAMSIM_DST_SEEDS is the sanctioned sweep-width knob"
+)]
 fn seed_count() -> Option<u64> {
     let raw = std::env::var("STREAMSIM_DST_SEEDS").ok()?;
     Some(

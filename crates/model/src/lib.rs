@@ -26,7 +26,7 @@
 //! functions of the event stream, byte-identical across runs, threads
 //! and executors.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::dbg_macro)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

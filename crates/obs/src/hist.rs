@@ -25,9 +25,14 @@
 //! [`Hist`]s; [`Hist::count_below`] and [`Hist::nonempty_buckets`] are
 //! the queries its secondary-cache predictor walks.
 
-// lint:hot-module — record_hist sits on the replay delivery loop (once per chunk)
+// Hot-loop module: record_hist sits on the replay delivery loop (once per chunk).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
+#[expect(
+    clippy::disallowed_types,
+    reason = "streamsim-obs owns the monotonic clock"
+)]
 use std::time::Instant;
 
 use crate::Level;
@@ -169,11 +174,13 @@ fn record_hist_always(id: HistId, value: u64) {
 #[derive(Debug)]
 pub struct HistTimer {
     id: HistId,
+    #[expect(clippy::disallowed_types, reason = "the timed region's start")]
     start: Option<Instant>,
 }
 
 /// Starts a [`HistTimer`] for `id`; a no-op below [`Level::Info`].
 #[inline]
+#[expect(clippy::disallowed_types, reason = "reads the clock once when enabled")]
 pub fn hist_timer(id: HistId) -> HistTimer {
     HistTimer {
         id,

@@ -60,7 +60,7 @@
 //! # obs::set_level(obs::Level::Off);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::dbg_macro)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -114,6 +114,10 @@ const LEVEL_UNSET: u8 = u8::MAX;
 static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNSET);
 
 #[cold]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "STREAMSIM_LOG is the sanctioned observability knob"
+)]
 fn level_from_env() -> u8 {
     let parsed = match std::env::var("STREAMSIM_LOG").as_deref() {
         Ok("info") | Ok("1") => Level::Info,
@@ -126,7 +130,11 @@ fn level_from_env() -> u8 {
     LEVEL.load(Ordering::Relaxed)
 }
 
-// lint:hot-gate
+/// The disabled gate every hot path pays: exactly one `Relaxed` load of
+/// `LEVEL` and a predictable branch, falling through to the cold
+/// environment read only before the level is first set. Keep it that
+/// way: a second load or a stronger ordering taxes every counter, span
+/// and histogram call site.
 #[inline(always)]
 fn raw_level() -> u8 {
     let v = LEVEL.load(Ordering::Relaxed);
@@ -173,10 +181,13 @@ pub fn reset() {
 }
 
 /// The `STREAMSIM_TRACE_OUT` destination, if set and non-empty. The
-/// only environment read of the timeline exporter lives here, in the
-/// crate's env-read-sanctioned root (see `streamsim-lint`,
-/// `no-env-read`).
+/// only environment read of the timeline exporter lives here, beside
+/// the crate's other sanctioned read (`STREAMSIM_LOG`).
 #[cold]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "STREAMSIM_TRACE_OUT is the sanctioned timeline-export knob"
+)]
 pub(crate) fn trace_out_env() -> Option<String> {
     std::env::var("STREAMSIM_TRACE_OUT")
         .ok()

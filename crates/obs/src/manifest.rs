@@ -28,8 +28,7 @@ pub struct RunManifest {
     /// "not yet measured" (the manifest is emitted before the run
     /// starts; the report layer re-emits the measured value at the end
     /// via [`RunManifest::steps_json_line`]). A monotonic work count,
-    /// not a clock, so ledger rows stay comparable across machines
-    /// without violating the no-wall-clock lint.
+    /// not a clock, so ledger rows stay comparable across machines.
     pub run_steps: u64,
 }
 

@@ -23,6 +23,10 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+#[expect(
+    clippy::disallowed_types,
+    reason = "streamsim-obs owns the monotonic clock"
+)]
 use std::time::Instant;
 
 use crate::hist::Hist;
@@ -91,6 +95,7 @@ pub struct SpanGuard {
 struct SpanInner {
     path: String,
     id: u64,
+    #[expect(clippy::disallowed_types, reason = "the span's open time")]
     start: Instant,
     items: u64,
     /// Whether to record into the registry on close (level >= Info at
@@ -167,6 +172,7 @@ impl Drop for SpanGuard {
 /// live on this thread. Disabled (a free no-op) below [`Level::Info`]
 /// unless timeline export is active, in which case the span still emits
 /// its `B`/`E` trace events.
+#[expect(clippy::disallowed_types, reason = "stamps the span's open time")]
 pub fn span(name: &str) -> SpanGuard {
     let record = crate::enabled(Level::Info);
     let tracing = trace_export::trace_active();

@@ -29,6 +29,10 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
+#[expect(
+    clippy::disallowed_types,
+    reason = "streamsim-obs owns the monotonic clock"
+)]
 use std::time::Instant;
 
 use crate::json_escape;
@@ -39,6 +43,7 @@ const TRACE_UNSET: u8 = u8::MAX;
 static TRACE_ACTIVE: AtomicU8 = AtomicU8::new(TRACE_UNSET);
 static TRACE_PATH: Mutex<Option<String>> = Mutex::new(None);
 static EVENTS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+#[expect(clippy::disallowed_types, reason = "the timeline's zero point")]
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 
@@ -92,6 +97,7 @@ pub fn trace_out_path() -> Option<String> {
 
 /// Microseconds since the process's first trace timestamp — the shared
 /// monotonic `ts` axis of every emitted event.
+#[expect(clippy::disallowed_types, reason = "reads the timeline clock")]
 pub fn trace_epoch_us() -> f64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as f64 / 1e3
 }

@@ -41,6 +41,8 @@
 //! replaced the `proptest` dev-dependency; see its docs for the replay
 //! workflow (`STREAMSIM_QC_SEED` / `STREAMSIM_QC_CASES`).
 
+#![deny(clippy::print_stdout, clippy::dbg_macro)]
+
 pub mod quickcheck;
 mod sample;
 mod splitmix;

@@ -205,6 +205,10 @@ pub fn check_with(name: &str, cases: u32, mut property: impl FnMut(&mut Gen)) {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "STREAMSIM_QC_SEED is the sanctioned replay knob"
+)]
 fn replay_seed() -> Option<u64> {
     let raw = std::env::var("STREAMSIM_QC_SEED").ok()?;
     let raw = raw.trim();
@@ -215,6 +219,10 @@ fn replay_seed() -> Option<u64> {
     Some(parsed.unwrap_or_else(|_| panic!("STREAMSIM_QC_SEED is not a valid u64: {raw:?}")))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "STREAMSIM_QC_CASES is the sanctioned case-count knob"
+)]
 fn case_count() -> Option<u32> {
     let raw = std::env::var("STREAMSIM_QC_CASES").ok()?;
     Some(

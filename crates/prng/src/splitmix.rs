@@ -21,7 +21,10 @@ impl SplitMix64 {
     }
 
     /// One step of the reference algorithm.
-    #[allow(clippy::should_implement_trait)] // not an Iterator: never ends
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "not an Iterator: the sequence never ends, so `Option` would only add noise"
+    )]
     pub fn next(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;

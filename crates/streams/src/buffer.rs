@@ -10,7 +10,8 @@
 //! `reference::RefStreamBuffer` so the replay bench compares against
 //! the genuine original.
 
-// lint:hot-module — every stream hit, refill and write-back probe lands here
+// Hot-loop module: every stream hit, refill and write-back probe lands here.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use streamsim_trace::{Addr, BlockAddr, BlockSize};
 

@@ -28,7 +28,8 @@
 //! first-match order is equivalent to any-match here; the parallel arrays
 //! shift together on eviction to preserve the paper's FIFO.
 
-// lint:hot-module — probed on every miss that falls through the unit filter
+// Hot-loop module: probed on every miss that falls through the unit filter.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use streamsim_trace::WordAddr;
 

@@ -48,7 +48,7 @@
 //! # Ok::<(), streamsim_streams::StreamConfigError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::dbg_macro)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

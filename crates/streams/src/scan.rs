@@ -13,7 +13,8 @@
 //! duplicate predictions, so first-match semantics are load-bearing, not
 //! a nicety.
 
-// lint:hot-module — every stream lookup and LRU victim choice runs these scans
+// Hot-loop module: every stream lookup and LRU victim choice runs these scans.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 /// Index of the first element equal to `needle`, or `usize::MAX` if
 /// absent.

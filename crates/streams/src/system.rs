@@ -9,7 +9,8 @@
 //! `StreamBuffer`s remain the source of truth; the arrays are mirrors
 //! refreshed at the few points a buffer's head or recency can change.
 
-// lint:hot-module — every L1 miss funnels through this module
+// Hot-loop module: every L1 miss funnels through this module.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use streamsim_trace::{Addr, BlockAddr, WordAddr};
 
@@ -258,12 +259,15 @@ impl StreamSystem {
 
         // Stream miss: consult the allocation policy.
         let unit_stride = self.config.block().bytes() as i64;
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor builds each filter and detector whenever the policy names it"
+        )]
         let stride_bytes = match self.config.allocation() {
             Allocation::OnMiss => Some(unit_stride),
             Allocation::UnitFilter { .. } => self
                 .unit_filter
                 .as_mut()
-                // lint:allow(no-unwrap-hot, the constructor builds the filter whenever the policy names one)
                 .expect("unit filter configured")
                 .lookup(block)
                 .then_some(unit_stride),
@@ -271,7 +275,6 @@ impl StreamSystem {
                 let unit = self
                     .unit_filter
                     .as_mut()
-                    // lint:allow(no-unwrap-hot, the constructor builds the filter whenever the policy names one)
                     .expect("unit filter configured")
                     .lookup(block);
                 if unit {
@@ -281,7 +284,6 @@ impl StreamSystem {
                     // the non-unit-stride filter.
                     self.czone
                         .as_mut()
-                        // lint:allow(no-unwrap-hot, the constructor builds the czone filter whenever the policy names one)
                         .expect("czone filter configured")
                         .lookup(word)
                         .map(|stride_words| stride_words * self.config.word().bytes() as i64)
@@ -290,7 +292,6 @@ impl StreamSystem {
             Allocation::MinDelta { .. } => self
                 .min_delta
                 .as_mut()
-                // lint:allow(no-unwrap-hot, the constructor builds the detector whenever the policy names one)
                 .expect("min-delta detector configured")
                 .lookup(word)
                 .map(|stride_words| stride_words * self.config.word().bytes() as i64),

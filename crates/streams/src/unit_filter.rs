@@ -16,7 +16,8 @@
 //! history may legitimately hold the same predicted block twice (two
 //! recent misses at `a - 1`), and the paper's FIFO frees the oldest.
 
-// lint:hot-module — probed on every filtered allocation decision during replay
+// Hot-loop module: probed on every filtered allocation decision during replay.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use streamsim_trace::BlockAddr;
 

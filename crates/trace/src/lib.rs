@@ -30,7 +30,7 @@
 //! # Ok::<(), streamsim_trace::GranularityError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::dbg_macro)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -44,7 +44,11 @@ impl Appbt {
 
     /// One grid point of a solve sweep: burst-read the fields, factor the
     /// 5×5 blocks in the (resident) line buffer, store the rhs.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a grid point needs its three fields, the line buffer and its cursor, and \
+                  (i, j, k); a parameter struct would only rename them"
+    )]
     fn point<S: RefSink + ?Sized>(
         t: &mut Tracer<'_, S>,
         u: &Array4,

@@ -5,7 +5,7 @@
 # no step may reach a network, and `--offline` turns an accidental
 # dependency on crates.io into a hard error instead of a hidden fetch.
 # The workspace has zero external dependencies by policy (see
-# DESIGN.md, "Hermetic builds"); scripts/ci.sh is the executable form
+# DESIGN.md, "Dependencies & hermetic builds"); scripts/ci.sh is the executable form
 # of that policy.
 #
 # Usage: scripts/ci.sh [--workspace]
@@ -37,64 +37,47 @@ RUSTDOCFLAGS="${RUSTDOCFLAGS:--D warnings}" cargo doc --no-deps --offline --quie
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Hermeticity: no registry or git dependency reaches Cargo.lock, and no
+# package builds a build script (see DESIGN.md, "Static analysis").
+echo "==> hermetic: no non-path sources, no build scripts"
+if grep -n '^source = ' Cargo.lock; then echo "error: Cargo.lock names a registry or git source" >&2; exit 1; fi
+targets=$(cargo metadata --offline --no-deps --format-version 1)
+if grep -o '"custom-build"' <<<"$targets"; then echo "error: a workspace package has a build script" >&2; exit 1; fi
+
+# The clippy step's teeth: scripts/lint-fixture plants one violation per
+# invariant in clippy.toml and the lint levels (a type alias, renamed
+# re-exports across files, a raw thread spawn, an `expect` in a module
+# that denies it, library output, a reasonless `#[allow]`, a stale
+# `#[expect]`). It is a workspace of its own, so clippy reads the root
+# clippy.toml by walking up from it. The run must fail, and its output
+# must name every planted violation, else a check rotted into a yes-man.
+echo "==> clippy fixture smoke (must fail on every planted violation)"
+fixture_dir=$(mktemp -d)
+trap 'rm -rf "$fixture_dir"' EXIT
+if cargo clippy --offline --manifest-path scripts/lint-fixture/Cargo.toml \
+    --target-dir "$fixture_dir/target" --message-format short -- -D warnings \
+    > "$fixture_dir/clippy.txt" 2>&1; then
+    echo "error: clippy passed the planted-violation fixture" >&2
+    exit 1
+fi
+for expected in \
+    'src/fast_map.rs:.*disallowed type `std::collections::HashMap`' \
+    'src/stamp.rs:.*disallowed type `std::time::Instant`' \
+    'src/config.rs:.*disallowed method `std::env::var`' \
+    'src/fanout.rs:.*disallowed method `std::thread::spawn`' \
+    'src/hot.rs:.*used `expect()`' \
+    'src/lib.rs:.*use of `println!`' \
+    'src/lib.rs:.*`allow` attribute without specifying a reason' \
+    'src/lib.rs:.*this lint expectation is unfulfilled'; do
+    grep -q -- "$expected" "$fixture_dir/clippy.txt" || {
+        echo "error: fixture clippy output lacks: $expected" >&2
+        cat "$fixture_dir/clippy.txt" >&2
+        exit 1
+    }
+done
+
 echo "==> cargo test -q --offline ${test_scope[*]:-}"
 cargo test -q --offline "${test_scope[@]}"
-
-# Static analysis: the workspace's determinism/hermeticity/safety
-# invariants, enforced by the in-tree lint (see DESIGN.md, "Static
-# analysis v2"). Both scopes must be clean — zero unsuppressed findings
-# or dead suppressions; live suppressions are fine, they are reasoned
-# and reported. The seeded fixture tree then proves the gate has teeth:
-# a run over known violations (including the cross-file alias chain the
-# semantic pass exists for) must exit nonzero in BOTH verbose and
-# --quiet modes with byte-identical JSON artifacts, else the lint
-# rotted into a yes-man or --quiet regressed the exit path again.
-lint_dir=$(mktemp -d)
-trap 'rm -rf "$lint_dir"' EXIT
-echo "==> cargo build --release --offline -p streamsim-lint"
-cargo build --release --offline -p streamsim-lint
-echo "==> streamsim-lint --deny-warnings (root package)"
-./target/release/streamsim-lint --deny-warnings
-echo "==> streamsim-lint --deny-warnings --workspace"
-./target/release/streamsim-lint --deny-warnings --workspace \
-    --json "$lint_dir/workspace.jsonl" --bench-out "$lint_dir/BENCH_lint.json"
-echo "==> streamsim-lint fixture smoke (must fail, verbose)"
-if ./target/release/streamsim-lint --deny-warnings --workspace \
-    --json "$lint_dir/fixture-verbose.jsonl" \
-    --root crates/lint/tests/fixtures/violating; then
-    echo "error: lint passed the seeded-violation fixture tree" >&2
-    exit 1
-fi
-echo "==> streamsim-lint fixture smoke (must fail, --quiet)"
-if ./target/release/streamsim-lint --deny-warnings --workspace --quiet \
-    --json "$lint_dir/fixture-quiet.jsonl" \
-    --root crates/lint/tests/fixtures/violating; then
-    echo "error: lint passed the seeded-violation fixture tree under --quiet" >&2
-    exit 1
-fi
-cmp "$lint_dir/fixture-verbose.jsonl" "$lint_dir/fixture-quiet.jsonl" \
-    || { echo "error: --quiet changed the lint JSON artifact" >&2; exit 1; }
-grep -q '"rule":"determinism-taint"' "$lint_dir/fixture-verbose.jsonl"
-grep -q '"resolved_path":"FastMap' "$lint_dir/fixture-verbose.jsonl" \
-    || { echo "error: cross-file alias chain missing from fixture findings" >&2; exit 1; }
-
-# Lint coverage ledger: the workspace bench row must round-trip through
-# --ledger and clear the files_scanned floor; a truncated scan (a tiny
-# --root) appended after it must turn the check red — the floor is what
-# keeps a wrong-directory lint run from reading as a clean workspace.
-echo "==> lint bench row -> ledger round-trip (coverage floor)"
-./target/release/streamsim-report \
-    --ledger "$lint_dir/BENCH_lint.json" --ledger-file "$lint_dir/ledger.jsonl"
-./target/release/streamsim-report --ledger-check "$lint_dir/ledger.jsonl"
-echo "==> lint truncated-scan smoke (must fail the coverage floor)"
-./target/release/streamsim-lint --quiet --root crates/lint \
-    --bench-out "$lint_dir/BENCH_lint_truncated.json"
-./target/release/streamsim-report \
-    --ledger "$lint_dir/BENCH_lint_truncated.json" --ledger-file "$lint_dir/ledger.jsonl"
-if ./target/release/streamsim-report --ledger-check "$lint_dir/ledger.jsonl"; then
-    echo "error: ledger check passed a truncated lint scan" >&2
-    exit 1
-fi
 
 # Observability smoke: one quick experiment with spans, counters, the
 # event log and the trace timeline fully enabled (STREAMSIM_LOG=debug +
@@ -108,7 +91,7 @@ fi
 # --trace-check: well-formed flat JSON, every span's B matched by an E.
 echo "==> observability smoke (--profile + trace export under STREAMSIM_LOG=debug)"
 obs_dir=$(mktemp -d)
-trap 'rm -rf "$obs_dir" "$lint_dir"' EXIT
+trap 'rm -rf "$obs_dir" "$fixture_dir"' EXIT
 STREAMSIM_LOG=debug STREAMSIM_TRACE_OUT="$obs_dir/trace.json" \
     ./target/release/streamsim-report \
     --quick --profile --out /dev/null --json "$obs_dir/run.jsonl" table2

@@ -76,7 +76,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::process::ExitCode;
-// lint:allow(no-wall-clock, per-artifact runtimes printed to stderr are operator feedback and never enter an artifact)
+#[expect(
+    clippy::disallowed_types,
+    reason = "per-artifact runtimes printed to stderr are operator feedback and never enter an artifact"
+)]
 use std::time::Instant;
 
 use streamsim::experiments::{self, ExperimentOptions, Scale, ARTIFACT_NAMES};
@@ -856,7 +859,10 @@ fn main() -> ExitCode {
         Ok(())
     };
     for name in &selected {
-        // lint:allow(no-wall-clock, progress timing for the operator; the measured value goes to stderr and the text report footer only)
+        #[expect(
+            clippy::disallowed_types,
+            reason = "progress timing for the operator: the value goes to stderr and the text footer only"
+        )]
         let start = Instant::now();
         let artifact = {
             // Span "report": drivers' record/replay phases nest under it

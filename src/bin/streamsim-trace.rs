@@ -6,7 +6,8 @@
 //!   streamsim-trace info <file>                print trace statistics
 //!   streamsim-trace replay <file> [streams]    run a stored trace through
 //!                                              the paper's memory system
-//!                                              (default 10 streams)
+//!                                              (default 10 streams, at
+//!                                              most 1024)
 //!   streamsim-trace list                       list benchmark names
 //! ```
 //!
@@ -23,6 +24,11 @@ use streamsim::{record_miss_trace, run_streams, RecordOptions, StreamConfig, Tra
 use streamsim_trace::io::{read_trace, write_trace};
 use streamsim_workloads::combinators::RecordedTrace;
 use streamsim_workloads::{benchmark, benchmark_names, collect_trace};
+
+/// The largest stream count `replay` accepts. The configuration sweep
+/// stops at 16 streams; the bound keeps a mistyped count from
+/// allocating gigabytes of stream buffers before the replay starts.
+const MAX_STREAMS: usize = 1024;
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
@@ -107,8 +113,10 @@ fn main() -> ExitCode {
         ["info", path] => cmd_info(path),
         ["replay", path] => cmd_replay(path, 10),
         ["replay", path, n] => match n.parse() {
-            Ok(n) => cmd_replay(path, n),
-            Err(_) => fail("stream count must be a positive integer"),
+            Ok(n) if (1..=MAX_STREAMS).contains(&n) => cmd_replay(path, n),
+            _ => fail(&format!(
+                "stream count must be an integer from 1 to {MAX_STREAMS}"
+            )),
         },
         ["list"] => {
             for name in benchmark_names() {

@@ -890,75 +890,3 @@ fn run_steps_trails_the_json_artifact() {
     }
     std::fs::remove_file(&path).ok();
 }
-
-#[test]
-fn lint_bench_row_feeds_the_ledger_coverage_floor() {
-    let dir = std::env::temp_dir().join("streamsim-report-lint-ledger-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let bench = dir.join("BENCH_lint.json");
-    let ledger = dir.join("ledger.jsonl");
-    std::fs::remove_file(&ledger).ok();
-    // The row streamsim-lint --bench-out emits for a full workspace scan.
-    std::fs::write(
-        &bench,
-        "{\"schema\":\"streamsim-bench-v2\",\"table\":\"summary\",\"benchmark\":\"lint\",\
-         \"run_config\":\"lint-workspace\",\"scale\":\"workspace\",\"samples\":1,\
-         \"run_steps\":180,\"files_scanned\":180,\"resolution_edges\":950,\"findings\":10,\
-         \"wall_seconds\":0.2}\n",
-    )
-    .unwrap();
-    let append = report()
-        .args([
-            "--ledger",
-            bench.to_str().unwrap(),
-            "--ledger-file",
-            ledger.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        append.status.success(),
-        "{}",
-        String::from_utf8_lossy(&append.stderr)
-    );
-    let check = report()
-        .args(["--ledger-check", ledger.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(
-        check.status.success(),
-        "a full scan clears the coverage floor: {}",
-        String::from_utf8_lossy(&check.stderr)
-    );
-
-    // A truncated scan (root-only file count) appended later must fail.
-    std::fs::write(
-        &bench,
-        "{\"schema\":\"streamsim-bench-v2\",\"table\":\"summary\",\"benchmark\":\"lint\",\
-         \"run_config\":\"lint-root\",\"scale\":\"root\",\"samples\":1,\
-         \"run_steps\":12,\"files_scanned\":12,\"resolution_edges\":40,\"findings\":2,\
-         \"wall_seconds\":0.01}\n",
-    )
-    .unwrap();
-    let append = report()
-        .args([
-            "--ledger",
-            bench.to_str().unwrap(),
-            "--ledger-file",
-            ledger.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(append.status.success());
-    let check = report()
-        .args(["--ledger-check", ledger.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(!check.status.success(), "a truncated scan must fail");
-    let err = String::from_utf8_lossy(&check.stderr);
-    assert!(err.contains("files_scanned"), "{err}");
-
-    for p in [&bench, &ledger] {
-        std::fs::remove_file(p).ok();
-    }
-}

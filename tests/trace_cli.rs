@@ -90,6 +90,24 @@ fn replay_rejects_missing_file() {
 }
 
 #[test]
+fn replay_rejects_stream_counts_above_the_bound() {
+    // The count is checked before the file is opened, so the buffers
+    // are never allocated and no trace is needed.
+    for n in ["100000000", "18446744073709551615"] {
+        let out = trace_tool()
+            .args(["replay", "/nonexistent/trace.sstr", n])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{n}: {out:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.starts_with("error: stream count must be an integer from 1 to 1024"),
+            "{n}: {err}"
+        );
+    }
+}
+
+#[test]
 fn info_rejects_a_header_claiming_more_records_than_the_file_holds() {
     // A bare 16-byte header claiming 2^40 records must fail cleanly,
     // not abort trying to allocate for the claim.
