@@ -21,8 +21,7 @@
 //!
 //! Knobs: `STREAMSIM_BENCH_SAMPLES` (default 5 here) and
 //! `STREAMSIM_BENCH_WARMUP` (default 1 here) — recording a full
-//! workload per sample is expensive, so the defaults are smaller than
-//! the micro-bench harness's.
+//! workload per sample is expensive, so the defaults are small.
 
 use streamsim_bench::{env_u32, median_ns};
 use streamsim_cache::reference::ReferenceCache;

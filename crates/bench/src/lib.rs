@@ -1,19 +1,16 @@
 //! Shared plumbing for the self-timed bench targets.
 //!
 //! Each `[[bench]]` target with `harness = false` is a small `main`
-//! timed with the monotonic wall clock. `micro` measures component
-//! throughput through the in-tree [`timing`] harness; `recording`,
-//! `replay` and `model` time a current path against its frozen
-//! reference and emit the tracked `BENCH_*.json` artifacts the perf
-//! ledger ingests. The paper's tables and figures are regenerated by
-//! `streamsim-report <artifact>`, not by bench targets.
+//! timed with the monotonic wall clock. `recording`, `replay` and
+//! `model` time a current path against its frozen reference and emit
+//! the tracked `BENCH_*.json` artifacts the perf ledger ingests. The
+//! paper's tables and figures are regenerated by
+//! `streamsim-report <artifact>`, not by bench targets, and perfbench
+//! times the report end to end and per layer.
 //!
 //! Knobs shared by every target: `STREAMSIM_BENCH_SAMPLES` and
-//! `STREAMSIM_BENCH_WARMUP` ([`env_u32`]), and, for the tracked
-//! benches, `STREAMSIM_BENCH_WRITE` / `STREAMSIM_BENCH_ENFORCE`
-//! ([`write_and_enforce`]).
-
-pub mod timing;
+//! `STREAMSIM_BENCH_WARMUP` ([`env_u32`]), and `STREAMSIM_BENCH_WRITE` /
+//! `STREAMSIM_BENCH_ENFORCE` ([`write_and_enforce`]).
 
 #[expect(
     clippy::disallowed_types,

@@ -57,7 +57,6 @@ impl SplitL1 {
     /// Routes one reference to the appropriate side.
     #[inline(always)]
     pub fn access(&mut self, access: Access) -> AccessOutcome {
-        streamsim_obs::count(streamsim_obs::Counter::L1Probes, 1);
         match access.kind {
             AccessKind::IFetch => self.icache.access(access.addr, access.kind),
             AccessKind::Load | AccessKind::Store => self.dcache.access(access.addr, access.kind),

@@ -147,6 +147,10 @@ fn measure(
     workload.generate(&mut |a| {
         two_level.access(a);
     });
+    streamsim_obs::count(
+        streamsim_obs::Counter::L1Probes,
+        two_level.l1().combined_stats().accesses(),
+    );
     let l2_hit = two_level.l2_stats().hit_rate();
 
     let inter_miss = refs as f64 / misses.max(1) as f64;

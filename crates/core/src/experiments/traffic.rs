@@ -120,6 +120,10 @@ pub fn run(options: &ExperimentOptions) -> Traffic {
                 two_level.access(a);
             }),
         }
+        streamsim_obs::count(
+            streamsim_obs::Counter::L1Probes,
+            two_level.l1().combined_stats().accesses(),
+        );
 
         Row {
             name: w.name().to_owned(),

@@ -210,7 +210,8 @@ pub fn record_miss_trace(
     }
 
     let summary = L1Summary::from_split(&l1);
-    span.items(summary.icache.accesses() + summary.dcache.accesses());
+    streamsim_obs::count(streamsim_obs::Counter::L1Probes, summary.refs());
+    span.items(summary.refs());
     Ok(MissTrace {
         events,
         summary,

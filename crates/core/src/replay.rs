@@ -16,8 +16,7 @@
 //! dragged through cache per event. Within a chunk the dispatch is a
 //! single devirtualized [`MissObserver::on_events`] call; the two
 //! dominant observer kinds override it with monomorphized loops that
-//! hoist per-event work (geometry decode, counter charges) out of the
-//! loop body.
+//! hoist per-event work (the geometry decode) out of the loop body.
 //!
 //! Two observers cover the common cases: [`StreamObserver`] wraps a
 //! [`StreamSystem`], [`L2Observer`] wraps a [`SetAssocCache`].
@@ -149,26 +148,11 @@ pub struct StreamObserver {
 }
 
 impl StreamObserver {
-    /// Wraps a fresh [`StreamSystem`] of the given configuration,
-    /// charging internal-event counts to the global observability set.
+    /// Wraps a fresh [`StreamSystem`] of the given configuration.
     pub fn new(config: StreamConfig) -> Self {
-        Self::with_counters(config, streamsim_obs::Counters::global())
-    }
-
-    /// Like [`StreamObserver::new`], but charging allocation and filter
-    /// counts to `counters`. With a [scoped](streamsim_obs::Counters::scoped)
-    /// handle per observer, one replay pass attributes stream-buffer
-    /// churn to each configuration cell individually instead of summing
-    /// the whole sweep into the process-global set.
-    pub fn with_counters(config: StreamConfig, counters: streamsim_obs::Counters) -> Self {
         StreamObserver {
-            sys: StreamSystem::with_counters(config, counters),
+            sys: StreamSystem::new(config),
         }
-    }
-
-    /// The counter set this observer charges (scoped or global).
-    pub fn counters(&self) -> &streamsim_obs::Counters {
-        self.sys.counters()
     }
 
     /// The finalized statistics (call after [`replay`]).
@@ -215,12 +199,12 @@ impl MissObserver for StreamObserver {
 #[derive(Debug)]
 pub struct L2Observer {
     cache: SetAssocCache,
-    counters: streamsim_obs::Counters,
 }
 
 impl L2Observer {
-    /// Wraps a fresh cache of the given geometry, charging probe counts
-    /// to the global observability set.
+    /// Wraps a fresh cache of the given geometry. Each probe is charged
+    /// to the global [`L2Probes`](streamsim_obs::Counter::L2Probes)
+    /// counter.
     ///
     /// # Errors
     ///
@@ -230,31 +214,11 @@ impl L2Observer {
         config: CacheConfig,
         sampling: Option<SetSampling>,
     ) -> Result<Self, CacheConfigError> {
-        Self::with_counters(config, sampling, streamsim_obs::Counters::global())
-    }
-
-    /// Like [`L2Observer::new`], but charging probe counts to
-    /// `counters` for per-cell attribution inside a shared replay pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheConfigError`] if the configuration or sampling is
-    /// invalid.
-    pub fn with_counters(
-        config: CacheConfig,
-        sampling: Option<SetSampling>,
-        counters: streamsim_obs::Counters,
-    ) -> Result<Self, CacheConfigError> {
         let cache = match sampling {
             Some(s) => SetAssocCache::with_sampling(config, s)?,
             None => SetAssocCache::new(config)?,
         };
-        Ok(L2Observer { cache, counters })
-    }
-
-    /// The counter set this observer charges (scoped or global).
-    pub fn counters(&self) -> &streamsim_obs::Counters {
-        &self.counters
+        Ok(L2Observer { cache })
     }
 
     /// The cache statistics (call after [`replay`]).
@@ -265,21 +229,20 @@ impl L2Observer {
 
 impl MissObserver for L2Observer {
     fn on_fetch(&mut self, addr: Addr, kind: AccessKind) {
-        self.counters.add(streamsim_obs::Counter::L2Probes, 1);
+        streamsim_obs::count(streamsim_obs::Counter::L2Probes, 1);
         self.cache.access(addr, kind);
     }
 
     fn on_writeback(&mut self, base: Addr) {
-        self.counters.add(streamsim_obs::Counter::L2Probes, 1);
+        streamsim_obs::count(streamsim_obs::Counter::L2Probes, 1);
         self.cache.access(base, AccessKind::Store);
     }
 
     fn on_events(&mut self, events: &[MissEvent]) {
         // Monomorphized fast path: every event is exactly one probe, so
         // the counter charge is hoisted to a single batched add (same
-        // totals, pinned by the scoped-counter attribution test).
-        self.counters
-            .add(streamsim_obs::Counter::L2Probes, events.len() as u64);
+        // totals, pinned by `tests/obs_determinism.rs`).
+        streamsim_obs::count(streamsim_obs::Counter::L2Probes, events.len() as u64);
         for event in events {
             match *event {
                 MissEvent::Fetch { addr, kind } => {
@@ -308,8 +271,7 @@ pub struct PartitionedObserver {
 }
 
 impl PartitionedObserver {
-    /// Fresh instruction and data stream systems, charging
-    /// internal-event counts to the global observability set.
+    /// Fresh instruction and data stream systems.
     pub fn new(instruction: StreamConfig, data: StreamConfig) -> Self {
         PartitionedObserver {
             instruction: StreamSystem::new(instruction),
@@ -404,7 +366,8 @@ enum DecodedEvent {
 ///
 /// Statistics are byte-identical to N independent passes (observers
 /// cannot interact); `tests/replay_properties.rs` pins this across
-/// seeded random families and chunk boundaries.
+/// seeded random families and chunk boundaries. Each system keeps its
+/// own [`StreamStats`], so fusion loses no per-cell attribution.
 #[derive(Debug)]
 pub struct FusedStreamObserver {
     systems: Vec<StreamSystem>,
@@ -415,30 +378,13 @@ pub struct FusedStreamObserver {
 }
 
 impl FusedStreamObserver {
-    /// Fuses `configs` into one observer, charging internal-event counts
-    /// to the global observability set.
+    /// Fuses `configs` into one observer.
     ///
     /// # Errors
     ///
     /// Returns [`MixedGeometry`] unless every configuration shares one
     /// block size and one word size. An empty family is allowed.
     pub fn new(configs: &[StreamConfig]) -> Result<Self, MixedGeometry> {
-        Self::with_counters(configs, streamsim_obs::Counters::global())
-    }
-
-    /// Like [`FusedStreamObserver::new`], but charging every system's
-    /// allocation and filter counts to `counters`. (For per-cell
-    /// attribution, use independent [`StreamObserver`]s with scoped
-    /// handles instead — fusion trades attribution for speed.)
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MixedGeometry`] unless every configuration shares one
-    /// block size and one word size.
-    pub fn with_counters(
-        configs: &[StreamConfig],
-        counters: streamsim_obs::Counters,
-    ) -> Result<Self, MixedGeometry> {
         let (block, word) = match configs.first() {
             Some(first) => (first.block(), first.word()),
             None => (BlockSize::default(), WordSize::default()),
@@ -450,10 +396,7 @@ impl FusedStreamObserver {
             return Err(MixedGeometry);
         }
         Ok(FusedStreamObserver {
-            systems: configs
-                .iter()
-                .map(|&c| StreamSystem::with_counters(c, counters.clone()))
-                .collect(),
+            systems: configs.iter().map(|&c| StreamSystem::new(c)).collect(),
             block,
             word,
             decoded: Vec::new(),
@@ -892,67 +835,5 @@ mod tests {
                 "diverged at chunk_len {chunk_len}"
             );
         }
-    }
-
-    #[test]
-    fn scoped_counters_attribute_per_observer() {
-        use streamsim_obs::{Counter, Counters};
-
-        // Two stream cells and one L2 cell share one pass; each holds a
-        // scoped counter set, so the churn of one configuration is
-        // attributable without reference to the others (and without any
-        // STREAMSIM_LOG level: scoped handles always count).
-        let trace = trace();
-        let mut narrow = StreamObserver::with_counters(
-            StreamConfig::paper_basic(1).unwrap(),
-            Counters::scoped(),
-        );
-        let mut wide = StreamObserver::with_counters(
-            StreamConfig::paper_filtered(8).unwrap(),
-            Counters::scoped(),
-        );
-        let mut l2 = L2Observer::with_counters(
-            CacheConfig::new(1 << 20, 2, BlockSize::new(64).unwrap()).unwrap(),
-            None,
-            Counters::scoped(),
-        )
-        .unwrap();
-        replay(&trace, &mut [&mut narrow, &mut wide, &mut l2]);
-
-        // Each scoped set matches its own observer's statistics exactly.
-        assert_eq!(
-            narrow.counters().get(Counter::StreamAllocations),
-            narrow.stats().allocations
-        );
-        assert_eq!(
-            wide.counters().get(Counter::StreamAllocations),
-            wide.stats().allocations
-        );
-        assert_eq!(
-            wide.counters().get(Counter::UnitFilterAccepts)
-                + wide.counters().get(Counter::UnitFilterRejects),
-            wide.stats().unit_filter.lookups,
-            "filter decisions land in the owning observer's set"
-        );
-        assert_eq!(
-            l2.counters().get(Counter::L2Probes),
-            trace.events().len() as u64
-        );
-        // And the cells genuinely differ — the point of attribution.
-        assert_ne!(
-            narrow.counters().get(Counter::StreamAllocations),
-            wide.counters().get(Counter::StreamAllocations)
-        );
-        assert_eq!(narrow.counters().get(Counter::UnitFilterAccepts), 0);
-    }
-
-    #[test]
-    fn default_observers_still_replay_identically() {
-        // with_counters must not perturb simulation results.
-        let trace = trace();
-        let config = StreamConfig::paper_strided(6, 16).unwrap();
-        let mut scoped = StreamObserver::with_counters(config, streamsim_obs::Counters::scoped());
-        replay(&trace, &mut [&mut scoped]);
-        assert_eq!(scoped.stats(), run_streams(&trace, config));
     }
 }

@@ -2,15 +2,14 @@
 //!
 //! One fixed [`Counter`] per internal event class the experiments reason
 //! about — reference generation, cache probes, trace-store traffic,
-//! replay volume, stream-buffer lifecycle, filter decisions. The global
-//! set is a flat array of `AtomicU64`s: counting is a single relaxed
-//! `fetch_add` when enabled and one relaxed load plus a predictable
-//! branch when disabled, so the hooks can live on the recording hot
-//! path (the CI perf smoke holds the recording floor with these
-//! compiled in and disabled).
+//! replay volume, stream-buffer allocations, filter decisions. The
+//! global set is a flat array of `AtomicU64`s: counting is a single
+//! relaxed `fetch_add` when enabled and one relaxed load plus a
+//! predictable branch when disabled. Callers charge a counter once per
+//! chunk, pass, recording or simulated cell, copying the exact
+//! statistic that cell already keeps, never once per reference or miss.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::Level;
 
@@ -40,9 +39,6 @@ pub enum Counter {
     UnitFilterAccepts,
     /// Unit-stride filter lookups that declined (isolated reference).
     UnitFilterRejects,
-    /// Czone stride-FSM state transitions (entry inserted, META1→META2,
-    /// stride re-guess, or verified allocation).
-    CzoneTransitions,
     /// Replay cells (one observer configuration over one trace) served
     /// from the trace store's replay memo.
     ReplayMemoHits,
@@ -65,7 +61,6 @@ const ALL: [Counter; NUM_COUNTERS] = [
     Counter::StreamAllocations,
     Counter::UnitFilterAccepts,
     Counter::UnitFilterRejects,
-    Counter::CzoneTransitions,
     Counter::ReplayMemoHits,
     Counter::ReplayMemoMisses,
 ];
@@ -84,29 +79,21 @@ impl Counter {
             Counter::StreamAllocations => "stream_allocations",
             Counter::UnitFilterAccepts => "unit_filter_accepts",
             Counter::UnitFilterRejects => "unit_filter_rejects",
-            Counter::CzoneTransitions => "czone_transitions",
             Counter::ReplayMemoHits => "replay_memo_hits",
             Counter::ReplayMemoMisses => "replay_memo_misses",
         }
     }
 }
 
-/// A fixed array of atomic counters (the global set is one of these;
-/// tests can hold private sets).
+/// A fixed array of atomic counters (the global set is one of these).
 #[derive(Debug)]
-pub struct CounterSet {
+struct CounterSet {
     counts: [AtomicU64; NUM_COUNTERS],
-}
-
-impl Default for CounterSet {
-    fn default() -> Self {
-        CounterSet::new()
-    }
 }
 
 impl CounterSet {
     /// A zeroed set.
-    pub const fn new() -> Self {
+    const fn new() -> Self {
         // `AtomicU64` is not `Copy`; the inline-const repeat operand
         // makes the repeat expression legal.
         CounterSet {
@@ -117,22 +104,22 @@ impl CounterSet {
     /// Adds `n` to `counter` (relaxed; totals are exact, ordering
     /// between counters is not promised).
     #[inline(always)]
-    pub fn add(&self, counter: Counter, n: u64) {
+    fn add(&self, counter: Counter, n: u64) {
         self.counts[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value of `counter`.
-    pub fn get(&self, counter: Counter) -> u64 {
+    fn get(&self, counter: Counter) -> u64 {
         self.counts[counter as usize].load(Ordering::Relaxed)
     }
 
     /// Every `(name, value)` pair, in declaration order.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
+    fn snapshot(&self) -> Vec<(&'static str, u64)> {
         ALL.iter().map(|&c| (c.name(), self.get(c))).collect()
     }
 
     /// Zeroes every counter.
-    pub fn reset(&self) {
+    fn reset(&self) {
         for c in &self.counts {
             c.store(0, Ordering::Relaxed);
         }
@@ -140,71 +127,6 @@ impl CounterSet {
 }
 
 static GLOBAL: CounterSet = CounterSet::new();
-
-/// A cheap, clone-able handle naming the [`CounterSet`] an instrumented
-/// component charges.
-///
-/// The default handle points at the process-global set and is
-/// level-gated exactly like [`count`] — instrumentation threaded through
-/// a `Counters` costs the same as the free-function hooks it replaces.
-/// A [scoped](Counters::scoped) handle owns a private set and counts
-/// *unconditionally*: constructing one is the opt-in, so per-observer
-/// attribution works regardless of `STREAMSIM_LOG`. Clones of a scoped
-/// handle share the same set, which is how one handle fans out across a
-/// system and its internal filters.
-#[derive(Clone, Debug, Default)]
-pub struct Counters {
-    scoped: Option<Arc<CounterSet>>,
-}
-
-impl Counters {
-    /// The handle to the process-global set (same as `Default`).
-    pub fn global() -> Self {
-        Counters { scoped: None }
-    }
-
-    /// A handle owning a fresh private set, for per-component
-    /// attribution. Clones share the set.
-    pub fn scoped() -> Self {
-        Counters {
-            scoped: Some(Arc::new(CounterSet::new())),
-        }
-    }
-
-    /// Whether this handle charges a private set rather than the global
-    /// one.
-    pub fn is_scoped(&self) -> bool {
-        self.scoped.is_some()
-    }
-
-    /// Adds `n` to `counter` in this handle's set. Global handles are
-    /// gated on [`Level::Info`] like [`count`]; scoped handles always
-    /// count.
-    #[inline(always)]
-    pub fn add(&self, counter: Counter, n: u64) {
-        match &self.scoped {
-            Some(set) => set.add(counter, n),
-            None => count(counter, n),
-        }
-    }
-
-    /// Current value of `counter` in this handle's set.
-    pub fn get(&self, counter: Counter) -> u64 {
-        match &self.scoped {
-            Some(set) => set.get(counter),
-            None => GLOBAL.get(counter),
-        }
-    }
-
-    /// Every `(name, value)` pair of this handle's set, in declaration
-    /// order.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        match &self.scoped {
-            Some(set) => set.snapshot(),
-            None => GLOBAL.snapshot(),
-        }
-    }
-}
 
 /// Adds `n` to the global `counter` when the level is at least
 /// [`Level::Info`]; a no-op (one load, one branch) otherwise.
@@ -259,48 +181,6 @@ mod tests {
         assert!(snap.contains(&("l1_probes", 7)));
         set.reset();
         assert_eq!(set.get(Counter::L1Probes), 0);
-    }
-
-    #[test]
-    fn scoped_handle_counts_without_any_level() {
-        // No test_lock needed: a scoped handle never reads the level.
-        let a = Counters::scoped();
-        let b = a.clone();
-        a.add(Counter::StreamAllocations, 2);
-        b.add(Counter::StreamAllocations, 3);
-        assert!(a.is_scoped());
-        assert_eq!(a.get(Counter::StreamAllocations), 5, "clones share a set");
-        assert_eq!(b.get(Counter::StreamAllocations), 5);
-        assert_eq!(a.get(Counter::L2Probes), 0);
-        assert!(a.snapshot().contains(&("stream_allocations", 5)));
-    }
-
-    #[test]
-    fn distinct_scoped_handles_do_not_alias() {
-        let a = Counters::scoped();
-        let b = Counters::scoped();
-        a.add(Counter::L2Probes, 7);
-        assert_eq!(b.get(Counter::L2Probes), 0);
-    }
-
-    #[test]
-    fn global_handle_is_gated_like_count() {
-        let _guard = crate::test_lock::hold();
-        crate::set_level(crate::Level::Off);
-        crate::reset();
-        let h = Counters::global();
-        assert!(!h.is_scoped());
-        h.add(Counter::CzoneTransitions, 5);
-        assert_eq!(h.get(Counter::CzoneTransitions), 0, "disabled: no-op");
-        crate::set_level(crate::Level::Info);
-        h.add(Counter::CzoneTransitions, 5);
-        assert_eq!(
-            counter(Counter::CzoneTransitions),
-            5,
-            "charges the global set"
-        );
-        crate::set_level(crate::Level::Off);
-        crate::reset();
     }
 
     #[test]

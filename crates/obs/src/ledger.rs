@@ -8,9 +8,10 @@
 //! detail rows. `streamsim-report --ledger` appends each summary as a
 //! [`LedgerEntry`] to `PERF_LEDGER.jsonl` ([`LEDGER_SCHEMA`]), and
 //! `--ledger-check` replays the whole history through [`check_ledger`]:
-//! the latest entry per benchmark must clear every [`metric_floors`]
-//! bound — the same floors `ci.sh` enforces live — and large regressions
-//! against the best recorded entry surface as notes.
+//! every floored benchmark must have a row, its latest entry must clear
+//! every [`metric_floors`] bound — the same floors `ci.sh` enforces
+//! live — and large regressions against the best recorded entry surface
+//! as notes.
 //!
 //! Everything here is plain data and arithmetic; parsing stays with the
 //! callers (the report binary uses the core crate's flat JSON reader),
@@ -139,11 +140,11 @@ impl LedgerVerdict {
     }
 }
 
-/// Checks a ledger history: for each benchmark the entry with the
-/// highest `seq` (ties: latest in input order) must clear every
-/// matching floor; a latest metric more than [`DRIFT_NOTE_FRACTION`]
-/// below the best recorded value of a floored `AtLeast` metric earns an
-/// advisory note.
+/// Checks a ledger history: every benchmark named in [`metric_floors`]
+/// must have at least one entry, and its entry with the highest `seq`
+/// (ties: latest in input order) must clear every matching floor; a
+/// latest metric more than [`DRIFT_NOTE_FRACTION`] below the best
+/// recorded value of a floored `AtLeast` metric earns an advisory note.
 pub fn check_ledger(entries: &[LedgerEntry]) -> LedgerVerdict {
     let mut verdict = LedgerVerdict::default();
     for (benchmark, metric, floor) in metric_floors() {
@@ -152,7 +153,12 @@ pub fn check_ledger(entries: &[LedgerEntry]) -> LedgerVerdict {
             .filter(|e| e.benchmark == *benchmark)
             .collect();
         let Some(latest) = history.iter().max_by_key(|e| e.seq).copied() else {
-            continue; // no history for this benchmark yet
+            // One failure per benchmark, however many floors it has.
+            let missing = format!("{benchmark}: no row, so nothing clears its floors");
+            if !verdict.failures.contains(&missing) {
+                verdict.failures.push(missing);
+            }
+            continue;
         };
         let Some(value) = latest.metric(metric) else {
             verdict.failures.push(format!(
@@ -213,9 +219,9 @@ mod tests {
         assert_eq!(e.metric("absent"), None);
     }
 
-    #[test]
-    fn healthy_history_passes() {
-        let entries = vec![
+    /// One healthy row per floored benchmark, at seqs 1..=3.
+    fn healthy() -> Vec<LedgerEntry> {
+        vec![
             entry(1, "recording", &[("speedup", 1.48)]),
             entry(2, "replay", &[("speedup", 1.36)]),
             entry(
@@ -223,8 +229,12 @@ mod tests {
                 "model",
                 &[("speedup", 6.9), ("simulated_fraction", 0.117)],
             ),
-        ];
-        let verdict = check_ledger(&entries);
+        ]
+    }
+
+    #[test]
+    fn healthy_history_passes() {
+        let verdict = check_ledger(&healthy());
         assert!(verdict.pass(), "{:?}", verdict.failures);
         assert!(verdict.notes.is_empty(), "{:?}", verdict.notes);
     }
@@ -232,16 +242,12 @@ mod tests {
     #[test]
     fn floor_violation_fails_on_latest_only() {
         // An old bad row is history; only the latest entry is judged.
-        let healed = vec![
-            entry(1, "recording", &[("speedup", 0.9)]),
-            entry(2, "recording", &[("speedup", 1.5)]),
-        ];
+        let mut healed = healthy();
+        healed.push(entry(0, "recording", &[("speedup", 0.9)]));
         assert!(check_ledger(&healed).pass());
 
-        let regressed = vec![
-            entry(1, "recording", &[("speedup", 1.5)]),
-            entry(2, "recording", &[("speedup", 0.9)]),
-        ];
+        let mut regressed = healthy();
+        regressed.push(entry(4, "recording", &[("speedup", 0.9)]));
         let verdict = check_ledger(&regressed);
         assert!(!verdict.pass());
         assert!(verdict.failures[0].contains("speedup"), "{verdict:?}");
@@ -251,7 +257,8 @@ mod tests {
 
     #[test]
     fn missing_floored_metric_fails() {
-        let entries = vec![entry(1, "model", &[("speedup", 5.0)])];
+        let mut entries = healthy();
+        entries.push(entry(4, "model", &[("speedup", 5.0)]));
         let verdict = check_ledger(&entries);
         assert!(!verdict.pass());
         assert!(
@@ -261,16 +268,29 @@ mod tests {
     }
 
     #[test]
-    fn empty_ledger_passes_vacuously() {
-        assert!(check_ledger(&[]).pass());
+    fn missing_floored_benchmark_fails_once_per_benchmark() {
+        // No replay row: the replay floor cannot hold. The model, with
+        // two floors, is named once.
+        let entries = vec![
+            entry(1, "recording", &[("speedup", 1.48)]),
+            entry(4, "lint", &[("files_scanned", 180.0)]),
+        ];
+        let verdict = check_ledger(&entries);
+        assert_eq!(
+            verdict.failures,
+            [
+                "replay: no row, so nothing clears its floors",
+                "model: no row, so nothing clears its floors",
+            ],
+        );
+        assert_eq!(check_ledger(&[]).failures.len(), 3, "empty history");
     }
 
     #[test]
     fn drift_note_without_floor_violation() {
-        let entries = vec![
-            entry(1, "replay", &[("speedup", 2.0)]),
-            entry(2, "replay", &[("speedup", 1.4)]),
-        ];
+        let mut entries = healthy();
+        entries.push(entry(0, "replay", &[("speedup", 2.0)]));
+        entries.push(entry(4, "replay", &[("speedup", 1.4)]));
         let verdict = check_ledger(&entries);
         assert!(verdict.pass(), "1.4 clears the 1.3 floor");
         assert_eq!(verdict.notes.len(), 1, "{verdict:?}");

@@ -7,12 +7,12 @@
 //! * **Levels** — one global verbosity switch read from `STREAMSIM_LOG`
 //!   (`off`, `info`, `debug`) and overridable in-process with
 //!   [`set_level`]. Everything below is a no-op at [`Level::Off`].
-//! * **Counters** ([`Counter`], [`count`]) — cheap process-wide event
-//!   counters. The enabled path is a single relaxed `fetch_add`; the
-//!   disabled path is one relaxed load and a predictable branch, cheap
-//!   enough to sit on the recording hot path (the CI perf smoke pins
-//!   this: the 1.15× recording floor holds with observability compiled
-//!   in but disabled).
+//! * **Counters** ([`Counter`], [`count`]) — process-wide event
+//!   totals. Each is charged once per chunk, replay pass, recording or
+//!   simulated cell, from the exact statistic that unit already keeps,
+//!   so enabling them adds no work per reference or per miss. The
+//!   enabled path is a single relaxed `fetch_add`; the disabled path is
+//!   one relaxed load and a predictable branch.
 //! * **Spans** ([`span`]) — RAII wall-clock timers over the monotonic
 //!   clock. Spans nest per thread (`report/fig3`), aggregate into a
 //!   global registry by path ([`registry_snapshot`]), and carry an
@@ -72,7 +72,7 @@ mod manifest;
 mod span;
 mod trace_export;
 
-pub use counters::{count, counter, counter_snapshot, Counter, CounterSet, Counters, NUM_COUNTERS};
+pub use counters::{count, counter, counter_snapshot, Counter, NUM_COUNTERS};
 pub use events::{
     drain_events, emit_counter_events, emit_event, json_escape, pending_events, EventValue,
 };

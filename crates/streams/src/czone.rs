@@ -64,7 +64,6 @@ pub struct CzoneFilter {
     capacity: usize,
     czone_bits: u32,
     stats: FilterStats,
-    counters: streamsim_obs::Counters,
 }
 
 impl CzoneFilter {
@@ -75,20 +74,6 @@ impl CzoneFilter {
     ///
     /// Panics if `capacity == 0` or `czone_bits` is outside `1..=62`.
     pub fn new(capacity: usize, czone_bits: u32) -> Self {
-        Self::with_counters(capacity, czone_bits, streamsim_obs::Counters::global())
-    }
-
-    /// Like [`CzoneFilter::new`], but charging transition counts to
-    /// `counters` instead of the global set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` or `czone_bits` is outside `1..=62`.
-    pub fn with_counters(
-        capacity: usize,
-        czone_bits: u32,
-        counters: streamsim_obs::Counters,
-    ) -> Self {
         assert!(capacity > 0, "filter needs at least one entry");
         assert!(
             (1..=62).contains(&czone_bits),
@@ -102,7 +87,6 @@ impl CzoneFilter {
             capacity,
             czone_bits,
             stats: FilterStats::default(),
-            counters,
         }
     }
 
@@ -134,9 +118,6 @@ impl CzoneFilter {
                 // eviction): no stride information, keep waiting.
                 return None;
             }
-            // Every arm below advances (or restarts) the partition's FSM.
-            self.counters
-                .add(streamsim_obs::Counter::CzoneTransitions, 1);
             match self.states[pos] {
                 FsmState::Meta1 => {
                     self.strides[pos] = delta;
@@ -167,8 +148,6 @@ impl CzoneFilter {
             self.strides.push(0);
             self.states.push(FsmState::Meta1);
             self.stats.insertions += 1;
-            self.counters
-                .add(streamsim_obs::Counter::CzoneTransitions, 1);
             None
         }
     }

@@ -219,17 +219,15 @@ struct RefUnitFilter {
     entries: VecDeque<BlockAddr>,
     capacity: usize,
     stats: FilterStats,
-    counters: streamsim_obs::Counters,
 }
 
 impl RefUnitFilter {
-    fn new(capacity: usize, counters: streamsim_obs::Counters) -> Self {
+    fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "filter needs at least one entry");
         RefUnitFilter {
             entries: VecDeque::with_capacity(capacity),
             capacity,
             stats: FilterStats::default(),
-            counters,
         }
     }
 
@@ -238,8 +236,6 @@ impl RefUnitFilter {
         if let Some(pos) = self.entries.iter().position(|&b| b == block) {
             self.entries.remove(pos);
             self.stats.allocations += 1;
-            self.counters
-                .add(streamsim_obs::Counter::UnitFilterAccepts, 1);
             return true;
         }
         if self.entries.len() == self.capacity {
@@ -248,8 +244,6 @@ impl RefUnitFilter {
         }
         self.entries.push_back(block.next());
         self.stats.insertions += 1;
-        self.counters
-            .add(streamsim_obs::Counter::UnitFilterRejects, 1);
         false
     }
 }
@@ -269,11 +263,10 @@ struct RefCzoneFilter {
     capacity: usize,
     czone_bits: u32,
     stats: FilterStats,
-    counters: streamsim_obs::Counters,
 }
 
 impl RefCzoneFilter {
-    fn new(capacity: usize, czone_bits: u32, counters: streamsim_obs::Counters) -> Self {
+    fn new(capacity: usize, czone_bits: u32) -> Self {
         assert!(capacity > 0, "filter needs at least one entry");
         assert!(
             (1..=62).contains(&czone_bits),
@@ -284,7 +277,6 @@ impl RefCzoneFilter {
             capacity,
             czone_bits,
             stats: FilterStats::default(),
-            counters,
         }
     }
 
@@ -297,8 +289,6 @@ impl RefCzoneFilter {
             if delta == 0 {
                 return None;
             }
-            self.counters
-                .add(streamsim_obs::Counter::CzoneTransitions, 1);
             match entry.state {
                 FsmState::Meta1 => {
                     entry.stride = delta;
@@ -330,8 +320,6 @@ impl RefCzoneFilter {
                 state: FsmState::Meta1,
             });
             self.stats.insertions += 1;
-            self.counters
-                .add(streamsim_obs::Counter::CzoneTransitions, 1);
             None
         }
     }
@@ -383,7 +371,7 @@ impl RefMinDelta {
 /// The array-of-structs stream system, exactly as it was before the SoA
 /// restructuring: buffers probed through `VecDeque` heads, the LRU victim
 /// found with `min_by_key`, filters scanned with `Iterator::position`.
-/// Same outcomes, same statistics, same counter charges — only slower.
+/// Same outcomes, same statistics — only slower.
 #[derive(Clone, Debug)]
 pub struct ReferenceStreamSystem {
     config: StreamConfig,
@@ -394,40 +382,24 @@ pub struct ReferenceStreamSystem {
     min_delta: Option<RefMinDelta>,
     stats: StreamStats,
     finalized: bool,
-    counters: streamsim_obs::Counters,
 }
 
 impl ReferenceStreamSystem {
-    /// Creates a reference system from a validated configuration,
-    /// charging internal-event counts to the global observability set.
+    /// Creates a reference system from a validated configuration.
     pub fn new(config: StreamConfig) -> Self {
-        Self::with_counters(config, streamsim_obs::Counters::global())
-    }
-
-    /// Like [`ReferenceStreamSystem::new`], but charging allocation and
-    /// filter counts to `counters`.
-    pub fn with_counters(config: StreamConfig, counters: streamsim_obs::Counters) -> Self {
         let buffers = (0..config.num_streams())
             .map(|_| RefStreamBuffer::new(config.depth(), config.block()))
             .collect();
         let (unit_filter, czone, min_delta) = match config.allocation() {
             Allocation::OnMiss => (None, None, None),
-            Allocation::UnitFilter { entries } => (
-                Some(RefUnitFilter::new(entries, counters.clone())),
-                None,
-                None,
-            ),
+            Allocation::UnitFilter { entries } => (Some(RefUnitFilter::new(entries)), None, None),
             Allocation::UnitAndStrideFilters {
                 unit_entries,
                 stride_entries,
                 czone_bits,
             } => (
-                Some(RefUnitFilter::new(unit_entries, counters.clone())),
-                Some(RefCzoneFilter::new(
-                    stride_entries,
-                    czone_bits,
-                    counters.clone(),
-                )),
+                Some(RefUnitFilter::new(unit_entries)),
+                Some(RefCzoneFilter::new(stride_entries, czone_bits)),
                 None,
             ),
             Allocation::MinDelta {
@@ -448,7 +420,6 @@ impl ReferenceStreamSystem {
             min_delta,
             stats: StreamStats::default(),
             finalized: false,
-            counters,
         }
     }
 
@@ -555,8 +526,6 @@ impl ReferenceStreamSystem {
         let fx = self.buffers[idx].allocate(addr, stride_bytes, clock);
         self.buffers[idx].touch(clock);
         self.stats.allocations += 1;
-        self.counters
-            .add(streamsim_obs::Counter::StreamAllocations, 1);
         self.stats.prefetches_flushed += fx.flushed;
         self.stats.prefetches_issued += fx.issued;
         self.stats.lengths.record_run(fx.previous_run);

@@ -12,6 +12,7 @@
 // Hot-loop module: every L1 miss funnels through this module.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use streamsim_obs::{count, Counter};
 use streamsim_trace::{Addr, BlockAddr, WordAddr};
 
 use crate::buffer::StreamBuffer;
@@ -117,44 +118,26 @@ pub struct StreamSystem {
     min_delta: Option<MinDeltaDetector>,
     stats: StreamStats,
     finalized: bool,
-    counters: streamsim_obs::Counters,
 }
 
 impl StreamSystem {
-    /// Creates a stream system from a validated configuration, charging
-    /// internal-event counts to the global observability set.
+    /// Creates a stream system from a validated configuration.
     pub fn new(config: StreamConfig) -> Self {
-        Self::with_counters(config, streamsim_obs::Counters::global())
-    }
-
-    /// Like [`StreamSystem::new`], but charging allocation and filter
-    /// counts to `counters` — scoped handles give per-system attribution
-    /// when many systems replay one trace side by side.
-    pub fn with_counters(config: StreamConfig, counters: streamsim_obs::Counters) -> Self {
         let buffers: Vec<StreamBuffer> = (0..config.num_streams())
             .map(|_| StreamBuffer::new(config.depth(), config.block()))
             .collect();
         let (unit_filter, czone, min_delta) = match config.allocation() {
             Allocation::OnMiss => (None, None, None),
-            Allocation::UnitFilter { entries } => (
-                Some(UnitStrideFilter::with_counters(entries, counters.clone())),
-                None,
-                None,
-            ),
+            Allocation::UnitFilter { entries } => {
+                (Some(UnitStrideFilter::new(entries)), None, None)
+            }
             Allocation::UnitAndStrideFilters {
                 unit_entries,
                 stride_entries,
                 czone_bits,
             } => (
-                Some(UnitStrideFilter::with_counters(
-                    unit_entries,
-                    counters.clone(),
-                )),
-                Some(CzoneFilter::with_counters(
-                    stride_entries,
-                    czone_bits,
-                    counters.clone(),
-                )),
+                Some(UnitStrideFilter::new(unit_entries)),
+                Some(CzoneFilter::new(stride_entries, czone_bits)),
                 None,
             ),
             Allocation::MinDelta {
@@ -178,13 +161,7 @@ impl StreamSystem {
             min_delta,
             stats: StreamStats::default(),
             finalized: false,
-            counters,
         }
-    }
-
-    /// The counter set this system charges (scoped or global).
-    pub fn counters(&self) -> &streamsim_obs::Counters {
-        &self.counters
     }
 
     /// The configuration this system was built from.
@@ -319,8 +296,6 @@ impl StreamSystem {
         self.buffers[idx].touch(clock);
         self.refresh(idx);
         self.stats.allocations += 1;
-        self.counters
-            .add(streamsim_obs::Counter::StreamAllocations, 1);
         self.stats.prefetches_flushed += fx.flushed;
         self.stats.prefetches_issued += fx.issued;
         self.stats.lengths.record_run(fx.previous_run);
@@ -347,6 +322,10 @@ impl StreamSystem {
 
     /// Ends the simulation: accounts still-buffered prefetches as dead and
     /// records the final run length of every active stream. Idempotent.
+    ///
+    /// The first call also charges this system's allocation and
+    /// unit-filter totals to the global observability counters, so each
+    /// simulated cell is counted once, from its exact statistics.
     pub fn finalize(&mut self) {
         if self.finalized {
             return;
@@ -358,6 +337,13 @@ impl StreamSystem {
             self.stats.lengths.record_run(run);
         }
         self.finalized = true;
+        let filter = self.stats().unit_filter;
+        count(Counter::StreamAllocations, self.stats.allocations);
+        count(Counter::UnitFilterAccepts, filter.allocations);
+        count(
+            Counter::UnitFilterRejects,
+            filter.lookups - filter.allocations,
+        );
     }
 
     /// A human-readable snapshot of every buffer's state — which streams

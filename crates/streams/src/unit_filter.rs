@@ -50,23 +50,16 @@ pub(crate) struct UnitStrideFilter {
     head: usize,
     len: usize,
     stats: FilterStats,
-    counters: streamsim_obs::Counters,
 }
 
 impl UnitStrideFilter {
-    #[cfg(test)]
     pub(crate) fn new(capacity: usize) -> Self {
-        Self::with_counters(capacity, streamsim_obs::Counters::global())
-    }
-
-    pub(crate) fn with_counters(capacity: usize, counters: streamsim_obs::Counters) -> Self {
         assert!(capacity > 0, "filter needs at least one entry");
         UnitStrideFilter {
             predictions: vec![0; capacity].into_boxed_slice(),
             head: 0,
             len: 0,
             stats: FilterStats::default(),
-            counters,
         }
     }
 
@@ -114,8 +107,6 @@ impl UnitStrideFilter {
             }
             self.len -= 1;
             self.stats.allocations += 1;
-            self.counters
-                .add(streamsim_obs::Counter::UnitFilterAccepts, 1);
             return true;
         }
         if self.len == self.predictions.len() {
@@ -129,8 +120,6 @@ impl UnitStrideFilter {
         self.predictions[tail] = block.next().index();
         self.len += 1;
         self.stats.insertions += 1;
-        self.counters
-            .add(streamsim_obs::Counter::UnitFilterRejects, 1);
         false
     }
 

@@ -87,8 +87,7 @@ fn soa_system_matches_the_reference_everywhere() {
         let cfg = random_config(g);
         let events = random_events(g);
         let mut soa = StreamSystem::new(cfg);
-        let mut reference =
-            ReferenceStreamSystem::with_counters(cfg, streamsim_obs::Counters::global());
+        let mut reference = ReferenceStreamSystem::new(cfg);
         for (i, event) in events.iter().enumerate() {
             match *event {
                 Event::Miss(raw) => {

@@ -133,14 +133,26 @@ echo "==> sampled quick report golden (--diff tests/golden/report-quick-sampled.
 ./target/release/streamsim-report --diff tests/golden/report-quick-sampled.jsonl \
     "$obs_dir/report-quick-sampled.jsonl"
 
+# Paper-scale golden: every default artifact at paper scale (about 15 s
+# on two cores), diffed against perfbench's golden. It is the only CI
+# step that pins the paper-scale scorecard (40 match / 20 close / 0 off;
+# quick scale reads 38 / 21 / 1) and the replay of the full-size traces.
+# The step only reads perfbench/golden/report-paper.jsonl.
+echo "==> paper report golden (--diff perfbench/golden/report-paper.jsonl)"
+./target/release/streamsim-report --out /dev/null \
+    --json "$obs_dir/report-paper.jsonl"
+./target/release/streamsim-report --diff perfbench/golden/report-paper.jsonl \
+    "$obs_dir/report-paper.jsonl"
+
 # Perf-regression ledger gate: the committed PERF_LEDGER.jsonl must
 # clear every metric floor (recording/replay speedups, model pruning
 # fraction — see DESIGN.md, "Perf-regression ledger"). The three
 # BENCH_*.json artifacts must still round-trip through --ledger into a
 # fresh ledger that also passes, proving the append path and the
 # checked-in artifacts agree on the schema. Then the gate's teeth: a
-# synthetic regressed row appended to a scratch copy must turn the
-# check red, else the ledger rotted into a yes-man.
+# synthetic regressed row appended to a temporary copy, and a copy
+# with the replay benchmark's row removed, must each turn the check red,
+# else the ledger rotted into a yes-man.
 echo "==> perf ledger check (committed PERF_LEDGER.jsonl)"
 ./target/release/streamsim-report --ledger-check PERF_LEDGER.jsonl
 echo "==> perf ledger round-trip (BENCH_*.json -> fresh ledger)"
@@ -154,6 +166,12 @@ printf '%s\n' '{"schema":"streamsim-ledger-v1","seq":9999,"benchmark":"recording
     >> "$obs_dir/regressed.jsonl"
 if ./target/release/streamsim-report --ledger-check "$obs_dir/regressed.jsonl"; then
     echo "error: ledger check passed the seeded regression" >&2
+    exit 1
+fi
+echo "==> perf ledger smoke (must fail on a floored benchmark with no row)"
+grep -v '"benchmark":"replay"' PERF_LEDGER.jsonl > "$obs_dir/no-replay.jsonl"
+if ./target/release/streamsim-report --ledger-check "$obs_dir/no-replay.jsonl"; then
+    echo "error: ledger check passed a ledger without a replay row" >&2
     exit 1
 fi
 
@@ -175,9 +193,10 @@ STREAMSIM_DST_SEED=$dst_seed cargo test -q --offline --test dst_engine
 # both. The enforce floor is deliberately far below the recorded
 # speedup (see BENCH_recording.json) so shared-machine noise cannot
 # flake the gate; a drop below it means the fast path actually rotted.
-# Observability is compiled into that loop (counter hooks on the
-# reference-generation and L1-probe paths); CI leaves STREAMSIM_LOG
-# unset, so this floor also pins the disabled-mode overhead contract.
+# Observability is compiled into that loop (the per-chunk
+# reference-generation counter and chunk-size histogram); CI leaves
+# STREAMSIM_LOG unset, so this floor also pins the disabled-mode
+# overhead contract.
 echo "==> recording bench smoke (enforce >= 1.15x)"
 STREAMSIM_BENCH_SAMPLES=3 STREAMSIM_BENCH_WARMUP=1 STREAMSIM_BENCH_ENFORCE=1.15 \
     cargo bench --offline -p streamsim-bench --bench recording

@@ -22,7 +22,8 @@
 //!                     (repeatable; ledger defaults to PERF_LEDGER.jsonl)
 //!   --ledger-file <F> destination ledger for --ledger
 //!   --ledger-check [F]  verify the ledger's latest entries against the
-//!                     per-metric floors; exit 1 on violation
+//!                     per-metric floors; exit 1 on violation, on a
+//!                     missing file or row, or on a malformed row
 //!   --trace-check <F> validate an exported trace_event file (well-formed
 //!                     flat JSON, balanced B/E events); exit 1 on failure
 //!   --list            list experiment names and exit
@@ -70,8 +71,10 @@
 //! `--ledger` ingests `BENCH_*.json` artifacts (the flat
 //! `streamsim-bench-v2` schema) and appends one sequenced row per file to
 //! `PERF_LEDGER.jsonl`; `--ledger-check` re-reads the whole history and
-//! fails if the latest entry of any benchmark violates a per-metric
-//! floor (the same floors the CI perf smokes enforce live).
+//! fails if the file is missing, if a row lacks the ledger schema tag or
+//! a benchmark, if a floored benchmark has no row, or if the latest entry
+//! of any benchmark violates a per-metric floor (the same floors the CI
+//! perf smokes enforce live).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
@@ -398,16 +401,21 @@ fn field_num(fields: &[(String, JsonValue)], key: &str) -> Option<f64> {
     })
 }
 
-/// Builds a ledger entry (seq 0 — the appender assigns the real one)
-/// from parsed summary-row fields: header keys by name, every other
-/// numeric field a metric.
-fn entry_from_fields(fields: &[(String, JsonValue)], fallback_benchmark: &str) -> LedgerEntry {
+/// Builds a ledger entry (seq 0 when absent — the appender assigns the
+/// real one) from parsed row fields tagged `"schema":schema`: header
+/// keys by name, every other numeric field a metric. The schema tag and
+/// the text header keys are required.
+fn entry_from_fields(fields: &[(String, JsonValue)], schema: &str) -> Result<LedgerEntry, String> {
+    if field_text(fields, "schema").as_deref() != Some(schema) {
+        return Err(format!("row lacks \"schema\":\"{schema}\""));
+    }
+    let text = |key: &str| field_text(fields, key).ok_or_else(|| format!("row lacks \"{key}\""));
     let header = streamsim_obs::LEDGER_HEADER_KEYS;
-    LedgerEntry {
+    Ok(LedgerEntry {
         seq: field_num(fields, "seq").unwrap_or(0.0) as u64,
-        benchmark: field_text(fields, "benchmark").unwrap_or_else(|| fallback_benchmark.to_owned()),
-        run_config: field_text(fields, "run_config").unwrap_or_else(|| "legacy".to_owned()),
-        scale: field_text(fields, "scale").unwrap_or_else(|| "unknown".to_owned()),
+        benchmark: text("benchmark")?,
+        run_config: text("run_config")?,
+        scale: text("scale")?,
         samples: field_num(fields, "samples").unwrap_or(0.0) as u64,
         run_steps: field_num(fields, "run_steps").unwrap_or(0.0) as u64,
         metrics: fields
@@ -417,7 +425,7 @@ fn entry_from_fields(fields: &[(String, JsonValue)], fallback_benchmark: &str) -
                 _ => None,
             })
             .collect(),
-    }
+    })
 }
 
 /// Reads one `BENCH_*.json` artifact into a ledger entry: flat
@@ -434,33 +442,35 @@ fn bench_summary_entry(path: &str) -> Result<LedgerEntry, String> {
             "{path}: first row is not a \"table\":\"summary\" row"
         ));
     }
-    Ok(entry_from_fields(&fields, "unknown"))
+    entry_from_fields(&fields, streamsim_obs::BENCH_SCHEMA).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Parses an existing `PERF_LEDGER.jsonl` (missing file = empty
-/// history).
+/// Parses a `PERF_LEDGER.jsonl` file; every row must be a
+/// `streamsim-ledger-v1` row naming its benchmark.
 fn read_ledger(path: &str) -> Result<Vec<LedgerEntry>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("cannot read {path}: {e}")),
-    };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut entries = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let fields = parse_flat_json_line(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-        entries.push(entry_from_fields(&fields, "unknown"));
+        let entry = parse_flat_json_line(line)
+            .and_then(|fields| entry_from_fields(&fields, streamsim_obs::LEDGER_SCHEMA))
+            .map_err(|e| format!("{path}:{}: {e}", i + 1))?;
+        entries.push(entry);
     }
     Ok(entries)
 }
 
 /// Appends the summaries of `bench_paths` to the ledger at
-/// `ledger_path`, sequencing each new row after the highest existing
-/// `seq`.
+/// `ledger_path` (created if missing), sequencing each new row after the
+/// highest existing `seq`.
 fn append_to_ledger(ledger_path: &str, bench_paths: &[String]) -> Result<usize, String> {
-    let existing = read_ledger(ledger_path)?;
+    let existing = if std::path::Path::new(ledger_path).exists() {
+        read_ledger(ledger_path)?
+    } else {
+        Vec::new()
+    };
     let mut seq = existing.iter().map(|e| e.seq).max().unwrap_or(0);
     let mut lines = String::new();
     for path in bench_paths {
@@ -695,7 +705,7 @@ fn main() -> ExitCode {
                 println!("note: {note}");
             }
             for failure in &verdict.failures {
-                eprintln!("ledger floor violation: {failure}");
+                eprintln!("error: {path}: ledger floor violation: {failure}");
             }
             if !verdict.pass() {
                 eprintln!(

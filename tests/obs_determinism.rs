@@ -288,3 +288,86 @@ fn sim_executor_prefill_emits_the_same_counters_as_threads() {
     obs::set_level(obs::Level::Off);
     obs::reset();
 }
+
+/// Each counter the replay path charges equals the exact statistic it
+/// is copied from: `l1_probes` the recording's references, the stream
+/// counters the stream systems' `StreamStats`, `l2_probes` one probe
+/// per miss event per cell. A memo-served repeat charges nothing, and a
+/// second `finalize` charges nothing.
+#[test]
+fn counters_equal_the_stats_they_are_charged_from() {
+    use obs::Counter;
+    use streamsim_cache::CacheConfig;
+    use streamsim_core::{RecordOptions, TraceStore};
+    use streamsim_streams::{StreamConfig, StreamStats, StreamSystem};
+    use streamsim_trace::BlockSize;
+    use streamsim_workloads::kernels::Fftpde;
+
+    let _guard = hold_obs();
+    obs::set_level(obs::Level::Info);
+    obs::reset();
+    let read = || {
+        [
+            Counter::L1Probes,
+            Counter::StreamAllocations,
+            Counter::UnitFilterAccepts,
+            Counter::UnitFilterRejects,
+            Counter::L2Probes,
+        ]
+        .map(obs::counter)
+    };
+
+    let workload = Fftpde {
+        n: 32,
+        steps: 1,
+        passes: 1,
+    };
+    let record = RecordOptions::default();
+    let store = TraceStore::new();
+    let family = [
+        StreamConfig::paper_basic(4).unwrap(),
+        StreamConfig::paper_filtered(8).unwrap(),
+        StreamConfig::paper_strided(6, 16).unwrap(),
+    ];
+    let stats = store.stream_stats(&workload, &record, &family).unwrap();
+    let trace = store.record(&workload, &record).unwrap();
+    let sum = |f: fn(&StreamStats) -> u64| stats.iter().map(f).sum();
+    let expected = [
+        trace.l1().refs(),
+        sum(|s| s.allocations),
+        sum(|s| s.unit_filter.allocations),
+        sum(|s| s.unit_filter.lookups - s.unit_filter.allocations),
+        0,
+    ];
+    assert!(expected[..4].iter().all(|&n| n > 0), "{expected:?}");
+    assert_eq!(read(), expected, "fresh stream request");
+
+    let block = BlockSize::new(64).unwrap();
+    let cells = [
+        (CacheConfig::new(256 << 10, 1, block).unwrap(), None),
+        (CacheConfig::new(1 << 20, 2, block).unwrap(), None),
+    ];
+    store.l2_stats(&workload, &record, &cells).unwrap();
+    let mut after_l2 = expected;
+    after_l2[4] = trace.events().len() as u64 * cells.len() as u64;
+    assert_eq!(read(), after_l2, "fresh L2 request");
+
+    store.stream_stats(&workload, &record, &family).unwrap();
+    store.l2_stats(&workload, &record, &cells).unwrap();
+    assert_eq!(read(), after_l2, "memo-served repeats charge nothing");
+
+    let mut sys = StreamSystem::new(family[1]);
+    for event in trace.events() {
+        if let streamsim_core::MissEvent::Fetch { addr, .. } = *event {
+            sys.on_l1_miss(addr);
+        }
+    }
+    sys.finalize();
+    let once = read();
+    sys.finalize();
+    assert_eq!(read(), once, "a second finalize charges nothing");
+    assert!(once[1] > after_l2[1], "the first finalize charged");
+
+    obs::set_level(obs::Level::Off);
+    obs::reset();
+}

@@ -628,21 +628,37 @@ fn golden_scorecard_round_trips_through_diff() {
     }
 }
 
+/// A `streamsim-bench-v2` summary row for `benchmark` carrying `metrics`.
+fn bench_summary(benchmark: &str, metrics: &str) -> String {
+    format!(
+        "{{\"schema\":\"streamsim-bench-v2\",\"table\":\"summary\",\"benchmark\":\"{benchmark}\",\
+         \"scale\":\"quick\",\"samples\":3,\"run_config\":\"00ff\",\"run_steps\":100,\
+         \"work_unit\":\"refs\",\"reference_ns\":200,\"current_ns\":100,{metrics}}}\n"
+    )
+}
+
 #[test]
 fn ledger_append_and_check_round_trip() {
     let dir = std::env::temp_dir().join("streamsim-report-ledger-test");
     std::fs::create_dir_all(&dir).unwrap();
     let bench = dir.join("BENCH_fake.json");
+    let replay = dir.join("BENCH_fake_replay.json");
+    let model = dir.join("BENCH_fake_model.json");
     let ledger = dir.join("ledger.jsonl");
     std::fs::remove_file(&ledger).ok();
-    // A v2 flat bench artifact: summary row first, detail rows after.
+    // v2 flat bench artifacts, one per floored benchmark: summary row
+    // first, detail rows after.
     std::fs::write(
         &bench,
-        "{\"schema\":\"streamsim-bench-v2\",\"table\":\"summary\",\"benchmark\":\"recording\",\
-         \"scale\":\"quick\",\"samples\":3,\"run_config\":\"00ff\",\"run_steps\":100,\
-         \"work_unit\":\"refs\",\"reference_ns\":200,\"current_ns\":100,\"speedup\":2.0}\n\
-         {\"schema\":\"streamsim-bench-v2\",\"table\":\"workload\",\"benchmark\":\"recording\",\
-         \"name\":\"w0\",\"refs\":100}\n",
+        bench_summary("recording", "\"speedup\":2.0")
+            + "{\"schema\":\"streamsim-bench-v2\",\"table\":\"workload\",\
+               \"benchmark\":\"recording\",\"name\":\"w0\",\"refs\":100}\n",
+    )
+    .unwrap();
+    std::fs::write(&replay, bench_summary("replay", "\"speedup\":1.5")).unwrap();
+    std::fs::write(
+        &model,
+        bench_summary("model", "\"speedup\":5.0,\"simulated_fraction\":0.1"),
     )
     .unwrap();
 
@@ -650,6 +666,10 @@ fn ledger_append_and_check_round_trip() {
         .args([
             "--ledger",
             bench.to_str().unwrap(),
+            "--ledger",
+            replay.to_str().unwrap(),
+            "--ledger",
+            model.to_str().unwrap(),
             "--ledger-file",
             ledger.to_str().unwrap(),
         ])
@@ -667,7 +687,7 @@ fn ledger_append_and_check_round_trip() {
     );
     assert!(history.contains("\"speedup\":2"), "{history}");
     // The detail row stayed out of the ledger.
-    assert_eq!(history.lines().count(), 1, "{history}");
+    assert_eq!(history.lines().count(), 3, "{history}");
 
     let check = report()
         .args(["--ledger-check", ledger.to_str().unwrap()])
@@ -679,7 +699,7 @@ fn ledger_append_and_check_round_trip() {
         String::from_utf8_lossy(&check.stderr)
     );
 
-    // A second append sequences after the first.
+    // A second append sequences after the first three.
     let append2 = report()
         .args([
             "--ledger",
@@ -691,7 +711,7 @@ fn ledger_append_and_check_round_trip() {
         .expect("binary runs");
     assert!(append2.status.success());
     let history = std::fs::read_to_string(&ledger).unwrap();
-    assert!(history.contains("\"seq\":2,"), "{history}");
+    assert!(history.contains("\"seq\":4,"), "{history}");
 
     // A nested (pre-v2) artifact is rejected, and the ledger is untouched.
     std::fs::write(
@@ -713,9 +733,18 @@ fn ledger_append_and_check_round_trip() {
     assert!(err.contains("error:"), "{err}");
     assert_eq!(std::fs::read_to_string(&ledger).unwrap(), history);
 
-    for p in [&bench, &ledger] {
+    for p in [&bench, &replay, &model, &ledger] {
         std::fs::remove_file(p).ok();
     }
+}
+
+/// One `streamsim-ledger-v1` row.
+fn ledger_row(seq: u64, benchmark: &str, metrics: &str) -> String {
+    format!(
+        "{{\"schema\":\"streamsim-ledger-v1\",\"seq\":{seq},\"benchmark\":\"{benchmark}\",\
+         \"run_config\":\"00ff\",\"scale\":\"quick\",\"samples\":3,\"run_steps\":100,\
+         {metrics}}}\n"
+    )
 }
 
 #[test]
@@ -725,12 +754,10 @@ fn ledger_check_fails_on_a_regressed_latest_row() {
     let ledger = dir.join("regressed.jsonl");
     std::fs::write(
         &ledger,
-        "{\"schema\":\"streamsim-ledger-v1\",\"seq\":1,\"benchmark\":\"recording\",\
-         \"run_config\":\"00ff\",\"scale\":\"quick\",\"samples\":3,\"run_steps\":100,\
-         \"speedup\":1.5}\n\
-         {\"schema\":\"streamsim-ledger-v1\",\"seq\":2,\"benchmark\":\"recording\",\
-         \"run_config\":\"00ff\",\"scale\":\"quick\",\"samples\":3,\"run_steps\":100,\
-         \"speedup\":0.9}\n",
+        ledger_row(1, "recording", "\"speedup\":1.5")
+            + &ledger_row(2, "replay", "\"speedup\":1.5")
+            + &ledger_row(3, "model", "\"speedup\":5.0,\"simulated_fraction\":0.1")
+            + &ledger_row(4, "recording", "\"speedup\":0.9"),
     )
     .unwrap();
     let check = report()
@@ -742,6 +769,77 @@ fn ledger_check_fails_on_a_regressed_latest_row() {
     assert!(err.contains("floor violation"), "{err}");
     assert!(err.contains("speedup"), "{err}");
     std::fs::remove_file(&ledger).ok();
+}
+
+/// `--ledger-check` fails with an `error:` line naming the file and the
+/// line or benchmark at fault: on a missing file, an empty file, a row
+/// without the ledger schema or a benchmark, and the committed ledger
+/// minus a floored benchmark's only row.
+#[test]
+fn ledger_check_rejects_missing_files_rows_and_benchmarks() {
+    let dir = std::env::temp_dir().join("streamsim-report-ledger-missing-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let committed =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/PERF_LEDGER.jsonl")).unwrap();
+    let without_replay: String = committed
+        .lines()
+        .filter(|l| !l.contains("\"benchmark\":\"replay\""))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        without_replay.lines().count() + 1,
+        committed.lines().count()
+    );
+
+    let nonexistent = dir.join("nonexistent.jsonl");
+    std::fs::remove_file(&nonexistent).ok();
+    let empty = dir.join("empty.jsonl");
+    let schemaless = dir.join("schemaless.jsonl");
+    let no_replay = dir.join("no-replay.jsonl");
+    std::fs::write(&empty, "").unwrap();
+    std::fs::write(&schemaless, "{\"foo\":1}\n").unwrap();
+    std::fs::write(&no_replay, &without_replay).unwrap();
+    for (path, expected) in [
+        (&nonexistent, "cannot read"),
+        (&empty, "recording: no row"),
+        (
+            &schemaless,
+            ":1: row lacks \"schema\":\"streamsim-ledger-v1\"",
+        ),
+        (&no_replay, "replay: no row"),
+    ] {
+        let path = path.to_str().unwrap();
+        let out = report()
+            .args(["--ledger-check", path])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{path}: {err}");
+        assert!(
+            err.lines().any(|l| l.starts_with(&format!("error: {path}"))
+                || l.starts_with(&format!("error: cannot read {path}"))),
+            "{path}: {err}"
+        );
+        assert!(err.contains(expected), "{path}: {err}");
+    }
+
+    // A row naming no benchmark fails on its line too.
+    std::fs::write(
+        &schemaless,
+        "{\"schema\":\"streamsim-ledger-v1\",\"seq\":1,\"speedup\":2.0}\n",
+    )
+    .unwrap();
+    let out = report()
+        .args(["--ledger-check", schemaless.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(err.contains(":1: row lacks \"benchmark\""), "{err}");
+
+    for p in [&empty, &schemaless, &no_replay] {
+        std::fs::remove_file(p).ok();
+    }
 }
 
 #[test]
