@@ -184,11 +184,11 @@ impl ExperimentOptions {
         self
     }
 
-    /// [`parallel_map`](crate::parallel_map) over this run's executor.
+    /// [`ExecutorHandle::parallel_map`] over this run's executor.
     ///
-    /// Drivers route every fan-out through here instead of the free
-    /// function, so one `ExperimentOptions` value pins the scheduling
-    /// of an entire experiment.
+    /// Drivers route every fan-out through here, so one
+    /// `ExperimentOptions` value pins the scheduling of an entire
+    /// experiment.
     pub fn parallel_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,

@@ -17,10 +17,10 @@
 //!   [`experiments::ExperimentOptions`] simulate each L1, and replay
 //!   each configuration over each trace, exactly once.
 //! * [`replay`] — drives any number of [`MissObserver`]s over one
-//!   recorded trace in a single pass: unified streams
-//!   ([`StreamObserver`], or a [`FusedStreamObserver`] family),
-//!   instruction/data [`PartitionedObserver`]s, secondary caches
-//!   ([`L2Observer`]), or custom observers. [`replay_streams`] and
+//!   recorded trace in a single pass: families of unified streams
+//!   sharing one geometry ([`StreamObserver`]), instruction/data
+//!   [`PartitionedObserver`]s, secondary caches ([`L2Observer`]), or
+//!   custom observers. [`replay_streams`] and
 //!   [`replay_l2`] sweep many configurations; [`run_streams`] and
 //!   [`run_l2`] are the one-observer wrappers.
 //! * [`experiments`] — one driver per table and figure in the paper's
@@ -70,13 +70,13 @@ pub use miss_trace::{
 };
 pub use profile::{ProfileArtifact, ProfilePhase};
 pub use replay::{
-    replay, replay_chunked, replay_l2, replay_streams, FusedStreamObserver, L2Observer,
-    MissObserver, MixedGeometry, PartitionedObserver, StreamObserver, REPLAY_CHUNK_EVENTS,
+    replay, replay_chunked, replay_l2, replay_streams, L2Observer, MissObserver, MixedGeometry,
+    PartitionedObserver, StreamObserver, REPLAY_CHUNK_EVENTS,
 };
-pub use runner::{parallel_map, parallel_map_on, parallel_map_with_threads, ExecutorHandle};
+pub use runner::{parallel_map_on, ExecutorHandle};
 pub use sink::{
     parse_flat_json_line, render_json_lines, render_text, Artifact, ArtifactSink, Cell,
-    GuardedSink, JsonLinesSink, JsonValue, TextSink, Value,
+    JsonLinesSink, JsonValue, TextSink, Value,
 };
 pub use trace_store::TraceStore;
 

@@ -171,14 +171,10 @@ pub fn record_miss_trace(
     let mut events = Vec::with_capacity(1 << 15);
     let mut batch = Vec::new();
 
-    // Workloads emit chunks (one indirect call per ~4096 refs); the L1
-    // pass runs over contiguous slices.
+    // Workloads emit chunks (one indirect call per `DEFAULT_CHUNK` =
+    // 1024 refs); the L1 pass runs over contiguous slices.
     {
         let mut consume = |chunk: &[Access]| {
-            // One relaxed load per ~4096-ref chunk when disabled; the
-            // chunk-size distribution is workload-derived, so it is
-            // deterministic across runs and thread counts.
-            streamsim_obs::record_hist(streamsim_obs::HistId::RecordChunkRefs, chunk.len() as u64);
             for &access in chunk {
                 match l1.access(access) {
                     AccessOutcome::Hit | AccessOutcome::Bypassed => {}
@@ -222,13 +218,11 @@ pub fn record_miss_trace(
 /// Replays a miss trace against a stream-buffer configuration and returns
 /// the finalized statistics.
 ///
-/// A one-observer convenience over [`crate::replay`]; use
-/// [`crate::replay_streams`] to sweep several configurations in a single
-/// pass over the trace.
+/// [`crate::replay_streams`] over a family of one; call that directly to
+/// sweep several configurations in a single pass over the trace.
 pub fn run_streams(trace: &MissTrace, config: StreamConfig) -> StreamStats {
-    let mut observer = crate::replay::StreamObserver::new(config);
-    crate::replay(trace, &mut [&mut observer]);
-    observer.stats()
+    // One configuration in, one statistic out.
+    crate::replay_streams(trace, &[config]).remove(0)
 }
 
 /// Replays a miss trace against a secondary cache (optionally

@@ -18,15 +18,15 @@
 //! dominant observer kinds override it with monomorphized loops that
 //! hoist per-event work (the geometry decode) out of the loop body.
 //!
-//! Two observers cover the common cases: [`StreamObserver`] wraps a
-//! [`StreamSystem`], [`L2Observer`] wraps a [`SetAssocCache`].
-//! [`FusedStreamObserver`] evaluates a whole *family* of stream
-//! configurations sharing one block/word geometry — the shape of every
-//! paper sweep (ten stream counts, four filter sizes...) — splitting
-//! each address into block and word exactly once per event instead of
-//! once per configuration. [`PartitionedObserver`] splits the miss
-//! stream between instruction and data streams, the one topology beside
-//! the paper's unified streams. Drivers with bespoke plumbing (e.g. the
+//! Three observers cover the common cases. [`StreamObserver`] evaluates
+//! a *family* of stream-buffer systems sharing one block/word geometry —
+//! the shape of every paper sweep (ten stream counts, four filter
+//! sizes...) — splitting each address into block and word exactly once
+//! per event instead of once per system; [`replay_streams`] runs one
+//! family per geometry a request names. [`L2Observer`] wraps a
+//! [`SetAssocCache`]. [`PartitionedObserver`] splits the miss stream
+//! between instruction and data streams, the one topology beside the
+//! paper's unified streams. Drivers with bespoke plumbing (e.g. the
 //! Jouppi topology, where a secondary cache sees only the stream-miss
 //! residual) implement [`MissObserver`] themselves and join the same
 //! pass.
@@ -127,68 +127,12 @@ pub fn replay_chunked(
         chunk_len
     };
     for chunk in trace.events().chunks(chunk_len) {
-        // Two relaxed loads per ~1024-event chunk when disabled: the
-        // chunk-size histogram is deterministic (trace-derived), the
-        // nanos one is wall clock and never pinned byte-for-byte.
-        streamsim_obs::record_hist(streamsim_obs::HistId::ReplayChunkEvents, chunk.len() as u64);
-        let _chunk_timer = streamsim_obs::hist_timer(streamsim_obs::HistId::ReplayChunkNanos);
         for o in observers.iter_mut() {
             o.on_events(chunk);
         }
     }
     for o in observers.iter_mut() {
         o.finish();
-    }
-}
-
-/// A stream-buffer system as a replay observer.
-#[derive(Debug)]
-pub struct StreamObserver {
-    sys: StreamSystem,
-}
-
-impl StreamObserver {
-    /// Wraps a fresh [`StreamSystem`] of the given configuration.
-    pub fn new(config: StreamConfig) -> Self {
-        StreamObserver {
-            sys: StreamSystem::new(config),
-        }
-    }
-
-    /// The finalized statistics (call after [`replay`]).
-    pub fn stats(&self) -> StreamStats {
-        self.sys.stats()
-    }
-}
-
-impl MissObserver for StreamObserver {
-    fn on_fetch(&mut self, addr: Addr, _kind: AccessKind) {
-        self.sys.on_l1_miss(addr);
-    }
-
-    fn on_writeback(&mut self, base: Addr) {
-        self.sys.on_writeback(base.block(self.sys.config().block()));
-    }
-
-    fn on_events(&mut self, events: &[MissEvent]) {
-        // Monomorphized fast path: the geometry reads are hoisted out of
-        // the loop and the system's decoded entry point skips re-deriving
-        // block and word per call.
-        let block = self.sys.config().block();
-        let word = self.sys.config().word();
-        for event in events {
-            match *event {
-                MissEvent::Fetch { addr, .. } => {
-                    self.sys
-                        .on_l1_miss_decoded(addr, addr.block(block), addr.word(word));
-                }
-                MissEvent::Writeback { base } => self.sys.on_writeback(base.block(block)),
-            }
-        }
-    }
-
-    fn finish(&mut self) {
-        self.sys.finalize();
     }
 }
 
@@ -354,22 +298,23 @@ enum DecodedEvent {
 }
 
 /// N stream-buffer systems sharing one block/word geometry, evaluated as
-/// a single observer.
+/// a single observer: the only stream observer, so a single system is a
+/// family of one.
 ///
 /// Every paper sweep walks a *family* of stream configurations differing
-/// only in count, depth, filter or match policy — never in geometry. A
-/// fused observer exploits that: each chunk of events is decoded into
+/// only in count, depth, filter or match policy — never in geometry. The
+/// observer exploits that: each chunk of events is decoded into
 /// `(block, word)` form once, then every system consumes the decoded
-/// batch back-to-back while its tables are hot. Compared with N
-/// independent [`StreamObserver`]s this removes N−1 address decodes and
-/// N−1 virtual dispatches per event.
+/// batch back-to-back while its tables are hot, instead of paying one
+/// address decode and one virtual dispatch per system per event.
 ///
-/// Statistics are byte-identical to N independent passes (observers
-/// cannot interact); `tests/replay_properties.rs` pins this across
-/// seeded random families and chunk boundaries. Each system keeps its
-/// own [`StreamStats`], so fusion loses no per-cell attribution.
+/// Statistics are byte-identical to driving each [`StreamSystem`] alone,
+/// event by event (systems cannot interact); `tests/replay_properties.rs`
+/// pins this across seeded random families and chunk boundaries. Each
+/// system keeps its own [`StreamStats`], so fusion loses no per-cell
+/// attribution.
 #[derive(Debug)]
-pub struct FusedStreamObserver {
+pub struct StreamObserver {
     systems: Vec<StreamSystem>,
     block: BlockSize,
     word: WordSize,
@@ -377,7 +322,7 @@ pub struct FusedStreamObserver {
     decoded: Vec<DecodedEvent>,
 }
 
-impl FusedStreamObserver {
+impl StreamObserver {
     /// Fuses `configs` into one observer.
     ///
     /// # Errors
@@ -395,22 +340,21 @@ impl FusedStreamObserver {
         {
             return Err(MixedGeometry);
         }
-        Ok(FusedStreamObserver {
+        Ok(StreamObserver {
             systems: configs.iter().map(|&c| StreamSystem::new(c)).collect(),
-            block,
-            word,
-            decoded: Vec::new(),
+            ..StreamObserver::empty(block, word)
         })
     }
 
-    /// Number of systems in the family.
-    pub fn len(&self) -> usize {
-        self.systems.len()
-    }
-
-    /// Whether the family is empty.
-    pub fn is_empty(&self) -> bool {
-        self.systems.is_empty()
+    /// A family with no systems yet; every system pushed later must
+    /// share `block` and `word`.
+    fn empty(block: BlockSize, word: WordSize) -> Self {
+        StreamObserver {
+            systems: Vec::new(),
+            block,
+            word,
+            decoded: Vec::new(),
+        }
     }
 
     /// The finalized statistics of every system, in configuration order
@@ -420,7 +364,7 @@ impl FusedStreamObserver {
     }
 }
 
-impl MissObserver for FusedStreamObserver {
+impl MissObserver for StreamObserver {
     fn on_fetch(&mut self, addr: Addr, _kind: AccessKind) {
         let block = addr.block(self.block);
         let word = addr.word(self.word);
@@ -477,30 +421,42 @@ impl MissObserver for FusedStreamObserver {
 /// Replays `trace` against every stream configuration in one pass.
 ///
 /// Equivalent to N calls of [`crate::run_streams`], but the event vector
-/// is walked once — and when the family shares one block/word geometry
-/// (every paper sweep does), the configurations are fused so each
-/// address is decoded once per event rather than once per cell.
+/// is walked once, and the configurations are fused into one
+/// [`StreamObserver`] family per block/word geometry, so each address is
+/// decoded once per event and geometry rather than once per cell. Every
+/// paper sweep shares one geometry and so runs as a single family.
+/// Statistics come back in request order.
 pub fn replay_streams(trace: &MissTrace, configs: &[StreamConfig]) -> Vec<StreamStats> {
-    match FusedStreamObserver::new(configs) {
-        Ok(mut fused) => {
-            replay(trace, &mut [&mut fused]);
-            fused.stats()
-        }
-        Err(MixedGeometry) => {
-            // Mixed geometries cannot share a decode; fall back to
-            // independent observers in the same single pass.
-            let mut observers: Vec<StreamObserver> =
-                configs.iter().map(|&c| StreamObserver::new(c)).collect();
-            {
-                let mut refs: Vec<&mut dyn MissObserver> = observers
-                    .iter_mut()
-                    .map(|o| o as &mut dyn MissObserver)
-                    .collect();
-                replay(trace, &mut refs);
+    // Families in order of each geometry's first appearance; `slots[i]`
+    // locates configuration i as (family, member).
+    let mut families: Vec<StreamObserver> = Vec::new();
+    let mut slots = Vec::with_capacity(configs.len());
+    for &config in configs {
+        let (block, word) = (config.block(), config.word());
+        let family = match families
+            .iter()
+            .position(|f| f.block == block && f.word == word)
+        {
+            Some(family) => family,
+            None => {
+                families.push(StreamObserver::empty(block, word));
+                families.len() - 1
             }
-            observers.iter().map(StreamObserver::stats).collect()
-        }
+        };
+        slots.push((family, families[family].systems.len()));
+        families[family].systems.push(StreamSystem::new(config));
     }
+    {
+        let mut refs: Vec<&mut dyn MissObserver> = families
+            .iter_mut()
+            .map(|f| f as &mut dyn MissObserver)
+            .collect();
+        replay(trace, &mut refs);
+    }
+    slots
+        .iter()
+        .map(|&(family, member)| families[family].systems[member].stats())
+        .collect()
 }
 
 /// Replays `trace` against every secondary-cache cell in one pass.
@@ -547,65 +503,51 @@ mod tests {
         record_miss_trace(&w, &RecordOptions::default()).unwrap()
     }
 
+    /// Two block sizes, interleaved in the request: one family per
+    /// geometry, every statistic in request order.
     #[test]
     fn multi_stream_replay_matches_independent_passes() {
         let trace = trace();
+        let wide = BlockSize::new(64).unwrap();
         let configs = [
             StreamConfig::paper_basic(1).unwrap(),
             StreamConfig::paper_basic(4).unwrap(),
+            StreamConfig::paper_basic(4).unwrap().with_block(wide),
             StreamConfig::paper_filtered(10).unwrap(),
-            StreamConfig::paper_strided(6, 16).unwrap(),
+            StreamConfig::paper_strided(6, 16).unwrap().with_block(wide),
         ];
+        assert!(matches!(StreamObserver::new(&configs), Err(MixedGeometry)));
         let together = replay_streams(&trace, &configs);
+        assert_eq!(together.len(), configs.len());
         for (config, joint) in configs.iter().zip(&together) {
             assert_eq!(*joint, run_streams(&trace, *config));
         }
+        assert_ne!(together[1], together[2], "block size must matter here");
     }
 
     #[test]
-    fn mixed_geometry_families_fall_back_to_independent_passes() {
-        let trace = trace();
-        let configs = [
-            StreamConfig::paper_basic(4).unwrap(),
-            StreamConfig::paper_basic(4)
-                .unwrap()
-                .with_block(BlockSize::new(64).unwrap()),
-        ];
-        assert!(matches!(
-            FusedStreamObserver::new(&configs),
-            Err(MixedGeometry)
-        ));
-        let together = replay_streams(&trace, &configs);
-        for (config, joint) in configs.iter().zip(&together) {
-            assert_eq!(*joint, run_streams(&trace, *config));
-        }
-    }
-
-    #[test]
-    fn fused_observer_reports_family_metadata() {
+    fn stream_observer_reports_family_metadata() {
         let configs = [
             StreamConfig::paper_basic(2).unwrap(),
             StreamConfig::paper_filtered(8).unwrap(),
         ];
-        let fused = FusedStreamObserver::new(&configs).unwrap();
-        assert_eq!(fused.len(), 2);
-        assert!(!fused.is_empty());
-        assert_eq!(fused.fan_out(), 2);
-        let empty = FusedStreamObserver::new(&[]).unwrap();
-        assert!(empty.is_empty());
+        let family = StreamObserver::new(&configs).unwrap();
+        assert_eq!(family.fan_out(), 2);
+        let empty = StreamObserver::new(&[]).unwrap();
+        assert_eq!(empty.fan_out(), 0);
         assert_eq!(empty.stats(), Vec::new());
     }
 
     #[test]
-    fn fused_per_event_entry_points_match_batched_delivery() {
-        // The fused observer's on_fetch/on_writeback (used when someone
-        // drives it manually) agree with its batched on_events.
+    fn per_event_entry_points_match_batched_delivery() {
+        // The observer's on_fetch/on_writeback (used when someone drives
+        // it manually) agree with its batched on_events.
         let trace = trace();
         let configs = [
             StreamConfig::paper_basic(4).unwrap(),
             StreamConfig::paper_strided(6, 16).unwrap(),
         ];
-        let mut manual = FusedStreamObserver::new(&configs).unwrap();
+        let mut manual = StreamObserver::new(&configs).unwrap();
         for event in trace.events() {
             match *event {
                 MissEvent::Fetch { addr, kind } => manual.on_fetch(addr, kind),
@@ -637,7 +579,7 @@ mod tests {
     #[test]
     fn mixed_observer_kinds_share_one_pass() {
         let trace = trace();
-        let mut streams = StreamObserver::new(StreamConfig::paper_filtered(4).unwrap());
+        let mut streams = StreamObserver::new(&[StreamConfig::paper_filtered(4).unwrap()]).unwrap();
         let mut l2 = L2Observer::new(
             CacheConfig::new(1 << 20, 2, BlockSize::new(64).unwrap()).unwrap(),
             None,
@@ -646,7 +588,10 @@ mod tests {
         replay(&trace, &mut [&mut streams, &mut l2]);
         assert_eq!(
             streams.stats(),
-            run_streams(&trace, StreamConfig::paper_filtered(4).unwrap())
+            [run_streams(
+                &trace,
+                StreamConfig::paper_filtered(4).unwrap()
+            )]
         );
         assert_eq!(
             l2.stats(),
@@ -809,7 +754,7 @@ mod tests {
         let config = StreamConfig::paper_filtered(4).unwrap();
         let l2_cfg = CacheConfig::new(1 << 20, 2, BlockSize::new(64).unwrap()).unwrap();
         let reference = {
-            let mut streams = StreamObserver::new(config);
+            let mut streams = StreamObserver::new(&[config]).unwrap();
             let mut l2 = L2Observer::new(l2_cfg, None).unwrap();
             // Strict per-event delivery through the default trait body.
             for event in trace.events() {
@@ -825,7 +770,7 @@ mod tests {
             (streams.stats(), l2.stats())
         };
         for chunk_len in [0, 1, 7, 1024, usize::MAX] {
-            let mut streams = StreamObserver::new(config);
+            let mut streams = StreamObserver::new(&[config]).unwrap();
             let mut l2 = L2Observer::new(l2_cfg, None).unwrap();
             let chunk_len = chunk_len.min(trace.events().len() + 3);
             replay_chunked(&trace, &mut [&mut streams, &mut l2], chunk_len);

@@ -1,9 +1,9 @@
 //! Parallel execution of independent simulations.
 //!
 //! Experiments run many independent (workload × configuration) cells;
-//! [`parallel_map`] spreads them over the machine's cores with plain
-//! scoped threads. Results come back in input order, so experiment output
-//! is deterministic regardless of scheduling.
+//! [`ExecutorHandle::parallel_map`] spreads them over the handle's
+//! workers. Results come back in input order, so experiment output is
+//! deterministic regardless of scheduling.
 //!
 //! The work-queue protocol itself is generic over the
 //! [`Executor`](streamsim_dst::Executor) seam: [`parallel_map_on`] runs
@@ -15,49 +15,11 @@
 
 use std::any::Any;
 use std::fmt;
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use streamsim_dst::{Executor, StepOutcome, ThreadExecutor};
-
-/// Applies `f` to every item, using up to `available_parallelism` worker
-/// threads, and returns the results in input order.
-///
-/// `f` must be `Sync` because multiple workers call it concurrently.
-/// Panics in `f` propagate to the caller.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let threads = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    parallel_map_with_threads(items, threads, f)
-}
-
-/// [`parallel_map`] with an explicit worker-thread cap instead of
-/// `available_parallelism`.
-///
-/// Results are returned in input order whatever the scheduling, so for a
-/// pure `f` the output is a function of the input alone — experiment
-/// results must be byte-identical across any thread count, and the
-/// determinism regression tests below pin exactly that.
-pub fn parallel_map_with_threads<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    parallel_map_on(&ThreadExecutor::new(threads), items, f)
-}
 
 /// The work-queue protocol, generic over who schedules the workers.
 ///
@@ -204,7 +166,10 @@ impl ExecutorHandle {
         self.exec.as_ref()
     }
 
-    /// [`parallel_map_on`] over this handle's executor.
+    /// [`parallel_map_on`] over this handle's executor: applies `f` to
+    /// every item and returns the results in input order, so for a pure
+    /// `f` the output is a function of the input alone, whatever the
+    /// worker count. Panics in `f` propagate to the caller.
     pub fn parallel_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -236,20 +201,24 @@ mod tests {
 
     #[test]
     fn preserves_input_order() {
-        let out = parallel_map((0..100).collect(), |i: i32| i * 2);
+        let out = ExecutorHandle::default().parallel_map((0..100).collect(), |i: i32| i * 2);
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn handles_empty_and_single() {
-        assert_eq!(parallel_map(Vec::<i32>::new(), |i| i), Vec::<i32>::new());
-        assert_eq!(parallel_map(vec![7], |i: i32| i + 1), vec![8]);
+        let pool = ExecutorHandle::default();
+        assert_eq!(
+            pool.parallel_map(Vec::<i32>::new(), |i| i),
+            Vec::<i32>::new()
+        );
+        assert_eq!(pool.parallel_map(vec![7], |i: i32| i + 1), vec![8]);
     }
 
     #[test]
     fn runs_non_copy_items() {
         let items: Vec<String> = (0..20).map(|i| i.to_string()).collect();
-        let out = parallel_map(items, |s| s.len());
+        let out = ExecutorHandle::default().parallel_map(items, |s| s.len());
         assert_eq!(out[0], 1);
         assert_eq!(out[10], 2);
     }
@@ -285,16 +254,16 @@ mod tests {
             (rec.fetches(), rec.writebacks(), streams)
         };
         let seeds: Vec<u64> = (0..12).collect();
-        let reference = parallel_map_with_threads(seeds.clone(), 1, cell);
+        let reference = ExecutorHandle::threads(1).parallel_map(seeds.clone(), cell);
         for threads in [2, 3, 7] {
-            let got = parallel_map_with_threads(seeds.clone(), threads, cell);
+            let got = ExecutorHandle::threads(threads).parallel_map(seeds.clone(), cell);
             assert_eq!(got, reference, "diverged at {threads} threads");
         }
     }
 
     #[test]
     fn thread_cap_of_zero_is_clamped_to_one() {
-        let out = parallel_map_with_threads(vec![1, 2, 3], 0, |i: i32| i * 10);
+        let out = ExecutorHandle::threads(0).parallel_map(vec![1, 2, 3], |i: i32| i * 10);
         assert_eq!(out, vec![10, 20, 30]);
     }
 
@@ -314,7 +283,7 @@ mod tests {
     #[test]
     fn worker_panic_propagates_the_original_payload() {
         let result = std::panic::catch_unwind(|| {
-            parallel_map_with_threads((0..64).collect(), 4, |i: i32| {
+            ExecutorHandle::threads(4).parallel_map((0..64).collect(), |i: i32| {
                 if i == 7 {
                     panic!("boom on {i}");
                 }
@@ -329,7 +298,7 @@ mod tests {
     #[test]
     fn serial_path_panic_also_propagates() {
         let result = std::panic::catch_unwind(|| {
-            parallel_map_with_threads(vec![1], 4, |_| -> i32 { panic!("solo boom") })
+            ExecutorHandle::threads(4).parallel_map(vec![1], |_| -> i32 { panic!("solo boom") })
         });
         let msg_owner = result.expect_err("the panic must propagate");
         assert!(payload_message(msg_owner.as_ref()).contains("solo boom"));
@@ -381,7 +350,7 @@ mod tests {
         let processed = AtomicUsize::new(0);
         let total = 10_000;
         let result = std::panic::catch_unwind(|| {
-            parallel_map_with_threads((0..total).collect(), 2, |i: i32| {
+            ExecutorHandle::threads(2).parallel_map((0..total).collect(), |i: i32| {
                 processed.fetch_add(1, Ordering::Relaxed);
                 if i == 0 {
                     panic!("early boom");

@@ -262,84 +262,6 @@ impl ArtifactSink for JsonLinesSink {
     fn note(&mut self, _text: &str) {}
 }
 
-/// A fail-stop wrapper that models a faulty artifact consumer.
-///
-/// Every `row` is first offered to a *gate* with its global row index
-/// (counted across tables); if the gate returns `Err`, the error is
-/// recorded, the row is dropped, and the sink goes quiet — no later
-/// call reaches the inner sink, so the inner artifact is always a clean
-/// prefix of the intended output rather than a torn one. This is the
-/// DST seam for `ArtifactSink` flushing: tests feed
-/// `FaultContext::sink_write` as the gate and assert the prefix
-/// property under every interleaving.
-pub struct GuardedSink<'a> {
-    inner: &'a mut dyn ArtifactSink,
-    gate: Box<dyn FnMut(usize) -> Result<(), String> + 'a>,
-    rows: usize,
-    error: Option<String>,
-}
-
-impl std::fmt::Debug for GuardedSink<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GuardedSink")
-            .field("rows", &self.rows)
-            .field("error", &self.error)
-            .finish()
-    }
-}
-
-impl<'a> GuardedSink<'a> {
-    /// Wraps `inner`, consulting `gate` before each row write.
-    pub fn new(
-        inner: &'a mut dyn ArtifactSink,
-        gate: impl FnMut(usize) -> Result<(), String> + 'a,
-    ) -> Self {
-        GuardedSink {
-            inner,
-            gate: Box::new(gate),
-            rows: 0,
-            error: None,
-        }
-    }
-
-    /// Rows successfully forwarded to the inner sink.
-    pub fn rows_written(&self) -> usize {
-        self.rows
-    }
-
-    /// The recorded write failure, if the gate ever refused a row.
-    pub fn error(&self) -> Option<&str> {
-        self.error.as_deref()
-    }
-}
-
-impl ArtifactSink for GuardedSink<'_> {
-    fn begin_table(&mut self, artifact: &str, table: &str, title: &str, columns: &[Column]) {
-        if self.error.is_none() {
-            self.inner.begin_table(artifact, table, title, columns);
-        }
-    }
-
-    fn row(&mut self, cells: &[Cell]) {
-        if self.error.is_some() {
-            return;
-        }
-        match (self.gate)(self.rows) {
-            Ok(()) => {
-                self.inner.row(cells);
-                self.rows += 1;
-            }
-            Err(e) => self.error = Some(e),
-        }
-    }
-
-    fn note(&mut self, text: &str) {
-        if self.error.is_none() {
-            self.inner.note(text);
-        }
-    }
-}
-
 /// Escapes `s` as a JSON string literal (quotes included).
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -669,41 +591,5 @@ mod tests {
     #[test]
     fn empty_object_parses() {
         assert_eq!(parse_flat_json_line("{}").unwrap(), vec![]);
-    }
-
-    #[test]
-    fn guarded_sink_with_open_gate_is_transparent() {
-        let mut guarded_json = JsonLinesSink::new();
-        {
-            let mut guarded = GuardedSink::new(&mut guarded_json, |_| Ok(()));
-            Demo.emit(&mut guarded);
-            assert_eq!(guarded.rows_written(), 2);
-            assert_eq!(guarded.error(), None);
-        }
-        assert_eq!(guarded_json.lines(), render_json_lines(&Demo).as_slice());
-    }
-
-    #[test]
-    fn guarded_sink_failure_is_fail_stop_with_a_clean_prefix() {
-        let mut json = JsonLinesSink::new();
-        {
-            let mut guarded = GuardedSink::new(&mut json, |row| {
-                if row == 1 {
-                    Err("disk full".into())
-                } else {
-                    Ok(())
-                }
-            });
-            Demo.emit(&mut guarded);
-            assert_eq!(guarded.rows_written(), 1);
-            assert_eq!(guarded.error(), Some("disk full"));
-            // A second table after the failure must not reopen the sink.
-            guarded.begin_table("demo", "late", "too late", &[col("x", "x")]);
-            guarded.row(&[Cell::text("nope")]);
-            guarded.note("never lands");
-        }
-        // Exactly the rows before the failure — a prefix, never a tear.
-        let reference = render_json_lines(&Demo);
-        assert_eq!(json.lines(), &reference[..1]);
     }
 }

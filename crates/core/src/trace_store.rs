@@ -122,36 +122,20 @@ impl TraceStore {
         Ok(Arc::clone(map.entry(key).or_insert(trace)))
     }
 
-    /// Records every missing `(workload, options)` cell in parallel and
-    /// returns the traces in workload order.
+    /// Records every missing `(workload, options)` cell in parallel on
+    /// `exec` and returns the traces in workload order.
     ///
     /// This is the bulk front door drivers use before running: cells
     /// already in the store are returned as-is (and counted as hits),
-    /// cold cells are simulated concurrently on the
-    /// [`parallel_map`](crate::parallel_map) worker pool instead of one
-    /// at a time on first use. Because recording is deterministic, the
-    /// result is byte-identical to recording each cell serially.
+    /// cold cells are simulated concurrently on the executor's workers
+    /// instead of one at a time on first use. Because recording is
+    /// deterministic, the result is byte-identical to recording each
+    /// cell serially.
     ///
-    /// # Errors
-    ///
-    /// Returns the first [`CacheConfigError`] (in workload order) if
-    /// `options` holds an invalid cache configuration.
-    pub fn prefill(
-        &self,
-        workloads: &[Box<dyn Workload>],
-        options: &RecordOptions,
-    ) -> Result<Vec<Arc<MissTrace>>, CacheConfigError> {
-        self.prefill_on(workloads, options, &streamsim_dst::ThreadExecutor::auto())
-    }
-
-    /// [`TraceStore::prefill`] on an explicit executor.
-    ///
-    /// This is the DST seam: tests hand in a seeded
+    /// Drivers pass their run's executor; DST tests hand in a seeded
     /// [`streamsim_dst::SimExecutor`] so the concurrent recording of
-    /// cold cells — including a panic injected mid-`prefill` — replays
-    /// under one reproducible interleaving. Production callers go
-    /// through [`TraceStore::prefill`], which supplies the real thread
-    /// pool.
+    /// cold cells — including a panic injected mid-prefill — replays
+    /// under one reproducible interleaving.
     ///
     /// # Errors
     ///
@@ -458,7 +442,8 @@ mod tests {
             }),
         ];
         let opts = RecordOptions::default();
-        let traces = store.prefill(&workloads, &opts).unwrap();
+        let pool = streamsim_dst::ThreadExecutor::auto();
+        let traces = store.prefill_on(&workloads, &opts, &pool).unwrap();
         assert_eq!(traces.len(), 2);
         assert_eq!(store.len(), 2);
         for (w, t) in workloads.iter().zip(&traces) {
@@ -470,7 +455,7 @@ mod tests {
             );
         }
         // A second prefill is all hits and returns the same allocations.
-        let again = store.prefill(&workloads, &opts).unwrap();
+        let again = store.prefill_on(&workloads, &opts, &pool).unwrap();
         for (a, b) in traces.iter().zip(&again) {
             assert!(Arc::ptr_eq(a, b));
         }

@@ -8,10 +8,9 @@ use streamsim_prng::Rng;
 use streamsim_cache::{CacheConfig, Replacement, SetSampling};
 use streamsim_core::{
     record_miss_trace, replay, replay_chunked, replay_l2, replay_streams, run_l2, run_streams,
-    FusedStreamObserver, L2Observer, MissEvent, MissObserver, RecordOptions, StreamObserver,
-    TraceStore,
+    L2Observer, MissEvent, RecordOptions, StreamObserver, TraceStore,
 };
-use streamsim_streams::StreamConfig;
+use streamsim_streams::{StreamConfig, StreamSystem};
 use streamsim_trace::{Access, AccessKind, Addr, BlockSize, WordSize};
 use streamsim_workloads::combinators::RecordedTrace;
 
@@ -115,7 +114,7 @@ fn multi_l2_replay_equals_independent_passes() {
 }
 
 /// A family of stream configurations sharing one randomized geometry —
-/// the shape [`FusedStreamObserver`] accepts — covering every allocation
+/// the shape [`StreamObserver`] accepts — covering every allocation
 /// policy and both match policies.
 fn shared_geometry_family(g: &mut Gen) -> Vec<StreamConfig> {
     use streamsim_streams::{Allocation, MatchPolicy};
@@ -150,8 +149,9 @@ fn shared_geometry_family(g: &mut Gen) -> Vec<StreamConfig> {
     })
 }
 
-/// Replays `trace` into one observer per config, delivering events one at
-/// a time — the unfused, unbatched reference semantics.
+/// Drives one [`StreamSystem`] per config through `trace`, one event at
+/// a time and with no observer in between — the unfused, unbatched
+/// reference semantics.
 fn per_event_stream_passes(
     trace: &streamsim_core::MissTrace,
     configs: &[StreamConfig],
@@ -159,22 +159,24 @@ fn per_event_stream_passes(
     configs
         .iter()
         .map(|&c| {
-            let mut o = StreamObserver::new(c);
+            let mut sys = StreamSystem::new(c);
             for event in trace.events() {
                 match *event {
-                    MissEvent::Fetch { addr, kind } => o.on_fetch(addr, kind),
-                    MissEvent::Writeback { base } => o.on_writeback(base),
+                    MissEvent::Fetch { addr, .. } => {
+                        sys.on_l1_miss(addr);
+                    }
+                    MissEvent::Writeback { base } => sys.on_writeback(base.block(c.block())),
                 }
             }
-            o.finish();
-            o.stats()
+            sys.finalize();
+            sys.stats()
         })
         .collect()
 }
 
 /// A fused family replayed in arbitrary (often misaligned) chunk sizes is
-/// byte-identical to independent per-event observers: both the fusion and
-/// the batching are pure delivery mechanics.
+/// byte-identical to independent per-event stream systems: both the
+/// fusion and the batching are pure delivery mechanics.
 #[test]
 fn fused_replay_matches_independent_observers_at_any_chunk_size() {
     check_with(
@@ -186,7 +188,7 @@ fn fused_replay_matches_independent_observers_at_any_chunk_size() {
             let rec = record_miss_trace(&w, &tiny_l1()).unwrap();
             let configs = shared_geometry_family(g);
 
-            let mut fused = FusedStreamObserver::new(&configs).expect("one shared geometry");
+            let mut fused = StreamObserver::new(&configs).expect("one shared geometry");
             let chunk = g.gen_range(1usize..80);
             replay_chunked(&rec, &mut [&mut fused], chunk);
 
@@ -208,8 +210,8 @@ fn chunk_boundaries_are_invisible_to_fused_families() {
             let rec = record_miss_trace(&w, &tiny_l1()).unwrap();
             let configs = shared_geometry_family(g);
 
-            let mut coarse = FusedStreamObserver::new(&configs).unwrap();
-            let mut fine = FusedStreamObserver::new(&configs).unwrap();
+            let mut coarse = StreamObserver::new(&configs).unwrap();
+            let mut fine = StreamObserver::new(&configs).unwrap();
             replay_chunked(&rec, &mut [&mut coarse], g.gen_range(100usize..500));
             replay_chunked(&rec, &mut [&mut fine], g.gen_range(1usize..10));
             assert_eq!(coarse.stats(), fine.stats());
@@ -217,33 +219,36 @@ fn chunk_boundaries_are_invisible_to_fused_families() {
     );
 }
 
-/// A family with mismatched geometries cannot fuse; [`replay_streams`]
-/// must fall back to independent observers with identical results.
+/// A request mixing geometries cannot fuse into one observer;
+/// [`replay_streams`] splits it into one family per geometry, replays
+/// them all in one pass, and returns every statistic in request order.
 #[test]
-fn mixed_geometry_families_fall_back_without_changing_results() {
-    check_with(
-        "mixed_geometry_families_fall_back_without_changing_results",
-        32,
-        |g| {
-            let trace = accesses(g, 400);
-            let w = RecordedTrace::new("prop", trace);
-            let rec = record_miss_trace(&w, &tiny_l1()).unwrap();
+fn mixed_geometry_requests_match_per_event_passes() {
+    check_with("mixed_geometry_requests_match_per_event_passes", 32, |g| {
+        let trace = accesses(g, 400);
+        let w = RecordedTrace::new("prop", trace);
+        let rec = record_miss_trace(&w, &tiny_l1()).unwrap();
 
-            let mut configs = shared_geometry_family(g);
-            // Force a geometry mismatch: no family member uses 256-byte
-            // blocks.
-            let odd = StreamConfig::paper_basic(g.gen_range(1usize..5))
-                .unwrap()
-                .with_block(BlockSize::new(256).unwrap());
-            configs.push(odd);
+        // Two random families, each of one geometry; 256-byte blocks
+        // set the second apart from anything the first can draw.
+        let mut configs = shared_geometry_family(g);
+        let odd: Vec<StreamConfig> = shared_geometry_family(g)
+            .into_iter()
+            .map(|c| c.with_block(BlockSize::new(256).unwrap()))
+            .collect();
+        // Shuffle the second family into the first at random slots, so
+        // request order interleaves the two geometries.
+        for c in odd {
+            let at = g.gen_range(0..configs.len() + 1);
+            configs.insert(at, c);
+        }
 
-            assert!(FusedStreamObserver::new(&configs).is_err());
-            assert_eq!(
-                replay_streams(&rec, &configs),
-                per_event_stream_passes(&rec, &configs)
-            );
-        },
-    );
+        assert!(StreamObserver::new(&configs).is_err());
+        assert_eq!(
+            replay_streams(&rec, &configs),
+            per_event_stream_passes(&rec, &configs)
+        );
+    });
 }
 
 /// Mixing stream and L2 observers in one pass changes nothing either:
@@ -257,11 +262,11 @@ fn mixed_observers_do_not_interact() {
 
         let scfg = StreamConfig::paper_filtered(4).unwrap();
         let l2cfg = CacheConfig::new(64 * 1024, 2, BlockSize::new(32).unwrap()).unwrap();
-        let mut streams = StreamObserver::new(scfg);
+        let mut streams = StreamObserver::new(&[scfg]).unwrap();
         let mut l2 = L2Observer::new(l2cfg, None).unwrap();
         replay(&rec, &mut [&mut streams, &mut l2]);
 
-        assert_eq!(streams.stats(), run_streams(&rec, scfg));
+        assert_eq!(streams.stats(), [run_streams(&rec, scfg)]);
         assert_eq!(l2.stats(), run_l2(&rec, l2cfg, None).unwrap());
     });
 }

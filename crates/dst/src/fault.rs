@@ -11,8 +11,8 @@
 //!
 //! * scheduling faults (`slow:W`, `starve:W`) bias the
 //!   [`crate::SimExecutor`]'s choice of which worker steps next;
-//! * payload faults (`panic@K`, `sink-fail@N`) are consulted by the
-//!   code under test through a cheap-clone [`FaultContext`] handle.
+//! * the payload fault (`panic@K`) is consulted by the code under test
+//!   through a cheap-clone [`FaultContext`] handle.
 
 use std::fmt;
 use std::sync::Arc;
@@ -42,12 +42,6 @@ pub enum Fault {
         /// Worker index that monopolizes scheduling.
         worker: usize,
     },
-    /// The guarded artifact sink fails when row `row` is written
-    /// (syntax `sink-fail@ROW`). Consulted via [`FaultContext::sink_write`].
-    SinkWriteFail {
-        /// Zero-based row index whose write fails.
-        row: usize,
-    },
 }
 
 impl fmt::Display for Fault {
@@ -56,7 +50,6 @@ impl fmt::Display for Fault {
             Fault::PanicOnItem { item } => write!(f, "panic@{item}"),
             Fault::SlowWorker { worker } => write!(f, "slow:{worker}"),
             Fault::Starvation { worker } => write!(f, "starve:{worker}"),
-            Fault::SinkWriteFail { row } => write!(f, "sink-fail@{row}"),
         }
     }
 }
@@ -70,8 +63,8 @@ impl fmt::Display for FaultPlanParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "bad fault clause {:?}: expected panic@ITEM, slow:WORKER, starve:WORKER or \
-             sink-fail@ROW, comma-separated (or \"none\")",
+            "bad fault clause {:?}: expected panic@ITEM, slow:WORKER or starve:WORKER, \
+             comma-separated (or \"none\")",
             self.0
         )
     }
@@ -107,7 +100,7 @@ impl FaultPlan {
     }
 
     /// Parses the textual syntax produced by `Display`:
-    /// comma-separated clauses, e.g. `panic@7,slow:2,starve:0,sink-fail@3`.
+    /// comma-separated clauses, e.g. `panic@7,slow:2,starve:0`.
     /// The empty string and `none` parse to the empty plan.
     pub fn parse(text: &str) -> Result<Self, FaultPlanParseError> {
         let text = text.trim();
@@ -121,8 +114,7 @@ impl FaultPlan {
                 .strip_prefix("panic@")
                 .map(|n| (n, 0))
                 .or_else(|| clause.strip_prefix("slow:").map(|n| (n, 1)))
-                .or_else(|| clause.strip_prefix("starve:").map(|n| (n, 2)))
-                .or_else(|| clause.strip_prefix("sink-fail@").map(|n| (n, 3)));
+                .or_else(|| clause.strip_prefix("starve:").map(|n| (n, 2)));
             let (number, kind) = parsed.ok_or_else(|| FaultPlanParseError(clause.to_string()))?;
             let n: usize = number
                 .parse()
@@ -130,8 +122,7 @@ impl FaultPlan {
             faults.push(match kind {
                 0 => Fault::PanicOnItem { item: n },
                 1 => Fault::SlowWorker { worker: n },
-                2 => Fault::Starvation { worker: n },
-                _ => Fault::SinkWriteFail { row: n },
+                _ => Fault::Starvation { worker: n },
             });
         }
         Ok(FaultPlan::new(faults))
@@ -152,18 +143,15 @@ impl FaultPlan {
         };
         let mut faults = Vec::new();
         for _ in 0..count {
-            faults.push(match rng.gen_range(0u32..4) {
+            faults.push(match rng.gen_range(0u32..3) {
                 0 => Fault::PanicOnItem {
                     item: rng.gen_range(0..items.max(1)),
                 },
                 1 => Fault::SlowWorker {
                     worker: rng.gen_range(0..workers.max(1)),
                 },
-                2 => Fault::Starvation {
+                _ => Fault::Starvation {
                     worker: rng.gen_range(0..workers.max(1)),
-                },
-                _ => Fault::SinkWriteFail {
-                    row: rng.gen_range(0..items.max(1)),
                 },
             });
         }
@@ -203,8 +191,8 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// A cheap-clone handle the code under test consults for payload
-/// faults (`panic@`, `sink-fail@`). Scheduling faults are interpreted
+/// A cheap-clone handle the code under test consults for the payload
+/// fault (`panic@`). Scheduling faults are interpreted
 /// by the [`crate::SimExecutor`] instead and never reach the workload.
 #[derive(Debug, Clone)]
 pub struct FaultContext {
@@ -241,27 +229,12 @@ impl FaultContext {
             panic!("dst: injected panic at item {item}");
         }
     }
-
-    /// The sink gate: `Err` exactly when a `sink-fail@row` fault is
-    /// armed for this row index. Feed to `GuardedSink` so artifact
-    /// flushing fails at a controlled row boundary.
-    pub fn sink_write(&self, row: usize) -> Result<(), String> {
-        if self
-            .plan
-            .faults
-            .iter()
-            .any(|f| matches!(f, Fault::SinkWriteFail { row: r } if *r == row))
-        {
-            Err(format!("dst: injected sink write failure at row {row}"))
-        } else {
-            Ok(())
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamsim_prng::quickcheck::check;
     use streamsim_prng::Xoshiro256StarStar;
 
     #[test]
@@ -270,10 +243,9 @@ mod tests {
             Fault::PanicOnItem { item: 7 },
             Fault::SlowWorker { worker: 2 },
             Fault::Starvation { worker: 0 },
-            Fault::SinkWriteFail { row: 3 },
         ]);
         let text = plan.to_string();
-        assert_eq!(text, "panic@7,slow:2,starve:0,sink-fail@3");
+        assert_eq!(text, "panic@7,slow:2,starve:0");
         assert_eq!(FaultPlan::parse(&text).unwrap(), plan);
     }
 
@@ -299,14 +271,7 @@ mod tests {
 
     #[test]
     fn bad_clauses_are_rejected_with_the_clause() {
-        for bad in [
-            "panic@",
-            "panic@x",
-            "slow@1",
-            "starve",
-            "sink-fail:2",
-            "boom",
-        ] {
+        for bad in ["panic@", "panic@x", "slow@1", "starve", "boom"] {
             let err = FaultPlan::parse(bad).expect_err(bad);
             assert!(err.to_string().contains("bad fault clause"), "{err}");
         }
@@ -332,7 +297,6 @@ mod tests {
                     Fault::SlowWorker { worker } | Fault::Starvation { worker } => {
                         assert!(worker < 4)
                     }
-                    Fault::SinkWriteFail { row } => assert!(row < 20),
                 }
             }
         }
@@ -340,17 +304,52 @@ mod tests {
         assert!(empties > 20, "only {empties}/200 fault-free plans");
     }
 
+    /// `parse` returns `Ok` or `Err` on arbitrary text, never panics:
+    /// fragments of the syntax glued at random, with stray characters.
+    #[test]
+    fn arbitrary_text_never_panics_the_parser() {
+        // Syntax fragments, with numbers past `usize::MAX` mixed in.
+        let fragments: Vec<&str> =
+            "panic@|slow:|starve:|none|,| |@|:|7|0|-1|99999999999999999999999|é"
+                .split('|')
+                .collect();
+        check("fault_plan_parse_never_panics", |g| {
+            let text = g
+                .vec(0usize..12, |g| {
+                    if g.gen_bool(0.9) {
+                        g.pick(&fragments).to_owned()
+                    } else {
+                        char::from_u32(g.gen_range(0u32..0x80))
+                            .unwrap_or('?')
+                            .to_string()
+                    }
+                })
+                .concat();
+            let _ = FaultPlan::parse(&text);
+        });
+    }
+
+    /// Every plan `FaultPlan::random` draws round-trips through its
+    /// textual form.
+    #[test]
+    fn random_plans_round_trip_through_display() {
+        check("fault_plan_display_round_trip", |g| {
+            let items = g.gen_range(0usize..1000);
+            let workers = g.gen_range(0usize..16);
+            let plan = FaultPlan::random(&mut **g, items, workers);
+            assert_eq!(FaultPlan::parse(&plan.to_string()), Ok(plan));
+        });
+    }
+
     #[test]
     fn context_answers_payload_faults() {
-        let ctx = FaultContext::new(FaultPlan::parse("panic@2,sink-fail@1").unwrap());
+        let ctx = FaultContext::new(FaultPlan::parse("panic@2").unwrap());
         assert!(ctx.panics_on(2));
         assert!(!ctx.panics_on(1));
         ctx.maybe_panic(0); // no-op
         let err = std::panic::catch_unwind(|| ctx.maybe_panic(2)).unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
         assert_eq!(msg, "dst: injected panic at item 2");
-        assert!(ctx.sink_write(0).is_ok());
-        assert!(ctx.sink_write(1).unwrap_err().contains("row 1"));
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //!
 //! The experiment engine spreads independent (workload × configuration)
 //! cells over worker threads with a shared work queue
-//! (`streamsim_core::parallel_map`). Real threads exercise only the
-//! interleavings the host scheduler happens to produce, so concurrency
-//! bugs — masked panic payloads, ignored abort flags, torn artifacts —
-//! hide until an unlucky run in CI. This crate substitutes a cheap,
-//! controllable model for the expensive real scheduler:
+//! (`streamsim_core::ExecutorHandle::parallel_map`). Real threads
+//! exercise only the interleavings the host scheduler happens to
+//! produce, so concurrency bugs — masked panic payloads, ignored abort
+//! flags, torn artifacts — hide until an unlucky run in CI. This crate
+//! substitutes a cheap, controllable model for the expensive real
+//! scheduler:
 //!
 //! * [`Executor`] — the seam the work-queue protocol is generic over: a
 //!   pool of `workers()` that each repeatedly run one protocol *step*
@@ -19,7 +20,7 @@
 //!   order, records the schedule it chose, and replays it exactly from
 //!   the same seed;
 //! * [`FaultPlan`] / [`Fault`] — a tiny fault DSL (worker panic at item
-//!   *k*, slow worker, queue starvation, sink write failure) that a seed
+//!   *k*, slow worker, queue starvation) that a seed
 //!   expands into via [`FaultPlan::random`], so *one* integer reproduces
 //!   both the interleaving and the injected faults;
 //! * [`sweep`] — the test harness: runs a property over a few hundred

@@ -27,7 +27,7 @@ pub enum Counter {
     TraceStoreHits,
     /// Trace-store requests that had to simulate an L1.
     TraceStoreMisses,
-    /// Bulk `TraceStore::prefill` calls.
+    /// Bulk `TraceStore::prefill_on` calls.
     TraceStorePrefills,
     /// Miss events walked by the replay engine (per pass, not per
     /// observer; multiply by the observer count for deliveries).

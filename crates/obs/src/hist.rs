@@ -8,34 +8,20 @@
 //! merging commutative bucket-wise addition: merge order, shard count
 //! and thread count cannot change the result, so cross-thread
 //! aggregation is deterministic by construction (pinned by
-//! `crates/obs/tests/hist_properties.rs` and the DST sweeps).
+//! `crates/obs/tests/hist_properties.rs`).
 //!
-//! Two tiers share the layout:
+//! Two users share the layout:
 //!
-//! * **Global histograms** — one per [`HistId`], atomic bucket arrays
-//!   recorded via [`record_hist`] / [`hist_timer`]. The record path is
-//!   zero-alloc and sits behind the same one-relaxed-load disabled gate
-//!   as the counters, so it is cheap enough for the replay delivery
-//!   loop (the CI recording floor pins the disabled-mode overhead).
 //! * **Per-span histograms** — every span close records its duration
-//!   into a plain [`Hist`] beside the phase registry entry, giving
+//!   into a [`Hist`] beside the phase registry entry, giving
 //!   `--profile` p50/p90/p99/max columns per phase.
-//!
-//! `streamsim-model` also keeps its reuse-distance histograms in plain
-//! [`Hist`]s; [`Hist::count_below`] and [`Hist::nonempty_buckets`] are
-//! the queries its secondary-cache predictor walks.
+//! * **The model** — `streamsim-model` keeps its reuse-distance
+//!   histograms in [`Hist`]s; [`Hist::count_below`] and
+//!   [`Hist::nonempty_buckets`] are the queries its secondary-cache
+//!   predictor walks.
 
-// Hot-loop module: record_hist sits on the replay delivery loop (once per chunk).
+// Hot-loop module: the model's profile pass calls `Hist::record` once per event.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
-
-use std::sync::atomic::{AtomicU64, Ordering};
-#[expect(
-    clippy::disallowed_types,
-    reason = "streamsim-obs owns the monotonic clock"
-)]
-use std::time::Instant;
-
-use crate::Level;
 
 /// Linear sub-buckets per octave: 2^4 = 16.
 const SUB_BITS: u32 = 4;
@@ -83,123 +69,7 @@ fn bucket_width(index: usize) -> u64 {
     1 << (index / SUB_BUCKETS).saturating_sub(1)
 }
 
-/// Names one of the fixed global histograms.
-///
-/// The set is closed on purpose: a fixed array of atomic buckets makes
-/// the record path zero-alloc and the merge deterministic. New
-/// instrumentation sites add a variant here.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub enum HistId {
-    /// Events per replay chunk (deterministic: depends only on the
-    /// trace length and chunk length — the DST byte-identity pin).
-    ReplayChunkEvents = 0,
-    /// Wall-clock nanoseconds per replay chunk delivery.
-    ReplayChunkNanos = 1,
-    /// References per recording chunk flushed into the L1 pass.
-    RecordChunkRefs = 2,
-}
-
-/// Number of [`HistId`] variants (the global histogram array's length).
-pub const NUM_HISTS: usize = 3;
-
-impl HistId {
-    /// Every histogram id, in index order.
-    pub const ALL: [HistId; NUM_HISTS] = [
-        HistId::ReplayChunkEvents,
-        HistId::ReplayChunkNanos,
-        HistId::RecordChunkRefs,
-    ];
-
-    /// The stable snake_case name used in events and artifacts.
-    pub fn name(self) -> &'static str {
-        match self {
-            HistId::ReplayChunkEvents => "replay_chunk_events",
-            HistId::ReplayChunkNanos => "replay_chunk_nanos",
-            HistId::RecordChunkRefs => "record_chunk_refs",
-        }
-    }
-}
-
-struct AtomicHist {
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    buckets: [AtomicU64; NUM_BUCKETS],
-}
-
-impl AtomicHist {
-    const fn new() -> Self {
-        AtomicHist {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            buckets: [const { AtomicU64::new(0) }; NUM_BUCKETS],
-        }
-    }
-}
-
-static HISTS: [AtomicHist; NUM_HISTS] = [const { AtomicHist::new() }; NUM_HISTS];
-
-/// Records `value` into the global histogram `id`.
-///
-/// Disabled below [`Level::Info`]: the disabled path is one relaxed
-/// load and a predictable branch (the counter gate's contract); the
-/// enabled path is five relaxed atomic ops and allocates nothing.
-#[inline]
-pub fn record_hist(id: HistId, value: u64) {
-    if !crate::enabled(Level::Info) {
-        return;
-    }
-    record_hist_always(id, value);
-}
-
-/// The ungated record path ([`hist_timer`] uses it after deciding at
-/// construction time).
-#[inline]
-fn record_hist_always(id: HistId, value: u64) {
-    let h = &HISTS[id as usize];
-    h.count.fetch_add(1, Ordering::Relaxed);
-    h.sum.fetch_add(value, Ordering::Relaxed);
-    h.min.fetch_min(value, Ordering::Relaxed);
-    h.max.fetch_max(value, Ordering::Relaxed);
-    h.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-}
-
-/// Times a region and records its wall-clock nanoseconds into `id` on
-/// drop. The enabled/disabled decision is taken once at construction
-/// (one relaxed load), so the owning loop body pays nothing else.
-#[derive(Debug)]
-pub struct HistTimer {
-    id: HistId,
-    #[expect(clippy::disallowed_types, reason = "the timed region's start")]
-    start: Option<Instant>,
-}
-
-/// Starts a [`HistTimer`] for `id`; a no-op below [`Level::Info`].
-#[inline]
-#[expect(clippy::disallowed_types, reason = "reads the clock once when enabled")]
-pub fn hist_timer(id: HistId) -> HistTimer {
-    HistTimer {
-        id,
-        start: crate::enabled(Level::Info).then(Instant::now),
-    }
-}
-
-impl Drop for HistTimer {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let nanos = start.elapsed().as_nanos();
-            record_hist_always(self.id, u64::try_from(nanos).unwrap_or(u64::MAX));
-        }
-    }
-}
-
-/// A materialized histogram: plain counters over the fixed log-linear
-/// layout. Used both as the snapshot form of the global atomic
-/// histograms and as the per-span duration histogram in the registry.
+/// A histogram: plain counters over the fixed log-linear layout.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Hist {
     count: u64,
@@ -345,33 +215,6 @@ impl Hist {
     }
 }
 
-/// Snapshots the global histogram `id` into a plain [`Hist`].
-pub fn hist_snapshot(id: HistId) -> Hist {
-    let h = &HISTS[id as usize];
-    let mut out = Hist::new();
-    out.count = h.count.load(Ordering::Relaxed);
-    out.sum = h.sum.load(Ordering::Relaxed);
-    out.min = h.min.load(Ordering::Relaxed);
-    out.max = h.max.load(Ordering::Relaxed);
-    for (dst, src) in out.buckets.iter_mut().zip(h.buckets.iter()) {
-        *dst = src.load(Ordering::Relaxed);
-    }
-    out
-}
-
-/// Zeroes every global histogram (part of [`crate::reset`]).
-pub fn reset_hists() {
-    for h in &HISTS {
-        h.count.store(0, Ordering::Relaxed);
-        h.sum.store(0, Ordering::Relaxed);
-        h.min.store(u64::MAX, Ordering::Relaxed);
-        h.max.store(0, Ordering::Relaxed);
-        for b in &h.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,44 +353,5 @@ mod tests {
         merged.merge(&a);
         assert_eq!(merged, whole);
         assert_eq!(merged.encode(), whole.encode());
-    }
-
-    #[test]
-    fn global_hist_gating_and_snapshot() {
-        let _guard = crate::test_lock::hold();
-        crate::set_level(Level::Off);
-        crate::reset();
-        record_hist(HistId::ReplayChunkEvents, 42);
-        assert!(hist_snapshot(HistId::ReplayChunkEvents).is_empty());
-
-        crate::set_level(Level::Info);
-        record_hist(HistId::ReplayChunkEvents, 42);
-        record_hist(HistId::ReplayChunkEvents, 1024);
-        let snap = hist_snapshot(HistId::ReplayChunkEvents);
-        assert_eq!(snap.count(), 2);
-        assert_eq!(snap.min(), Some(42));
-        assert_eq!(snap.max(), Some(1024));
-        assert_eq!(snap.sum(), 42 + 1024);
-
-        {
-            let _t = hist_timer(HistId::ReplayChunkNanos);
-        }
-        assert_eq!(hist_snapshot(HistId::ReplayChunkNanos).count(), 1);
-
-        crate::set_level(Level::Off);
-        {
-            let _t = hist_timer(HistId::ReplayChunkNanos);
-        }
-        assert_eq!(hist_snapshot(HistId::ReplayChunkNanos).count(), 1);
-        crate::reset();
-        assert!(hist_snapshot(HistId::ReplayChunkEvents).is_empty());
-    }
-
-    #[test]
-    fn hist_id_names_are_stable() {
-        for (i, id) in HistId::ALL.iter().enumerate() {
-            assert_eq!(*id as usize, i);
-            assert!(!id.name().is_empty());
-        }
     }
 }

@@ -28,10 +28,10 @@
 //! Obs v2 adds three more, same contract (hermetic, thread-safe, free
 //! when disabled):
 //!
-//! * **Histograms** ([`Hist`], [`record_hist`], [`hist_timer`]) —
-//!   fixed-layout log-linear latency/size distributions with a
-//!   zero-alloc record path behind the one-relaxed-load gate; merging
-//!   is commutative, so cross-thread aggregation is deterministic.
+//! * **Histograms** ([`Hist`]) — fixed-layout log-linear
+//!   distributions. Every span records its durations into one, which
+//!   `--profile` renders as quantile columns; merging is commutative,
+//!   so cross-thread aggregation is deterministic.
 //! * **Timeline export** ([`trace_active`], [`flush_trace`]) — with
 //!   `STREAMSIM_TRACE_OUT=FILE` (or [`set_trace_out`]), spans emit
 //!   Chrome `trace_event` `B`/`E` records and the DST scheduler emits
@@ -76,10 +76,7 @@ pub use counters::{count, counter, counter_snapshot, Counter, NUM_COUNTERS};
 pub use events::{
     drain_events, emit_counter_events, emit_event, json_escape, pending_events, EventValue,
 };
-pub use hist::{
-    bucket_index, bucket_low, hist_snapshot, hist_timer, record_hist, reset_hists, Hist, HistId,
-    HistTimer, NUM_BUCKETS, NUM_HISTS, SUB_BUCKETS,
-};
+pub use hist::{bucket_index, bucket_low, Hist, NUM_BUCKETS, SUB_BUCKETS};
 pub use ledger::{
     check_ledger, metric_floors, Floor, LedgerEntry, LedgerVerdict, BENCH_SCHEMA,
     DRIFT_NOTE_FRACTION, LEDGER_HEADER_KEYS, LEDGER_SCHEMA,
@@ -133,8 +130,8 @@ fn level_from_env() -> u8 {
 /// The disabled gate every hot path pays: exactly one `Relaxed` load of
 /// `LEVEL` and a predictable branch, falling through to the cold
 /// environment read only before the level is first set. Keep it that
-/// way: a second load or a stronger ordering taxes every counter, span
-/// and histogram call site.
+/// way: a second load or a stronger ordering taxes every counter and
+/// span call site.
 #[inline(always)]
 fn raw_level() -> u8 {
     let v = LEVEL.load(Ordering::Relaxed);
@@ -169,15 +166,14 @@ pub fn enabled(at: Level) -> bool {
     raw_level() >= at as u8
 }
 
-/// Zeroes every global counter and histogram, the span registry and the
-/// event log. The level and trace destination are left unchanged.
-/// Intended for tests and for the report binary between profiling
-/// sections.
+/// Zeroes every global counter, the span registry (with its duration
+/// histograms) and the event log. The level and trace destination are
+/// left unchanged. Intended for tests and for the report binary between
+/// profiling sections.
 pub fn reset() {
     counters::reset_counters();
     span::reset_registry();
     events::clear_events();
-    hist::reset_hists();
 }
 
 /// The `STREAMSIM_TRACE_OUT` destination, if set and non-empty. The

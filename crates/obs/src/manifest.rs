@@ -17,7 +17,8 @@ pub struct RunManifest {
     /// Hex fingerprint of the full run configuration (scale, sampling,
     /// L1 geometry and replacement policy).
     pub config: String,
-    /// Worker threads available to `parallel_map`.
+    /// Worker threads available to the run (the machine's
+    /// `available_parallelism` unless set).
     pub threads: u64,
     /// Input-size scale label (`"Paper"` / `"Quick"`).
     pub scale: String,

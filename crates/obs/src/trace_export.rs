@@ -24,7 +24,7 @@
 //!
 //! The gate ([`trace_active`]) is one relaxed load and a predictable
 //! branch, mirroring the `STREAMSIM_LOG` level gate; it is checked on
-//! span open, never on the counter/histogram hot paths.
+//! span open, never on the counter hot path.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};

@@ -190,7 +190,7 @@ impl StreamSystem {
     }
 
     /// Like [`StreamSystem::on_l1_miss`], with the block and word of
-    /// `addr` already decoded — the replay engine's fused observer splits
+    /// `addr` already decoded — the replay engine's `StreamObserver` splits
     /// each address once and feeds every system sharing that geometry.
     pub fn on_l1_miss_decoded(
         &mut self,

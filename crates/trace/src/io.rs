@@ -70,7 +70,9 @@ fn read_varint<R: Read>(reader: &mut R) -> io::Result<u64> {
     loop {
         let mut byte = [0u8; 1];
         reader.read_exact(&mut byte)?;
-        if shift >= 64 {
+        // The tenth byte lands at bit 63, so only its lowest payload bit
+        // fits; any other would be shifted out silently.
+        if shift >= 64 || (shift == 63 && byte[0] & 0x7f > 1) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "varint longer than 64 bits",
@@ -222,6 +224,25 @@ mod tests {
         buf[16] = 7; // corrupt the kind byte
         let err = read_trace(&buf[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn rejects_a_varint_that_overflows_64_bits() {
+        // One load record whose delta is a ten-byte varint: `ff×9 01` is
+        // the canonical u64::MAX; `ff×9 7f` sets payload bits past bit 63.
+        let record = |tenth: u8| {
+            let mut buf = Vec::new();
+            write_trace(&mut buf, &[]).unwrap();
+            buf[8..16].copy_from_slice(&1u64.to_le_bytes());
+            buf.push(0); // kind tag: load
+            buf.extend([0xff; 9]);
+            buf.push(tenth);
+            buf
+        };
+        let err = read_trace(&record(0x7f)[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let trace = read_trace(&record(0x01)[..]).unwrap();
+        assert_eq!(trace, [Access::load(Addr::new(unzigzag(u64::MAX) as u64))]);
     }
 
     #[test]

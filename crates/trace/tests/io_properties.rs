@@ -2,7 +2,7 @@
 //! on the in-tree `streamsim-quickcheck` harness.
 
 use streamsim_prng::quickcheck::{check, Gen};
-use streamsim_prng::Rng;
+use streamsim_prng::{Rng, RngCore};
 
 use streamsim_trace::io::{read_trace, write_trace};
 use streamsim_trace::{Access, AccessKind, Addr, ChunkSampler};
@@ -53,6 +53,58 @@ fn truncation_is_detected() {
         g.assume(cut < buf.len());
         buf.truncate(cut);
         assert!(read_trace(&buf[..]).is_err());
+    });
+}
+
+/// Bytes shaped like `records` record bodies: mostly valid kind tags,
+/// each before a varint of one to eleven bytes (ten is the longest
+/// valid one) whose continuation bits are mostly well formed, so that
+/// accepted and rejected inputs are both common.
+fn hostile_body(g: &mut Gen, records: u64) -> Vec<u8> {
+    let mut body = Vec::new();
+    for _ in 0..records {
+        let tags = if g.gen_bool(0.98) { 3 } else { 256 };
+        body.push(g.gen_range(0u32..tags) as u8);
+        let longest = if g.gen_bool(0.95) { 9 } else { 11 };
+        let len = g.gen_range(1usize..=longest);
+        for i in 0..len {
+            let byte = g.next_u64() as u8;
+            body.push(match (i + 1 == len, g.gen_bool(0.99)) {
+                (false, true) => byte | 0x80,
+                (true, true) => byte & 0x7f,
+                (_, false) => byte,
+            });
+        }
+    }
+    body
+}
+
+/// `read_trace` never panics on arbitrary input, whether or not it
+/// starts with a valid header; any trace it accepts re-encodes and reads
+/// back equal.
+#[test]
+fn arbitrary_bytes_never_panic_the_reader() {
+    check("arbitrary_bytes_never_panic_the_reader", |g| {
+        let mut bytes = Vec::new();
+        if g.gen_bool(0.8) {
+            // A valid header whose count usually matches the body.
+            let records = g.gen_range(0u64..24);
+            let claimed = if g.gen_bool(0.7) {
+                records
+            } else {
+                g.gen_range(0u64..32)
+            };
+            write_trace(&mut bytes, &[]).unwrap();
+            bytes[8..16].copy_from_slice(&claimed.to_le_bytes());
+            bytes.extend(hostile_body(g, records));
+        } else {
+            bytes.extend(g.vec(0usize..64, |g| g.next_u64() as u8));
+        }
+        if let Ok(trace) = read_trace(&bytes[..]) {
+            let mut again = Vec::new();
+            write_trace(&mut again, &trace).unwrap();
+            assert_eq!(read_trace(&again[..]).unwrap(), trace);
+        }
     });
 }
 

@@ -1,12 +1,11 @@
-//! Workload combinators: replaying, concatenating and time-slicing.
+//! Workload combinators: replaying and time-slicing.
 //!
 //! The paper motivates stream buffers for large parallel machines, where
 //! each processor multiplexes work. [`Interleaved`] models exactly that:
 //! several workloads sharing one processor in fixed reference quanta, so
 //! every context switch confronts the stream buffers (and the primary
 //! cache) with a cold stranger's miss stream. [`RecordedTrace`] adapts a
-//! stored trace back into a [`Workload`], and [`Concat`] runs programs
-//! back to back.
+//! stored trace back into a [`Workload`].
 
 use streamsim_trace::Access;
 
@@ -112,54 +111,6 @@ impl Workload for RecordedTrace {
             self.name,
             self.trace.len()
         )
-    }
-}
-
-/// Runs several workloads back to back (e.g. program phases).
-#[derive(Debug)]
-pub struct Concat {
-    name: String,
-    parts: Vec<Box<dyn Workload>>,
-}
-
-impl Concat {
-    /// Concatenates `parts` under the given name.
-    pub fn new(name: impl Into<String>, parts: Vec<Box<dyn Workload>>) -> Self {
-        Concat {
-            name: name.into(),
-            parts,
-        }
-    }
-}
-
-impl Workload for Concat {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn suite(&self) -> Suite {
-        Suite::Synthetic
-    }
-
-    fn description(&self) -> &str {
-        "workloads executed back to back"
-    }
-
-    fn data_set_bytes(&self) -> u64 {
-        self.parts.iter().map(|p| p.data_set_bytes()).sum()
-    }
-
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        for p in &self.parts {
-            p.generate(sink);
-        }
-    }
-
-    /// Each part emits through its own (possibly native) chunked path.
-    fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        for p in &self.parts {
-            p.generate_chunks(batch, emit);
-        }
     }
 }
 
@@ -289,21 +240,6 @@ mod tests {
         assert_eq!(collect_trace(&recorded), collect_trace(&w));
         assert!(!recorded.is_empty());
         assert!(recorded.data_set_bytes() > 0);
-    }
-
-    #[test]
-    fn concat_appends_in_order() {
-        let a = sweep(1024);
-        let b = RandomGather {
-            footprint: 4096,
-            count: 10,
-            seed: 1,
-        };
-        let both = Concat::new("phases", vec![Box::new(a.clone()), Box::new(b.clone())]);
-        let combined = collect_trace(&both);
-        let mut expected = collect_trace(&a);
-        expected.extend(collect_trace(&b));
-        assert_eq!(combined, expected);
     }
 
     #[test]

@@ -278,87 +278,6 @@ impl Workload for RandomGather {
     }
 }
 
-/// A pointer chase through a randomly permuted linked list: strictly
-/// dependent irregular references (no two consecutive addresses related).
-#[derive(Clone, Debug)]
-pub struct PointerChase {
-    /// Number of list nodes.
-    pub nodes: u64,
-    /// Bytes per node.
-    pub node_bytes: u64,
-    /// Total dereferences.
-    pub steps: u64,
-    /// PRNG seed for the permutation.
-    pub seed: u64,
-}
-
-impl Default for PointerChase {
-    fn default() -> Self {
-        PointerChase {
-            nodes: 64 * 1024,
-            node_bytes: 32,
-            steps: 200_000,
-            seed: 7,
-        }
-    }
-}
-
-impl PointerChase {
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
-        let mut mem = AddressSpace::new();
-        let a = mem.array1(self.nodes, self.node_bytes);
-        // Build a random cyclic permutation (Sattolo's algorithm) so the
-        // chase visits every node before repeating.
-        let mut order: Vec<u64> = (0..self.nodes).collect();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(self.seed);
-        let mut i = self.nodes as usize - 1;
-        while i > 0 {
-            let j = rng.gen_range(0..i);
-            order.swap(i, j);
-            i -= 1;
-        }
-        let mut next = vec![0u64; self.nodes as usize];
-        for w in 0..self.nodes as usize {
-            let succ = order[(w + 1) % self.nodes as usize];
-            next[order[w] as usize] = succ;
-        }
-        let mut t = Tracer::new(sink, 1024, Tracer::DEFAULT_IFETCH_INTERVAL);
-        let mut node = 0u64;
-        for _ in 0..self.steps {
-            t.load(a.at(node));
-            node = next[node as usize];
-        }
-    }
-}
-
-impl Workload for PointerChase {
-    fn name(&self) -> &str {
-        "pointer-chase"
-    }
-
-    fn suite(&self) -> Suite {
-        Suite::Synthetic
-    }
-
-    fn description(&self) -> &str {
-        "dependent loads walking a randomly permuted linked list"
-    }
-
-    fn data_set_bytes(&self) -> u64 {
-        self.nodes * self.node_bytes
-    }
-
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
-    fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,36 +350,12 @@ mod tests {
     fn generators_are_deterministic() {
         let w = RandomGather::default();
         assert_eq!(collect_trace(&w), collect_trace(&w));
-        let p = PointerChase::default();
-        assert_eq!(collect_trace(&p), collect_trace(&p));
-    }
-
-    #[test]
-    fn pointer_chase_visits_every_node_before_repeating() {
-        let w = PointerChase {
-            nodes: 256,
-            node_bytes: 32,
-            steps: 256,
-            seed: 3,
-        };
-        let trace = collect_trace(&w);
-        let mut addrs: Vec<u64> = trace
-            .iter()
-            .filter(|a| a.kind == AccessKind::Load)
-            .map(|a| a.addr.raw())
-            .collect();
-        let total = addrs.len();
-        addrs.sort_unstable();
-        addrs.dedup();
-        assert_eq!(addrs.len(), total, "cycle visits each node once");
-        assert_eq!(total, 256);
     }
 
     #[test]
     fn default_footprints_are_reported() {
         assert_eq!(SequentialSweep::default().data_set_bytes(), 1 << 20);
         assert!(RandomGather::default().data_set_bytes() > 0);
-        assert!(PointerChase::default().data_set_bytes() > 0);
         assert!(StridedSweep::default().data_set_bytes() > 0);
         assert!(InterleavedStreams::default().data_set_bytes() > 0);
     }

@@ -9,9 +9,9 @@
 //! so chunk-boundary bookkeeping cannot hide an off-by-one.
 
 use streamsim_trace::Access;
-use streamsim_workloads::combinators::{Concat, Interleaved, RecordedTrace};
+use streamsim_workloads::combinators::{Interleaved, RecordedTrace};
 use streamsim_workloads::generators::{
-    InterleavedStreams, PointerChase, RandomGather, SequentialSweep, StridedSweep,
+    InterleavedStreams, RandomGather, SequentialSweep, StridedSweep,
 };
 use streamsim_workloads::{collect_trace, kernels, Workload};
 
@@ -112,12 +112,6 @@ fn synthetic_workloads() -> Vec<Box<dyn Workload>> {
             count: 1_000,
             seed: 9,
         }),
-        Box::new(PointerChase {
-            nodes: 256,
-            node_bytes: 64,
-            steps: 1_000,
-            seed: 10,
-        }),
         Box::new(RecordedTrace::new(
             "recorded",
             collect_trace(&StridedSweep {
@@ -125,10 +119,6 @@ fn synthetic_workloads() -> Vec<Box<dyn Workload>> {
                 count: 700,
                 repeats: 1,
             }),
-        )),
-        Box::new(Concat::new(
-            "concat",
-            vec![Box::new(sweep.clone()), Box::new(strided.clone())],
         )),
         Box::new(Interleaved::new(
             "interleaved",

@@ -76,6 +76,21 @@ for expected in \
     }
 done
 
+# perfbench (the benchmark harness BENCHMARK.json runs) is a workspace
+# of its own, so no step above compiles it, yet its harness imports
+# about thirty workspace names. Check a copy with its path dependencies
+# pointed back at this checkout, so a rename or deletion it relies on
+# fails here rather than in the benchmark run. Checking the copy keeps
+# cargo from rewriting perfbench/Cargo.lock in place.
+echo "==> perfbench compiles against the workspace (cargo check --benches on a copy)"
+perfbench_dir=$(mktemp -d)
+trap 'rm -rf "$fixture_dir" "$perfbench_dir"' EXIT
+cp -r perfbench "$perfbench_dir/perfbench"
+sed -i "s|path = \"\.\.|path = \"$PWD|" "$perfbench_dir/perfbench/Cargo.toml"
+cargo check --offline --benches --quiet \
+    --manifest-path "$perfbench_dir/perfbench/Cargo.toml" \
+    --target-dir "$perfbench_dir/target"
+
 echo "==> cargo test -q --offline ${test_scope[*]:-}"
 cargo test -q --offline "${test_scope[@]}"
 
@@ -91,7 +106,7 @@ cargo test -q --offline "${test_scope[@]}"
 # --trace-check: well-formed flat JSON, every span's B matched by an E.
 echo "==> observability smoke (--profile + trace export under STREAMSIM_LOG=debug)"
 obs_dir=$(mktemp -d)
-trap 'rm -rf "$obs_dir" "$fixture_dir"' EXIT
+trap 'rm -rf "$obs_dir" "$fixture_dir" "$perfbench_dir"' EXIT
 STREAMSIM_LOG=debug STREAMSIM_TRACE_OUT="$obs_dir/trace.json" \
     ./target/release/streamsim-report \
     --quick --profile --out /dev/null --json "$obs_dir/run.jsonl" table2
@@ -194,9 +209,8 @@ STREAMSIM_DST_SEED=$dst_seed cargo test -q --offline --test dst_engine
 # speedup (see BENCH_recording.json) so shared-machine noise cannot
 # flake the gate; a drop below it means the fast path actually rotted.
 # Observability is compiled into that loop (the per-chunk
-# reference-generation counter and chunk-size histogram); CI leaves
-# STREAMSIM_LOG unset, so this floor also pins the disabled-mode
-# overhead contract.
+# reference-generation counter); CI leaves STREAMSIM_LOG unset, so this
+# floor also pins the disabled-mode overhead contract.
 echo "==> recording bench smoke (enforce >= 1.15x)"
 STREAMSIM_BENCH_SAMPLES=3 STREAMSIM_BENCH_WARMUP=1 STREAMSIM_BENCH_ENFORCE=1.15 \
     cargo bench --offline -p streamsim-bench --bench recording

@@ -813,6 +813,18 @@ fn main() -> ExitCode {
         })
         .collect();
 
+    // Both output files are created before the first experiment runs,
+    // so an unwritable path fails at once, not after the whole report.
+    let out_file = match &out {
+        Some(path) => match std::fs::File::create(path) {
+            Ok(file) => Some((path, file)),
+            Err(e) => {
+                eprintln!("error: cannot create {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
+    };
     // The JSON sink streams: rows land on disk as each experiment
     // finishes, so a partial file is useful (and memory flat) even if a
     // later experiment dies mid-report.
@@ -947,10 +959,11 @@ fn main() -> ExitCode {
             eprintln!("{} events written to {events_path}", events.len());
         }
     }
-    match out {
-        Some(path) => {
-            if let Err(code) = write_file(&path, &report) {
-                return code;
+    match out_file {
+        Some((path, mut file)) => {
+            if let Err(e) = file.write_all(report.as_bytes()) {
+                eprintln!("error: cannot write {path}: {e}");
+                return ExitCode::FAILURE;
             }
             eprintln!("report written to {path}");
         }

@@ -2,7 +2,7 @@
 //!
 //! Every test here sweeps seeds through [`streamsim_dst::SimExecutor`],
 //! driving the real work-queue protocol (`parallel_map_on`, trace-store
-//! prefill, artifact-sink flushing) under randomized but
+//! prefill, the drivers' replay fan-outs) under randomized but
 //! seed-reproducible interleavings with seed-derived fault plans. A
 //! failing sweep prints `STREAMSIM_DST_SEED=<n>`; re-running the same
 //! test with that variable set replays the identical schedule and
@@ -21,14 +21,13 @@ use streamsim_core::experiments::ExperimentOptions;
 use streamsim_core::sink::col;
 use streamsim_core::{
     parallel_map_on, render_json_lines, replay_streams, run_streams, Artifact, ArtifactSink, Cell,
-    ExecutorHandle, GuardedSink, JsonLinesSink, MissEvent, MissObserver, RecordOptions,
-    StreamObserver, TraceStore,
+    ExecutorHandle, MissEvent, RecordOptions, TraceStore,
 };
 use streamsim_dst::{
     sweep_with, Executor, Fault, FaultContext, FaultPlan, SimExecutor, ThreadExecutor,
 };
 use streamsim_prng::{Rng, SplitMix64, Xoshiro256StarStar};
-use streamsim_streams::StreamConfig;
+use streamsim_streams::{StreamConfig, StreamSystem};
 use streamsim_trace::Access;
 use streamsim_workloads::{generators::RandomGather, Suite, Workload};
 
@@ -151,7 +150,7 @@ fn a_seed_reproduces_schedule_and_outcome_exactly() {
 }
 
 /// A workload whose trace generation consults the fault context: the
-/// vehicle for injecting a panic *inside* a `TraceStore::prefill`.
+/// vehicle for injecting a panic *inside* a `TraceStore::prefill_on`.
 #[derive(Debug)]
 struct FaultyWorkload {
     inner: Box<dyn Workload>,
@@ -318,7 +317,7 @@ fn artifacts_are_byte_identical_across_interleavings() {
 }
 
 /// The fused replay path feeding a driver-shaped artifact is
-/// byte-identical to unfused per-event observers, under every seeded
+/// byte-identical to unfused per-event stream systems, under every seeded
 /// interleaving of the work queue: neither the batching, the fusion nor
 /// the scheduling of cells across workers may leak into artifact bytes.
 #[test]
@@ -344,20 +343,24 @@ fn fused_and_unfused_replays_render_identical_artifacts() {
             let stats = if fused {
                 replay_streams(&trace, &family)
             } else {
-                // Unfused reference: independent observers fed one event
-                // at a time.
+                // Unfused reference: each stream system on its own, fed
+                // one event at a time.
                 family
                     .iter()
                     .map(|&c| {
-                        let mut o = StreamObserver::new(c);
+                        let mut sys = StreamSystem::new(c);
                         for event in trace.events() {
                             match *event {
-                                MissEvent::Fetch { addr, kind } => o.on_fetch(addr, kind),
-                                MissEvent::Writeback { base } => o.on_writeback(base),
+                                MissEvent::Fetch { addr, .. } => {
+                                    sys.on_l1_miss(addr);
+                                }
+                                MissEvent::Writeback { base } => {
+                                    sys.on_writeback(base.block(c.block()));
+                                }
                             }
                         }
-                        o.finish();
-                        o.stats()
+                        sys.finalize();
+                        sys.stats()
                     })
                     .collect()
             };
@@ -385,50 +388,6 @@ fn fused_and_unfused_replays_render_identical_artifacts() {
             pipeline(&exec, true),
             reference,
             "fused replay artifact bytes diverged from the unfused reference"
-        );
-    });
-}
-
-/// Sink-write faults are fail-stop: whatever the interleaving that
-/// computed the rows, a failing flush leaves a clean prefix of the
-/// reference artifact — never a torn or reordered one.
-#[test]
-fn sink_faults_leave_a_clean_prefix_under_any_interleaving() {
-    const ROWS: usize = 16;
-    let reference = {
-        let rows: Vec<(String, u64, f64)> = (0..ROWS as u64)
-            .map(|i| (format!("cell{i}"), i, mix(i) as f64 % 100.0))
-            .collect();
-        render_json_lines(&MiniArtifact { rows })
-    };
-    sweep_with("sink_fault_prefix", 200, |seed| {
-        let exec = SimExecutor::from_seed(seed, ROWS);
-        let ctx = exec.context();
-        let rows = parallel_map_on(&exec, (0..ROWS as u64).collect::<Vec<u64>>(), |i| {
-            (format!("cell{i}"), i, mix(i) as f64 % 100.0)
-        });
-        let mut json = JsonLinesSink::new();
-        let failed_at = {
-            let mut guarded = GuardedSink::new(&mut json, |row| ctx.sink_write(row));
-            MiniArtifact { rows }.emit(&mut guarded);
-            guarded.error().map(|_| guarded.rows_written())
-        };
-        let expected_rows = exec
-            .plan()
-            .faults()
-            .iter()
-            .filter_map(|f| match f {
-                Fault::SinkWriteFail { row } => Some(*row),
-                _ => None,
-            })
-            .min()
-            .unwrap_or(ROWS)
-            .min(ROWS);
-        assert_eq!(
-            json.lines(),
-            &reference[..expected_rows],
-            "torn artifact under plan {} (failed_at {failed_at:?})",
-            exec.plan()
         );
     });
 }

@@ -1,14 +1,15 @@
 //! Cross-thread determinism of the observability layer.
 //!
 //! The event log is drained sorted by `(event, name)` and counters are
-//! exact sums, so a parallel run must produce the same drained records
-//! and the same registry whatever the thread count. This file owns its
+//! exact sums, each charged from the statistic it counts, so a parallel
+//! run must produce the same drained records, registry and counters
+//! whatever the thread count or executor. This file owns its
 //! process (integration tests build one binary each), so it can mutate
 //! the global level without coordinating with other tests.
 
 use std::sync::{Mutex, MutexGuard};
 
-use streamsim_core::parallel_map_with_threads;
+use streamsim_core::ExecutorHandle;
 use streamsim_obs as obs;
 
 const ITEMS: u64 = 32;
@@ -28,14 +29,15 @@ fn hold_obs() -> MutexGuard<'static, ()> {
 /// queue hands it to.
 fn run_round(threads: usize) -> (Vec<String>, Vec<(String, obs::PhaseStat)>) {
     obs::reset();
-    let total: u64 = parallel_map_with_threads((0..ITEMS).collect(), threads, |i| {
-        let mut span = obs::span(&format!("work{i:02}"));
-        obs::count(obs::Counter::RefsGenerated, i + 1);
-        span.items(i + 1);
-        i + 1
-    })
-    .into_iter()
-    .sum();
+    let total: u64 = ExecutorHandle::threads(threads)
+        .parallel_map((0..ITEMS).collect(), |i| {
+            let mut span = obs::span(&format!("work{i:02}"));
+            obs::count(obs::Counter::RefsGenerated, i + 1);
+            span.items(i + 1);
+            i + 1
+        })
+        .into_iter()
+        .sum();
     assert_eq!(total, ITEMS * (ITEMS + 1) / 2);
     obs::emit_counter_events();
     (obs::drain_events(), obs::registry_snapshot())
@@ -102,7 +104,7 @@ fn worker_spans_do_not_inherit_the_callers_path() {
     obs::reset();
     {
         let _driver = obs::span("obsdet_driver");
-        let paths = parallel_map_with_threads(vec![1, 2], 2, |_| {
+        let paths = ExecutorHandle::threads(2).parallel_map(vec![1, 2], |_| {
             let span = obs::span("obsdet_worker");
             span.path().map(str::to_owned)
         });
@@ -113,118 +115,6 @@ fn worker_spans_do_not_inherit_the_callers_path() {
     let snapshot = obs::registry_snapshot();
     let paths: Vec<&str> = snapshot.iter().map(|(p, _)| p.as_str()).collect();
     assert_eq!(paths, ["obsdet_driver", "obsdet_worker"]);
-    obs::set_level(obs::Level::Off);
-    obs::reset();
-}
-
-/// Global histograms are per-bucket atomic sums, so a parallel run must
-/// produce a byte-identical encoding whatever the thread count — the
-/// property the cross-thread `--profile` quantile columns rely on.
-#[test]
-fn global_histograms_merge_identically_across_thread_counts() {
-    let _guard = hold_obs();
-    obs::set_level(obs::Level::Info);
-    let run = |threads: usize| {
-        obs::reset();
-        parallel_map_with_threads((0..ITEMS).collect(), threads, |i| {
-            // Values spread across bucket groups (linear + exponential).
-            obs::record_hist(obs::HistId::ReplayChunkEvents, i * 37 + 1);
-            obs::record_hist(obs::HistId::ReplayChunkEvents, 1u64 << (i % 40));
-            i
-        });
-        obs::hist_snapshot(obs::HistId::ReplayChunkEvents).encode()
-    };
-    let reference = run(1);
-    assert!(
-        reference.starts_with(&format!("n={};", 2 * ITEMS)),
-        "{reference}"
-    );
-    for threads in [2, 4, 7] {
-        assert_eq!(
-            run(threads),
-            reference,
-            "hist diverged at {threads} threads"
-        );
-    }
-    obs::set_level(obs::Level::Off);
-    obs::reset();
-}
-
-/// The deterministic engine histograms (chunk sizes, not nanoseconds)
-/// are pinned byte-for-byte across seeded `SimExecutor` schedules and
-/// against the real thread pool: the recorded chunk structure is a
-/// property of the workload, not of who executed it or in what order.
-#[test]
-fn dst_schedules_pin_byte_identical_deterministic_histograms() {
-    use streamsim_core::{record_miss_trace, replay, RecordOptions, TraceStore};
-    use streamsim_core::{MissEvent, MissObserver};
-    use streamsim_dst::{Executor, SimExecutor, ThreadExecutor};
-    use streamsim_workloads::{generators::RandomGather, Workload};
-
-    struct CountObserver(u64);
-    impl MissObserver for CountObserver {
-        fn on_fetch(&mut self, _: streamsim_trace::Addr, _: streamsim_trace::AccessKind) {
-            self.0 += 1;
-        }
-        fn on_writeback(&mut self, _: streamsim_trace::Addr) {
-            self.0 += 1;
-        }
-        fn on_events(&mut self, events: &[MissEvent]) {
-            self.0 += events.len() as u64;
-        }
-    }
-
-    let _guard = hold_obs();
-    obs::set_level(obs::Level::Info);
-
-    let workloads = || -> Vec<Box<dyn Workload>> {
-        (0..6)
-            .map(|seed| {
-                Box::new(RandomGather {
-                    footprint: 1 << 14,
-                    count: 1_500,
-                    seed,
-                }) as Box<dyn Workload>
-            })
-            .collect()
-    };
-    let run = |exec: &dyn Executor| -> (String, String) {
-        obs::reset();
-        let store = TraceStore::new();
-        store
-            .prefill_on(&workloads(), &RecordOptions::default(), exec)
-            .expect("valid L1");
-        // Replay one freshly recorded trace through the chunked
-        // delivery loop to fill the replay-side histogram too.
-        let trace = record_miss_trace(
-            &RandomGather {
-                footprint: 1 << 14,
-                count: 1_500,
-                seed: 99,
-            },
-            &RecordOptions::default(),
-        )
-        .expect("valid L1");
-        let mut observer = CountObserver(0);
-        replay(&trace, &mut [&mut observer]);
-        (
-            obs::hist_snapshot(obs::HistId::RecordChunkRefs).encode(),
-            obs::hist_snapshot(obs::HistId::ReplayChunkEvents).encode(),
-        )
-    };
-
-    let reference = run(&ThreadExecutor::new(3));
-    assert!(
-        !obs::Hist::default().encode().eq(&reference.0),
-        "recording histogram should be non-empty: {reference:?}"
-    );
-    for seed in 0..3u64 {
-        let got = run(&SimExecutor::new(seed, 4));
-        assert_eq!(
-            got, reference,
-            "deterministic histograms diverged under DST seed {seed}"
-        );
-    }
     obs::set_level(obs::Level::Off);
     obs::reset();
 }

@@ -76,6 +76,33 @@ fn out_flag_writes_a_file() {
     std::fs::remove_file(&path).ok();
 }
 
+/// An `--out` path that cannot be created fails before the first
+/// experiment runs, not after the whole report.
+#[test]
+fn unwritable_out_fails_before_any_experiment_runs() {
+    let dir = std::env::temp_dir().join("streamsim-report-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    // A regular file as the parent directory: creation must fail.
+    let not_a_dir = dir.join("out-parent-is-a-file");
+    std::fs::write(&not_a_dir, "").unwrap();
+    let bad = not_a_dir.join("r.txt");
+    let out = report()
+        .args([
+            "--quick",
+            "--out",
+            bad.to_str().unwrap(),
+            "table2",
+            "table3",
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: cannot create"), "{stderr}");
+    assert!(!stderr.contains("done in"), "experiments ran: {stderr}");
+    std::fs::remove_file(&not_a_dir).ok();
+}
+
 #[test]
 fn json_flag_writes_parseable_rows() {
     let dir = std::env::temp_dir().join("streamsim-report-test");
