@@ -27,13 +27,13 @@ use streamsim_bench::{env_u32, median_ns};
 use streamsim_cache::reference::ReferenceCache;
 use streamsim_cache::AccessOutcome;
 use streamsim_core::experiments::{workload_set, ExperimentOptions, Scale};
-use streamsim_core::{record_miss_trace, MissEvent, RecordOptions};
+use streamsim_core::{record_miss_trace, Miss, RecordOptions};
 use streamsim_trace::{Access, AccessKind};
 use streamsim_workloads::Workload;
 
 /// The pre-PR recording loop: closure-based generation into the
 /// array-of-structs reference cache, one virtual call per reference.
-fn reference_record(w: &dyn Workload, record: &RecordOptions) -> Vec<MissEvent> {
+fn reference_record(w: &dyn Workload, record: &RecordOptions) -> Vec<Miss> {
     let mut icache = ReferenceCache::new(record.icache).expect("valid L1");
     let mut dcache = ReferenceCache::new(record.dcache).expect("valid L1");
     let block = record.dcache.block();
@@ -46,12 +46,12 @@ fn reference_record(w: &dyn Workload, record: &RecordOptions) -> Vec<MissEvent> 
         match outcome {
             AccessOutcome::Hit | AccessOutcome::Bypassed => {}
             AccessOutcome::Miss { writeback } => {
-                events.push(MissEvent::Fetch {
+                events.push(Miss::Fetch {
                     addr: access.addr,
                     kind: access.kind,
                 });
                 if let Some(victim) = writeback {
-                    events.push(MissEvent::Writeback {
+                    events.push(Miss::Writeback {
                         base: victim.base_addr(block),
                     });
                 }
@@ -94,9 +94,11 @@ fn main() {
         });
         let current = record_miss_trace(w.as_ref(), &record).expect("valid L1");
         let reference = reference_record(w.as_ref(), &record);
+        // Decoding the packed events makes the packing part of the
+        // byte-identity check.
+        let decoded: Vec<Miss> = current.events().iter().map(|e| e.decode()).collect();
         assert_eq!(
-            current.events(),
-            &reference[..],
+            decoded, reference,
             "{name}: SoA+chunked recording diverges from the reference path"
         );
 

@@ -30,7 +30,7 @@ use streamsim_bench::{env_u32, median_ns};
 use streamsim_cache::{CacheConfig, CacheStats, SetSampling};
 use streamsim_core::experiments::{workload_set, ExperimentOptions, Scale};
 use streamsim_core::{
-    record_miss_trace, replay_l2, replay_streams, L2Observer, MissEvent, MissObserver, MissTrace,
+    record_miss_trace, replay_l2, replay_streams, L2Observer, Miss, MissObserver, MissTrace,
 };
 use streamsim_streams::reference::ReferenceStreamSystem;
 use streamsim_streams::{Allocation, StreamConfig, StreamStats};
@@ -45,11 +45,11 @@ fn reference_replay_streams(trace: &MissTrace, configs: &[StreamConfig]) -> Vec<
         .collect();
     for event in trace.events() {
         for sys in &mut systems {
-            match *event {
-                MissEvent::Fetch { addr, .. } => {
+            match event.decode() {
+                Miss::Fetch { addr, .. } => {
                     sys.on_l1_miss(addr);
                 }
-                MissEvent::Writeback { base } => {
+                Miss::Writeback { base } => {
                     sys.on_writeback(base.block(sys.config().block()));
                 }
             }
@@ -74,9 +74,9 @@ fn reference_replay_l2(
         .collect();
     for event in trace.events() {
         for o in &mut observers {
-            match *event {
-                MissEvent::Fetch { addr, kind } => o.on_fetch(addr, kind),
-                MissEvent::Writeback { base } => o.on_writeback(base),
+            match event.decode() {
+                Miss::Fetch { addr, kind } => o.on_fetch(addr, kind),
+                Miss::Writeback { base } => o.on_writeback(base),
             }
         }
     }

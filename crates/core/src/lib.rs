@@ -66,7 +66,7 @@ mod trace_store;
 
 pub use locality::{l2_geometry, profile_trace, stream_geometry};
 pub use miss_trace::{
-    record_miss_trace, run_l2, run_streams, L1Summary, MissEvent, MissTrace, RecordOptions,
+    record_miss_trace, run_l2, run_streams, L1Summary, Miss, MissEvent, MissTrace, RecordOptions,
 };
 pub use profile::{ProfileArtifact, ProfilePhase};
 pub use replay::{

@@ -21,7 +21,7 @@ use streamsim_model::{AllocModel, L2Geometry, LocalityProfile, ProfileBuilder, S
 use streamsim_streams::{Allocation, MatchPolicy, StreamConfig};
 use streamsim_trace::WordSize;
 
-use crate::{MissEvent, MissTrace};
+use crate::{Miss, MissTrace};
 
 /// Builds `trace`'s locality profile in one pass over the events.
 ///
@@ -35,11 +35,11 @@ pub fn profile_trace(trace: &MissTrace) -> LocalityProfile {
     let word = WordSize::default();
     let mut builder = ProfileBuilder::new(block.bytes(), word.bytes(), trace.events().len());
     for event in trace.events() {
-        match *event {
-            MissEvent::Fetch { addr, .. } => {
+        match event.decode() {
+            Miss::Fetch { addr, .. } => {
                 builder.fetch(addr.block(block).index(), addr.word(word).index());
             }
-            MissEvent::Writeback { base } => {
+            Miss::Writeback { base } => {
                 builder.writeback(base.block(block).index());
             }
         }

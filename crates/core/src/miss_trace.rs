@@ -9,6 +9,8 @@
 //! smaller, which is what makes the paper's parameter sweeps (ten stream
 //! counts × fifteen benchmarks, dozens of L2 geometries) cheap.
 
+use std::fmt;
+
 use streamsim_cache::{
     AccessOutcome, CacheConfig, CacheConfigError, CacheStats, SetSampling, SplitL1,
 };
@@ -16,9 +18,21 @@ use streamsim_streams::{StreamConfig, StreamStats};
 use streamsim_trace::{Access, AccessKind, Addr, BlockSize, ChunkSampler};
 use streamsim_workloads::Workload;
 
-/// One event in the primary cache's external traffic.
+/// One event in the primary cache's external traffic, packed into eight
+/// bytes: the byte address in the high 62 bits and a 2-bit tag in the
+/// low two (load, store, instruction fetch or write-back).
+///
+/// A paper-scale report holds tens of millions of events in memory, so
+/// the packing halves the store's footprint against the decoded
+/// [`Miss`] form. Read an event with [`MissEvent::decode`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct MissEvent(u64);
+
+const _: () = assert!(std::mem::size_of::<MissEvent>() == 8);
+
+/// A decoded [`MissEvent`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MissEvent {
+pub enum Miss {
     /// A primary-cache miss: a demand fetch of the block containing
     /// `addr` (kept at full byte precision — stride detection needs it).
     Fetch {
@@ -33,6 +47,66 @@ pub enum MissEvent {
         /// Base byte address of the evicted block.
         base: Addr,
     },
+}
+
+impl MissEvent {
+    /// Every packed address is below this bound, 2^62: the low two bits
+    /// of an event hold its tag.
+    pub const ADDR_LIMIT: u64 = 1 << 62;
+
+    /// The tag of a write-back; tags 0–2 are [`AccessKind::as_index`].
+    const WRITEBACK: u64 = 3;
+
+    /// A demand fetch of the block containing `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not below [`MissEvent::ADDR_LIMIT`].
+    #[inline]
+    pub fn fetch(addr: Addr, kind: AccessKind) -> Self {
+        Self::pack(addr, kind.as_index() as u64)
+    }
+
+    /// A write-back of the block whose base byte address is `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` is not below [`MissEvent::ADDR_LIMIT`].
+    #[inline]
+    pub fn writeback(base: Addr) -> Self {
+        Self::pack(base, Self::WRITEBACK)
+    }
+
+    #[inline]
+    fn pack(addr: Addr, tag: u64) -> Self {
+        assert!(
+            addr.raw() < Self::ADDR_LIMIT,
+            "miss address {addr} does not fit in 62 bits"
+        );
+        MissEvent(addr.raw() << 2 | tag)
+    }
+
+    /// The event's address and kind.
+    #[inline]
+    pub fn decode(self) -> Miss {
+        let addr = Addr::new(self.0 >> 2);
+        // One branch, fetch or write-back, with the kind indexed from
+        // the tag: a match with one arm per kind compiled to a jump
+        // table in `L2Observer`'s loop, an indirect branch per event.
+        match self.0 & 3 {
+            Self::WRITEBACK => Miss::Writeback { base: addr },
+            tag => Miss::Fetch {
+                addr,
+                kind: AccessKind::ALL[tag as usize],
+            },
+        }
+    }
+}
+
+impl fmt::Debug for MissEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.decode().fmt(f)
+    }
 }
 
 /// Options for [`record_miss_trace`].
@@ -133,7 +207,7 @@ impl MissTrace {
     pub fn fetches(&self) -> u64 {
         self.events
             .iter()
-            .filter(|e| matches!(e, MissEvent::Fetch { .. }))
+            .filter(|e| matches!(e.decode(), Miss::Fetch { .. }))
             .count() as u64
     }
 
@@ -158,6 +232,14 @@ impl MissTrace {
 /// # Errors
 ///
 /// Returns [`CacheConfigError`] if either cache configuration is invalid.
+///
+/// # Panics
+///
+/// Panics if a reference that misses has a byte address of 2^62
+/// ([`MissEvent::ADDR_LIMIT`]) or more: a packed event has no room for
+/// it. The paper's kernels stay far below the bound; a caller holding
+/// addresses from outside the program checks them first, as
+/// `streamsim-trace replay` does.
 pub fn record_miss_trace(
     workload: &dyn Workload,
     options: &RecordOptions,
@@ -179,14 +261,9 @@ pub fn record_miss_trace(
                 match l1.access(access) {
                     AccessOutcome::Hit | AccessOutcome::Bypassed => {}
                     AccessOutcome::Miss { writeback } => {
-                        events.push(MissEvent::Fetch {
-                            addr: access.addr,
-                            kind: access.kind,
-                        });
+                        events.push(MissEvent::fetch(access.addr, access.kind));
                         if let Some(victim) = writeback {
-                            events.push(MissEvent::Writeback {
-                                base: victim.base_addr(block),
-                            });
+                            events.push(MissEvent::writeback(victim.base_addr(block)));
                         }
                     }
                 }
@@ -205,6 +282,9 @@ pub fn record_miss_trace(
         }
     }
 
+    // The store keeps every trace for the whole report: drop the
+    // doubling growth's spare capacity.
+    events.shrink_to_fit();
     let summary = L1Summary::from_split(&l1);
     streamsim_obs::count(streamsim_obs::Counter::L1Probes, summary.refs());
     span.items(summary.refs());
@@ -246,7 +326,36 @@ pub fn run_l2(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamsim_prng::quickcheck::check;
+    use streamsim_prng::Rng;
     use streamsim_workloads::generators::{RandomGather, SequentialSweep, StridedSweep};
+
+    #[test]
+    fn packed_events_round_trip() {
+        check("packed_events_round_trip", |g| {
+            let wide = g.gen_range(0..MissEvent::ADDR_LIMIT);
+            let narrow = wide >> g.gen_range(0..62u32);
+            for raw in [0, MissEvent::ADDR_LIMIT - 1, wide, narrow] {
+                let addr = Addr::new(raw);
+                for kind in AccessKind::ALL {
+                    assert_eq!(
+                        MissEvent::fetch(addr, kind).decode(),
+                        Miss::Fetch { addr, kind }
+                    );
+                }
+                assert_eq!(
+                    MissEvent::writeback(addr).decode(),
+                    Miss::Writeback { base: addr }
+                );
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in 62 bits")]
+    fn address_at_the_bound_panics() {
+        let _ = MissEvent::writeback(Addr::new(1 << 62));
+    }
 
     fn small_l1() -> RecordOptions {
         let cfg = CacheConfig::new(8 * 1024, 4, BlockSize::new(32).unwrap()).unwrap();

@@ -40,9 +40,9 @@ use streamsim_cache::{CacheConfig, CacheConfigError, CacheStats, SetAssocCache, 
 use streamsim_streams::{StreamConfig, StreamStats, StreamSystem};
 use streamsim_trace::{AccessKind, Addr, BlockAddr, BlockSize, WordAddr, WordSize};
 
-use crate::{MissEvent, MissTrace};
+use crate::{Miss, MissEvent, MissTrace};
 
-/// Events per replay chunk: 16 KiB of [`MissEvent`]s, small enough that
+/// Events per replay chunk: 8 KiB of [`MissEvent`]s, small enough that
 /// a chunk plus one observer's hot tables stay L1/L2-resident (the same
 /// cache-residency rationale as the recording loop's chunk size).
 ///
@@ -76,9 +76,9 @@ pub trait MissObserver {
     /// compiler can monomorphize and hoist invariants out of.
     fn on_events(&mut self, events: &[MissEvent]) {
         for event in events {
-            match *event {
-                MissEvent::Fetch { addr, kind } => self.on_fetch(addr, kind),
-                MissEvent::Writeback { base } => self.on_writeback(base),
+            match event.decode() {
+                Miss::Fetch { addr, kind } => self.on_fetch(addr, kind),
+                Miss::Writeback { base } => self.on_writeback(base),
             }
         }
     }
@@ -188,11 +188,11 @@ impl MissObserver for L2Observer {
         // totals, pinned by `tests/obs_determinism.rs`).
         streamsim_obs::count(streamsim_obs::Counter::L2Probes, events.len() as u64);
         for event in events {
-            match *event {
-                MissEvent::Fetch { addr, kind } => {
+            match event.decode() {
+                Miss::Fetch { addr, kind } => {
                     self.cache.access(addr, kind);
                 }
-                MissEvent::Writeback { base } => {
+                Miss::Writeback { base } => {
                     self.cache.access(base, AccessKind::Store);
                 }
             }
@@ -383,16 +383,17 @@ impl MissObserver for StreamObserver {
     fn on_events(&mut self, events: &[MissEvent]) {
         // Decode the chunk once for the whole family...
         self.decoded.clear();
-        self.decoded.extend(events.iter().map(|event| match *event {
-            MissEvent::Fetch { addr, .. } => DecodedEvent::Fetch {
-                addr,
-                block: addr.block(self.block),
-                word: addr.word(self.word),
-            },
-            MissEvent::Writeback { base } => DecodedEvent::Writeback {
-                block: base.block(self.block),
-            },
-        }));
+        self.decoded
+            .extend(events.iter().map(|event| match event.decode() {
+                Miss::Fetch { addr, .. } => DecodedEvent::Fetch {
+                    addr,
+                    block: addr.block(self.block),
+                    word: addr.word(self.word),
+                },
+                Miss::Writeback { base } => DecodedEvent::Writeback {
+                    block: base.block(self.block),
+                },
+            }));
         // ...then run each system over the decoded batch while its
         // tables are hot.
         for sys in &mut self.systems {
@@ -549,9 +550,9 @@ mod tests {
         ];
         let mut manual = StreamObserver::new(&configs).unwrap();
         for event in trace.events() {
-            match *event {
-                MissEvent::Fetch { addr, kind } => manual.on_fetch(addr, kind),
-                MissEvent::Writeback { base } => manual.on_writeback(base),
+            match event.decode() {
+                Miss::Fetch { addr, kind } => manual.on_fetch(addr, kind),
+                Miss::Writeback { base } => manual.on_writeback(base),
             }
         }
         manual.finish();
@@ -632,13 +633,13 @@ mod tests {
     ) -> StreamStats {
         let mut sys = StreamSystem::new(config);
         for event in trace.events() {
-            match *event {
-                MissEvent::Fetch { addr, kind } => {
+            match event.decode() {
+                Miss::Fetch { addr, kind } => {
                     if (kind == AccessKind::IFetch) == instruction {
                         sys.on_l1_miss(addr);
                     }
                 }
-                MissEvent::Writeback { base } => {
+                Miss::Writeback { base } => {
                     if writebacks {
                         sys.on_writeback(base.block(config.block()));
                     }
@@ -759,9 +760,9 @@ mod tests {
             // Strict per-event delivery through the default trait body.
             for event in trace.events() {
                 for o in [&mut streams as &mut dyn MissObserver, &mut l2] {
-                    match *event {
-                        MissEvent::Fetch { addr, kind } => o.on_fetch(addr, kind),
-                        MissEvent::Writeback { base } => o.on_writeback(base),
+                    match event.decode() {
+                        Miss::Fetch { addr, kind } => o.on_fetch(addr, kind),
+                        Miss::Writeback { base } => o.on_writeback(base),
                     }
                 }
             }

@@ -5,7 +5,7 @@ use streamsim_prng::quickcheck::{check_with, Gen};
 use streamsim_prng::Rng;
 
 use streamsim_cache::{CacheConfig, Replacement};
-use streamsim_core::{record_miss_trace, run_l2, run_streams, MissEvent, RecordOptions};
+use streamsim_core::{record_miss_trace, run_l2, run_streams, Miss, RecordOptions};
 use streamsim_streams::StreamConfig;
 use streamsim_trace::{Access, AccessKind, Addr, BlockSize};
 use streamsim_workloads::combinators::RecordedTrace;
@@ -63,9 +63,9 @@ fn events_are_in_program_order() {
         let fetched: Vec<(u64, AccessKind)> = rec
             .events()
             .iter()
-            .filter_map(|e| match *e {
-                MissEvent::Fetch { addr, kind } => Some((addr.raw(), kind)),
-                MissEvent::Writeback { .. } => None,
+            .filter_map(|e| match e.decode() {
+                Miss::Fetch { addr, kind } => Some((addr.raw(), kind)),
+                Miss::Writeback { .. } => None,
             })
             .collect();
         // Each fetch must appear in the input, in order (subsequence).

@@ -8,7 +8,7 @@ use streamsim_prng::Rng;
 use streamsim_cache::{CacheConfig, Replacement, SetSampling};
 use streamsim_core::{
     record_miss_trace, replay, replay_chunked, replay_l2, replay_streams, run_l2, run_streams,
-    L2Observer, MissEvent, RecordOptions, StreamObserver, TraceStore,
+    L2Observer, Miss, RecordOptions, StreamObserver, TraceStore,
 };
 use streamsim_streams::{StreamConfig, StreamSystem};
 use streamsim_trace::{Access, AccessKind, Addr, BlockSize, WordSize};
@@ -161,11 +161,11 @@ fn per_event_stream_passes(
         .map(|&c| {
             let mut sys = StreamSystem::new(c);
             for event in trace.events() {
-                match *event {
-                    MissEvent::Fetch { addr, .. } => {
+                match event.decode() {
+                    Miss::Fetch { addr, .. } => {
                         sys.on_l1_miss(addr);
                     }
-                    MissEvent::Writeback { base } => sys.on_writeback(base.block(c.block())),
+                    Miss::Writeback { base } => sys.on_writeback(base.block(c.block())),
                 }
             }
             sys.finalize();

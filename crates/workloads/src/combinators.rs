@@ -117,12 +117,13 @@ impl Workload for RecordedTrace {
 /// Time-slices several workloads in fixed reference quanta — a
 /// multiprogrammed processor.
 ///
-/// Each workload's trace is materialised once, then emitted round-robin,
-/// `quantum` references at a time, until all traces are drained. Each
-/// workload keeps its own address space (the kernels allocate from the
-/// same base, so their footprints overlap like separate virtual address
-/// spaces sharing a physically-indexed cache — the worst case for
-/// pollution).
+/// The traces are emitted round-robin, `quantum` references at a time,
+/// until all are drained. The first workload streams from its own
+/// generator; the others are materialised once, since their quanta are
+/// needed between the first one's. Each workload keeps its own address
+/// space (the kernels allocate from the same base, so their footprints
+/// overlap like separate virtual address spaces sharing a
+/// physically-indexed cache — the worst case for pollution).
 #[derive(Debug)]
 pub struct Interleaved {
     name: String,
@@ -170,51 +171,51 @@ impl Workload for Interleaved {
     }
 
     fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        let traces: Vec<Vec<Access>> = self
-            .parts
-            .iter()
-            .map(|p| crate::collect_trace(p.as_ref()))
-            .collect();
-        let mut cursors = vec![0usize; traces.len()];
-        loop {
-            let mut emitted = false;
-            for (trace, cursor) in traces.iter().zip(cursors.iter_mut()) {
-                let end = (*cursor + self.quantum).min(trace.len());
-                for &a in &trace[*cursor..end] {
-                    sink(a);
-                }
-                emitted |= end > *cursor;
-                *cursor = end;
-            }
-            if !emitted {
-                return;
-            }
-        }
+        self.generate_chunks(&mut Vec::new(), &mut |chunk| {
+            chunk.iter().for_each(|&a| sink(a));
+        });
     }
 
-    /// The materialised quanta are contiguous slices already, so they
-    /// are emitted directly (one chunk per quantum, no re-buffering).
-    fn generate_chunks(&self, _batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let traces: Vec<Vec<Access>> = self
-            .parts
+    /// Part 0's chunks are cut at its quantum boundaries, and after each
+    /// of its quanta the other parts emit one quantum each, as
+    /// contiguous slices of their materialised traces. Once part 0 is
+    /// drained (its last quantum possibly short) the other parts go on
+    /// in rounds until they drain too.
+    fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
+        let quantum = self.quantum;
+        let rest: Vec<Vec<Access>> = self.parts[1..]
             .iter()
             .map(|p| crate::collect_trace(p.as_ref()))
             .collect();
-        let mut cursors = vec![0usize; traces.len()];
-        loop {
+        let mut cursors = vec![0usize; rest.len()];
+        // One round of the other parts; `false` once all are drained.
+        let mut round = |emit: &mut dyn FnMut(&[Access])| {
             let mut emitted = false;
-            for (trace, cursor) in traces.iter().zip(cursors.iter_mut()) {
-                let end = (*cursor + self.quantum).min(trace.len());
+            for (trace, cursor) in rest.iter().zip(cursors.iter_mut()) {
+                let end = (*cursor + quantum).min(trace.len());
                 if end > *cursor {
                     emit(&trace[*cursor..end]);
                     emitted = true;
                 }
                 *cursor = end;
             }
-            if !emitted {
-                return;
+            emitted
+        };
+        // References part 0 has emitted in its current quantum.
+        let mut filled = 0;
+        self.parts[0].generate_chunks(batch, &mut |mut chunk: &[Access]| {
+            while !chunk.is_empty() {
+                let take = (quantum - filled).min(chunk.len());
+                emit(&chunk[..take]);
+                chunk = &chunk[take..];
+                filled += take;
+                if filled == quantum {
+                    round(&mut *emit);
+                    filled = 0;
+                }
             }
-        }
+        });
+        while round(&mut *emit) {}
     }
 }
 

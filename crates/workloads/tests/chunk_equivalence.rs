@@ -8,12 +8,14 @@
 //! carry native chunked overrides), and across awkward batch capacities
 //! so chunk-boundary bookkeeping cannot hide an off-by-one.
 
-use streamsim_trace::Access;
+use streamsim_prng::quickcheck::{check, Gen};
+use streamsim_prng::Rng;
+use streamsim_trace::{Access, Addr};
 use streamsim_workloads::combinators::{Interleaved, RecordedTrace};
 use streamsim_workloads::generators::{
     InterleavedStreams, RandomGather, SequentialSweep, StridedSweep,
 };
-use streamsim_workloads::{collect_trace, kernels, Workload};
+use streamsim_workloads::{collect_trace, kernels, Suite, Workload};
 
 /// Small variants of every paper kernel (fast enough for debug-mode CI);
 /// sizes mirror `kernel_invariants.rs`.
@@ -192,4 +194,123 @@ fn batch_reuse_across_workloads_is_clean() {
             w.name()
         );
     }
+}
+
+/// The reference round-robin: every part materialised, then `quantum`
+/// references from each part in turn until all are drained.
+fn materialised_round_robin(traces: &[Vec<Access>], quantum: usize) -> Vec<Access> {
+    let mut cursors = vec![0usize; traces.len()];
+    let mut out = Vec::new();
+    loop {
+        let mut emitted = false;
+        for (trace, cursor) in traces.iter().zip(cursors.iter_mut()) {
+            let end = (*cursor + quantum).min(trace.len());
+            out.extend_from_slice(&trace[*cursor..end]);
+            emitted |= end > *cursor;
+            *cursor = end;
+        }
+        if !emitted {
+            return out;
+        }
+    }
+}
+
+/// A stored trace behind the default `generate_chunks` adapter, so the
+/// chunks it emits are `batch` refills rather than slices of the trace.
+#[derive(Debug)]
+struct ClosureOnly(Vec<Access>);
+
+impl Workload for ClosureOnly {
+    fn name(&self) -> &str {
+        "closure-only"
+    }
+
+    fn suite(&self) -> Suite {
+        Suite::Synthetic
+    }
+
+    fn description(&self) -> &str {
+        "a stored trace emitted through the default chunk adapter"
+    }
+
+    fn data_set_bytes(&self) -> u64 {
+        0
+    }
+
+    fn generate(&self, sink: &mut dyn FnMut(Access)) {
+        self.0.iter().for_each(|&a| sink(a));
+    }
+}
+
+/// Part lengths for one case: 1-3 parts of random length, or a shape
+/// that puts a boundary where the streamed first part meets the rest.
+fn part_lengths(g: &mut Gen, quantum: usize) -> Vec<usize> {
+    let parts = g.gen_range(1usize..=3);
+    let random = |g: &mut Gen| g.gen_range(0usize..=300);
+    match g.gen_range(0..5) {
+        // Random lengths.
+        0 => (0..parts).map(|_| random(g)).collect(),
+        // An empty first part.
+        1 => std::iter::once(0)
+            .chain((1..parts).map(|_| random(g)))
+            .collect(),
+        // The first part ends rounds before the others.
+        2 => {
+            let first = g.gen_range(1usize..=100);
+            std::iter::once(first)
+                .chain((1..parts).map(|_| first + quantum + random(g)))
+                .collect()
+        }
+        // The first part ends rounds after the others.
+        3 => {
+            let rest: Vec<usize> = (1..parts).map(|_| random(g)).collect();
+            let longest = rest.iter().copied().max().unwrap_or(0);
+            std::iter::once(longest + quantum + random(g))
+                .chain(rest)
+                .collect()
+        }
+        // Exact multiples of the quantum.
+        _ => (0..parts)
+            .map(|_| quantum * g.gen_range(0usize..=5))
+            .collect(),
+    }
+}
+
+/// `Interleaved` streams its first part and materialises the rest; its
+/// stream must equal the materialising round-robin for any quantum,
+/// part lengths, part chunking and batch capacity.
+#[test]
+fn interleaved_matches_the_materialised_round_robin() {
+    check("interleaved_matches_the_materialised_round_robin", |g| {
+        let quantum = g.gen_range(1usize..=64);
+        let traces: Vec<Vec<Access>> = part_lengths(g, quantum)
+            .into_iter()
+            .enumerate()
+            .map(|(part, len)| {
+                (0..len as u64)
+                    .map(|i| Access::load(Addr::new((part as u64) << 32 | i)))
+                    .collect()
+            })
+            .collect();
+        let parts: Vec<Box<dyn Workload>> = traces
+            .iter()
+            .map(|t| -> Box<dyn Workload> {
+                if g.gen_bool(0.5) {
+                    Box::new(RecordedTrace::new("part", t.clone()))
+                } else {
+                    Box::new(ClosureOnly(t.clone()))
+                }
+            })
+            .collect();
+        let mix = Interleaved::new("mix", parts, quantum);
+        let expected = materialised_round_robin(&traces, quantum);
+        assert_eq!(collect_trace(&mix), expected, "closure path");
+        for capacity in [0usize, 1, 7, 4096] {
+            assert_eq!(
+                collect_chunked(&mix, capacity),
+                expected,
+                "batch capacity {capacity}, quantum {quantum}"
+            );
+        }
+    });
 }

@@ -152,10 +152,21 @@ echo "==> sampled quick report golden (--diff tests/golden/report-quick-sampled.
 # on two cores), diffed against perfbench's golden. It is the only CI
 # step that pins the paper-scale scorecard (40 match / 20 close / 0 off;
 # quick scale reads 38 / 21 / 1) and the replay of the full-size traces.
-# The step only reads perfbench/golden/report-paper.jsonl.
-echo "==> paper report golden (--diff perfbench/golden/report-paper.jsonl)"
-./target/release/streamsim-report --out /dev/null \
-    --json "$obs_dir/report-paper.jsonl"
+# The step only reads perfbench/golden/report-paper.jsonl. It also caps
+# the report's peak RSS, read by python3 from getrusage(RUSAGE_CHILDREN)
+# (ru_maxrss is in KiB on Linux). The report peaks near 370 MiB on a
+# two-core host, most of it the trace store's 8-byte miss events; the
+# 512 MiB ceiling leaves room for run-to-run noise.
+echo "==> paper report golden (--diff perfbench/golden/report-paper.jsonl, peak RSS <= 512 MiB)"
+python3 - "$obs_dir/report-paper.jsonl" <<'PY'
+import resource, subprocess, sys
+subprocess.run(["./target/release/streamsim-report", "--out", "/dev/null",
+                "--json", sys.argv[1]], check=True)
+rss_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"paper report peak RSS: {rss_mib:.1f} MiB (ceiling 512 MiB)")
+if rss_mib > 512:
+    sys.exit(f"error: paper report peak RSS {rss_mib:.1f} MiB exceeds 512 MiB")
+PY
 ./target/release/streamsim-report --diff perfbench/golden/report-paper.jsonl \
     "$obs_dir/report-paper.jsonl"
 

@@ -14,13 +14,16 @@
 //! Traces are stored in the delta-compressed `SSTR` format (see
 //! `streamsim_trace::io`), typically 3–6× smaller than eight bytes per
 //! reference. A malformed or truncated file fails with an `error:` line
-//! and exit status 1.
+//! and exit status 1, and so does a `replay` of a file holding an
+//! address of 2^62 or more, which a recorded miss event cannot hold.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
-use streamsim::{record_miss_trace, run_streams, RecordOptions, StreamConfig, TraceStats};
+use streamsim::{
+    record_miss_trace, run_streams, MissEvent, RecordOptions, StreamConfig, TraceStats,
+};
 use streamsim_trace::io::{read_trace, write_trace};
 use streamsim_workloads::combinators::RecordedTrace;
 use streamsim_workloads::{benchmark, benchmark_names, collect_trace};
@@ -81,6 +84,14 @@ fn cmd_replay(path: &str, streams: usize) -> ExitCode {
         Ok(t) => t,
         Err(code) => return code,
     };
+    // A recorded miss event packs its address into 62 bits; reject the
+    // file here rather than panic while recording it.
+    if let Some(access) = trace.iter().find(|a| a.addr.raw() >= MissEvent::ADDR_LIMIT) {
+        return fail(&format!(
+            "{path}: address {} is not below 2^62, the bound of a recorded miss event",
+            access.addr
+        ));
+    }
     let workload = RecordedTrace::new(path, trace);
     let config = match StreamConfig::paper_filtered(streams) {
         Ok(c) => c,

@@ -45,7 +45,7 @@ pub use streamsim_core::{
     experiments, l2_geometry, paper, parse_flat_json_line, profile_trace, record_miss_trace,
     render_json_lines, render_text, replay, replay_chunked, replay_l2, replay_streams, report,
     run_l2, run_streams, stream_geometry, Artifact, ArtifactSink, Cell, ExecutorHandle,
-    JsonLinesSink, JsonValue, L1Summary, L2Observer, MissEvent, MissObserver, MissTrace,
+    JsonLinesSink, JsonValue, L1Summary, L2Observer, Miss, MissEvent, MissObserver, MissTrace,
     PartitionedObserver, ProfileArtifact, ProfilePhase, RecordOptions, StreamObserver, TextSink,
     TraceStore, Value,
 };

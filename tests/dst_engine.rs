@@ -21,7 +21,7 @@ use streamsim_core::experiments::ExperimentOptions;
 use streamsim_core::sink::col;
 use streamsim_core::{
     parallel_map_on, render_json_lines, replay_streams, run_streams, Artifact, ArtifactSink, Cell,
-    ExecutorHandle, MissEvent, RecordOptions, TraceStore,
+    ExecutorHandle, Miss, RecordOptions, TraceStore,
 };
 use streamsim_dst::{
     sweep_with, Executor, Fault, FaultContext, FaultPlan, SimExecutor, ThreadExecutor,
@@ -350,11 +350,11 @@ fn fused_and_unfused_replays_render_identical_artifacts() {
                     .map(|&c| {
                         let mut sys = StreamSystem::new(c);
                         for event in trace.events() {
-                            match *event {
-                                MissEvent::Fetch { addr, .. } => {
+                            match event.decode() {
+                                Miss::Fetch { addr, .. } => {
                                     sys.on_l1_miss(addr);
                                 }
-                                MissEvent::Writeback { base } => {
+                                Miss::Writeback { base } => {
                                     sys.on_writeback(base.block(c.block()));
                                 }
                             }

@@ -248,7 +248,7 @@ fn counters_equal_the_stats_they_are_charged_from() {
 
     let mut sys = StreamSystem::new(family[1]);
     for event in trace.events() {
-        if let streamsim_core::MissEvent::Fetch { addr, .. } = *event {
+        if let streamsim_core::Miss::Fetch { addr, .. } = event.decode() {
             sys.on_l1_miss(addr);
         }
     }

@@ -2,6 +2,9 @@
 
 use std::process::Command;
 
+use streamsim_prng::quickcheck::{check_with, Gen};
+use streamsim_prng::Rng;
+
 fn report() -> Command {
     Command::new(env!("CARGO_BIN_EXE_streamsim-report"))
 }
@@ -1014,4 +1017,86 @@ fn run_steps_trails_the_json_artifact() {
         assert!(profile_row.contains(key), "{key} in {profile_row}");
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// `line` with one to eight byte edits: an overwrite, a deletion, an
+/// insertion or a truncation, with bytes biased toward JSON syntax.
+fn mutate(g: &mut Gen, line: &str) -> Vec<u8> {
+    const JSON_BYTES: &[u8] = b"{}[]\":,.-+eE0123456789 \\nul";
+    let mut bytes = line.as_bytes().to_vec();
+    for _ in 0..g.gen_range(1usize..=8) {
+        let byte = if g.gen_bool(0.7) {
+            g.pick(JSON_BYTES)
+        } else {
+            g.gen_range(0u32..256) as u8
+        };
+        let at = g.gen_range(0..=bytes.len());
+        match g.gen_range(0..4) {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            3 => bytes.truncate(at),
+            _ => bytes.insert(at, byte),
+        }
+    }
+    bytes
+}
+
+/// The four flags that ingest files from outside the program —
+/// `--ledger` (into a temporary `--ledger-file`), `--ledger-check`,
+/// `--diff` and `--trace-check` — end in exit 0 or 1, never a panic, on
+/// arbitrary bytes and on byte-mutated lines of the committed
+/// `PERF_LEDGER.jsonl` and `BENCH_replay.json`. Replay a failing case
+/// with the `STREAMSIM_QC_SEED` line the harness prints.
+#[test]
+fn ingest_flags_exit_cleanly_on_arbitrary_and_mutated_input() {
+    let dir = std::env::temp_dir().join("streamsim-report-ingest-fuzz-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (input, pristine, ledger) = (
+        dir.join("input.jsonl"),
+        dir.join("pristine.jsonl"),
+        dir.join("ledger.jsonl"),
+    );
+    let lines: Vec<String> = ["PERF_LEDGER.jsonl", "BENCH_replay.json"]
+        .iter()
+        .flat_map(|name| {
+            let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(path).unwrap();
+            text.lines().map(str::to_owned).collect::<Vec<_>>()
+        })
+        .collect();
+    check_with(
+        "ingest_flags_exit_cleanly_on_arbitrary_and_mutated_input",
+        32,
+        |g| {
+            let line = g.pick(&lines);
+            let bytes = if g.gen_bool(0.5) {
+                g.vec(0usize..=512, |g| g.gen_range(0u32..256) as u8)
+            } else {
+                mutate(g, &line)
+            };
+            std::fs::write(&input, &bytes).unwrap();
+            std::fs::write(&pristine, format!("{line}\n")).unwrap();
+            std::fs::remove_file(&ledger).ok();
+            let [input, pristine, ledger] =
+                [&input, &pristine, &ledger].map(|p| p.to_str().unwrap());
+            for args in [
+                &["--ledger", input, "--ledger-file", ledger][..],
+                &["--ledger-check", input],
+                &["--diff", pristine, input],
+                &["--trace-check", input],
+            ] {
+                let out = report().args(args).output().expect("binary runs");
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert!(
+                    matches!(out.status.code(), Some(0 | 1)),
+                    "{args:?} on {bytes:?}: {:?}\n{err}",
+                    out.status
+                );
+                assert!(!err.contains("panicked"), "{args:?} on {bytes:?}: {err}");
+            }
+        },
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

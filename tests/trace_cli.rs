@@ -2,8 +2,8 @@
 
 use std::process::Command;
 
-use streamsim::{record_miss_trace, run_streams, RecordOptions, StreamConfig};
-use streamsim_trace::io::read_trace;
+use streamsim::{record_miss_trace, run_streams, Access, Addr, RecordOptions, StreamConfig};
+use streamsim_trace::io::{read_trace, write_trace};
 use streamsim_workloads::combinators::RecordedTrace;
 
 fn trace_tool() -> Command {
@@ -123,6 +123,32 @@ fn info_rejects_a_header_claiming_more_records_than_the_file_holds() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.starts_with("error: "), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn replay_rejects_addresses_a_miss_event_cannot_hold() {
+    // A miss event packs its address into 62 bits: the first address
+    // past the bound must fail with an error line, not a panic.
+    let path = tmp("wide-address.sstr");
+    let refs = [
+        Access::load(Addr::new(64)),
+        Access::load(Addr::new(1 << 62)),
+    ];
+    write_trace(std::fs::File::create(&path).unwrap(), &refs).unwrap();
+    let path_text = path.to_str().unwrap();
+    let out = trace_tool()
+        .args(["replay", path_text])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.starts_with(&format!(
+            "error: {path_text}: address 0x4000000000000000 is not below 2^62"
+        )),
+        "{err}"
+    );
     std::fs::remove_file(&path).ok();
 }
 
