@@ -286,7 +286,6 @@ pub fn record_miss_trace(
     // doubling growth's spare capacity.
     events.shrink_to_fit();
     let summary = L1Summary::from_split(&l1);
-    streamsim_obs::count(streamsim_obs::Counter::L1Probes, summary.refs());
     span.items(summary.refs());
     Ok(MissTrace {
         events,

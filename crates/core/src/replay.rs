@@ -116,7 +116,6 @@ pub fn replay_chunked(
 ) {
     let mut span = streamsim_obs::span("replay");
     let events = trace.events().len() as u64;
-    streamsim_obs::count(streamsim_obs::Counter::ReplayMissEvents, events);
     // Items = event deliveries: each event fans out to every observer
     // (weighted by fused family sizes), so the span's throughput reads
     // as miss-events/s per cell when divided by the cell count.
@@ -146,9 +145,7 @@ pub struct L2Observer {
 }
 
 impl L2Observer {
-    /// Wraps a fresh cache of the given geometry. Each probe is charged
-    /// to the global [`L2Probes`](streamsim_obs::Counter::L2Probes)
-    /// counter.
+    /// Wraps a fresh cache of the given geometry.
     ///
     /// # Errors
     ///
@@ -173,20 +170,16 @@ impl L2Observer {
 
 impl MissObserver for L2Observer {
     fn on_fetch(&mut self, addr: Addr, kind: AccessKind) {
-        streamsim_obs::count(streamsim_obs::Counter::L2Probes, 1);
         self.cache.access(addr, kind);
     }
 
     fn on_writeback(&mut self, base: Addr) {
-        streamsim_obs::count(streamsim_obs::Counter::L2Probes, 1);
         self.cache.access(base, AccessKind::Store);
     }
 
     fn on_events(&mut self, events: &[MissEvent]) {
-        // Monomorphized fast path: every event is exactly one probe, so
-        // the counter charge is hoisted to a single batched add (same
-        // totals, pinned by `tests/obs_determinism.rs`).
-        streamsim_obs::count(streamsim_obs::Counter::L2Probes, events.len() as u64);
+        // Monomorphized fast path: the probe inlines into this loop,
+        // where the default body calls `on_fetch` out of line per event.
         for event in events {
             match event.decode() {
                 Miss::Fetch { addr, kind } => {

@@ -17,6 +17,8 @@
 
 use std::fmt::Write as _;
 
+use streamsim_obs::json_escape;
+
 use crate::report::TextTable;
 
 /// The machine-readable value of a table cell.
@@ -224,8 +226,8 @@ impl ArtifactSink for JsonLinesSink {
         let _ = write!(
             line,
             "\"artifact\":{},\"table\":{}",
-            json_string(&self.artifact),
-            json_string(&self.table)
+            json_escape(&self.artifact),
+            json_escape(&self.table)
         );
         for (i, cell) in cells.iter().enumerate() {
             let fallback;
@@ -236,24 +238,10 @@ impl ArtifactSink for JsonLinesSink {
                     &fallback
                 }
             };
-            let _ = write!(line, ",{}:", json_string(key));
-            match &cell.value {
-                Value::Text(s) => line.push_str(&json_string(s)),
-                Value::Num(n) => line.push_str(&json_number(*n)),
-                Value::Int(n) => {
-                    let _ = write!(line, "{n}");
-                }
-            }
+            push_field(&mut line, key, &cell.value);
         }
         for (key, value) in &self.stamp {
-            let _ = write!(line, ",{}:", json_string(key));
-            match value {
-                Value::Text(s) => line.push_str(&json_string(s)),
-                Value::Num(n) => line.push_str(&json_number(*n)),
-                Value::Int(n) => {
-                    let _ = write!(line, "{n}");
-                }
-            }
+            push_field(&mut line, key, value);
         }
         line.push('}');
         self.lines.push(line);
@@ -262,25 +250,16 @@ impl ArtifactSink for JsonLinesSink {
     fn note(&mut self, _text: &str) {}
 }
 
-/// Escapes `s` as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Appends `,"key":value` to a JSON line.
+fn push_field(line: &mut String, key: &str, value: &Value) {
+    let _ = write!(line, ",{}:", json_escape(key));
+    match value {
+        Value::Text(s) => line.push_str(&json_escape(s)),
+        Value::Num(n) => line.push_str(&json_number(*n)),
+        Value::Int(n) => {
+            let _ = write!(line, "{n}");
         }
     }
-    out.push('"');
-    out
 }
 
 /// Formats a float as a JSON number (`null` for non-finite values).
@@ -546,7 +525,7 @@ mod tests {
     #[test]
     fn strings_escape_and_unescape() {
         let s = "he said \"hi\\there\"\nnew\tline\u{1}";
-        let quoted = json_string(s);
+        let quoted = json_escape(s);
         let line = format!("{{\"k\":{quoted}}}");
         let pairs = parse_flat_json_line(&line).unwrap();
         assert_eq!(pairs[0].1, JsonValue::Text(s.to_owned()));

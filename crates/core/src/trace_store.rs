@@ -25,6 +25,12 @@
 //! workers on different threads share one underlying map. Recording
 //! and replay happen outside the locks, so a miss never serialises the
 //! other workers behind a multi-second simulation.
+//!
+//! The store counts its own traffic, and these counts are a run's only
+//! record of it: [`TraceStore::hits`] and [`TraceStore::misses`] for
+//! recordings served and simulated, [`TraceStore::replay_hits`] and
+//! [`TraceStore::replay_misses`] for replay cells. `streamsim-report`
+//! prints the replay pair at `STREAMSIM_LOG=info`.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -112,11 +118,9 @@ impl TraceStore {
         let key = Self::key(workload, options);
         if let Some(trace) = self.inner.traces.lock().expect("store lock").get(&key) {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
-            streamsim_obs::count(streamsim_obs::Counter::TraceStoreHits, 1);
             return Ok(Arc::clone(trace));
         }
         self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        streamsim_obs::count(streamsim_obs::Counter::TraceStoreMisses, 1);
         let trace = Arc::new(record_miss_trace(workload, options)?);
         let mut map = self.inner.traces.lock().expect("store lock");
         Ok(Arc::clone(map.entry(key).or_insert(trace)))
@@ -147,10 +151,6 @@ impl TraceStore {
         options: &RecordOptions,
         exec: &dyn streamsim_dst::Executor,
     ) -> Result<Vec<Arc<MissTrace>>, CacheConfigError> {
-        streamsim_obs::count(
-            streamsim_obs::Counter::TraceStorePrefills,
-            workloads.len() as u64,
-        );
         let refs: Vec<&dyn Workload> = workloads.iter().map(Box::as_ref).collect();
         let _span = streamsim_obs::span("prefill");
         crate::parallel_map_on(exec, refs, |w: &dyn Workload| self.record(w, options))
@@ -302,8 +302,6 @@ impl TraceStore {
         self.inner
             .replay_misses
             .fetch_add(simulated, Ordering::Relaxed);
-        streamsim_obs::count(streamsim_obs::Counter::ReplayMemoHits, served);
-        streamsim_obs::count(streamsim_obs::Counter::ReplayMemoMisses, simulated);
         if !cold.is_empty() {
             let trace = self.record(workload, options)?;
             let family: Vec<C> = cold.iter().map(|&i| cells[i]).collect();

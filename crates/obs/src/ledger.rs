@@ -17,7 +17,7 @@
 //! callers (the report binary uses the core crate's flat JSON reader),
 //! keeping this crate dependency-free.
 
-use crate::events::json_escape;
+use crate::json_escape;
 
 /// Schema tag of `PERF_LEDGER.jsonl` rows.
 pub const LEDGER_SCHEMA: &str = "streamsim-ledger-v1";

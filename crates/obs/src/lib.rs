@@ -1,33 +1,21 @@
-//! Hermetic observability: spans, counters, events and run provenance.
+//! Hermetic observability: spans, timelines and run provenance.
 //!
 //! The simulator records and replays millions of references per second;
-//! this crate makes that pipeline visible without slowing it down. It
-//! provides four small pieces, all dependency-free and thread-safe:
+//! this crate makes that pipeline visible without slowing it down. Its
+//! pieces are all dependency-free and thread-safe:
 //!
 //! * **Levels** — one global verbosity switch read from `STREAMSIM_LOG`
-//!   (`off`, `info`, `debug`) and overridable in-process with
-//!   [`set_level`]. Everything below is a no-op at [`Level::Off`].
-//! * **Counters** ([`Counter`], [`count`]) — process-wide event
-//!   totals. Each is charged once per chunk, replay pass, recording or
-//!   simulated cell, from the exact statistic that unit already keeps,
-//!   so enabling them adds no work per reference or per miss. The
-//!   enabled path is a single relaxed `fetch_add`; the disabled path is
-//!   one relaxed load and a predictable branch.
+//!   (`info` or `1` turns it on; anything else, unset included, is
+//!   off) and overridable in-process with [`set_level`]. Spans are
+//!   no-ops at [`Level::Off`]; the disabled gate is one relaxed load
+//!   and a predictable branch.
 //! * **Spans** ([`span`]) — RAII wall-clock timers over the monotonic
 //!   clock. Spans nest per thread (`report/fig3`), aggregate into a
 //!   global registry by path ([`registry_snapshot`]), and carry an
-//!   optional item count so a phase reports throughput (Mref/s).
-//! * **Events** ([`drain_events`]) — at [`Level::Debug`], span closings
-//!   and counter flushes append structured JSONL records to an in-memory
-//!   log the caller drains next to its other artifact output.
-//! * **Provenance** ([`RunManifest`], [`fingerprint64`]) — the identity
-//!   of a run (PRNG seed, configuration fingerprint, thread count,
-//!   span-derived `run_steps`) as a plain value the report layer stamps
-//!   into every JSON artifact.
-//!
-//! Obs v2 adds three more, same contract (hermetic, thread-safe, free
-//! when disabled):
-//!
+//!   optional item count so a phase reports throughput (Mref/s). Spans
+//!   open once per recording, replay pass or phase, never per reference
+//!   or miss; what happens inside one simulated cell is counted by that
+//!   cell's own statistics.
 //! * **Histograms** ([`Hist`]) — fixed-layout log-linear
 //!   distributions. Every span records its durations into one, which
 //!   `--profile` renders as quantile columns; merging is commutative,
@@ -37,6 +25,10 @@
 //!   Chrome `trace_event` `B`/`E` records and the DST scheduler emits
 //!   per-worker `X` slices; the flushed file loads in `about:tracing`
 //!   or Perfetto.
+//! * **Provenance** ([`RunManifest`], [`fingerprint64`]) — the identity
+//!   of a run (PRNG seed, configuration fingerprint, thread count,
+//!   span-derived `run_steps`) as a plain value the report layer stamps
+//!   into every JSON artifact.
 //! * **The perf ledger** ([`LedgerEntry`], [`check_ledger`]) — the
 //!   shared `BENCH_*`/`PERF_LEDGER.jsonl` schema and per-metric floors
 //!   behind `streamsim-report --ledger` / `--ledger-check`.
@@ -49,13 +41,11 @@
 //! obs::set_level(obs::Level::Info);
 //! {
 //!     let mut span = obs::span("record");
-//!     obs::count(obs::Counter::RefsGenerated, 1024);
 //!     span.items(1024);
 //! }
 //! let phases = obs::registry_snapshot();
 //! assert_eq!(phases[0].0, "record");
 //! assert_eq!(phases[0].1.items, 1024);
-//! assert_eq!(obs::counter(obs::Counter::RefsGenerated), 1024);
 //! # obs::reset();
 //! # obs::set_level(obs::Level::Off);
 //! ```
@@ -64,45 +54,36 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod counters;
-mod events;
 mod hist;
 mod ledger;
 mod manifest;
 mod span;
 mod trace_export;
 
-pub use counters::{count, counter, counter_snapshot, Counter, NUM_COUNTERS};
-pub use events::{
-    drain_events, emit_counter_events, emit_event, json_escape, pending_events, EventValue,
-};
 pub use hist::{bucket_index, bucket_low, Hist, NUM_BUCKETS, SUB_BUCKETS};
 pub use ledger::{
     check_ledger, metric_floors, Floor, LedgerEntry, LedgerVerdict, BENCH_SCHEMA,
     DRIFT_NOTE_FRACTION, LEDGER_HEADER_KEYS, LEDGER_SCHEMA,
 };
 pub use manifest::{fingerprint64, RunManifest, StampValue};
-pub use span::{registry_hists, registry_snapshot, reset_registry, span, PhaseStat, SpanGuard};
+pub use span::{registry_hists, registry_snapshot, span, PhaseStat, SpanGuard};
 pub use trace_export::{
     drain_trace_events, emit_span_begin, emit_span_end, flush_trace, pending_trace_events,
     render_trace_document, set_trace_out, trace_active, trace_epoch_us, trace_out_path,
     trace_slice,
 };
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Global verbosity, lowest to highest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Level {
-    /// Everything disabled (the default): counters stay zero, spans are
-    /// no-ops, no events are recorded.
+    /// Everything disabled (the default): spans are no-ops.
     Off = 0,
-    /// Counters count and spans aggregate into the registry.
+    /// Spans aggregate into the registry.
     Info = 1,
-    /// Additionally, span closings and counter flushes append JSONL
-    /// records to the event log.
-    Debug = 2,
 }
 
 /// Sentinel for "not yet initialized from the environment".
@@ -118,7 +99,6 @@ static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNSET);
 fn level_from_env() -> u8 {
     let parsed = match std::env::var("STREAMSIM_LOG").as_deref() {
         Ok("info") | Ok("1") => Level::Info,
-        Ok("debug") | Ok("2") | Ok("trace") => Level::Debug,
         _ => Level::Off,
     } as u8;
     // Racing initializers agree (the env doesn't change), and an
@@ -130,8 +110,8 @@ fn level_from_env() -> u8 {
 /// The disabled gate every hot path pays: exactly one `Relaxed` load of
 /// `LEVEL` and a predictable branch, falling through to the cold
 /// environment read only before the level is first set. Keep it that
-/// way: a second load or a stronger ordering taxes every counter and
-/// span call site.
+/// way: a second load or a stronger ordering taxes every span call
+/// site.
 #[inline(always)]
 fn raw_level() -> u8 {
     let v = LEVEL.load(Ordering::Relaxed);
@@ -148,8 +128,7 @@ fn raw_level() -> u8 {
 pub fn level() -> Level {
     match raw_level() {
         0 => Level::Off,
-        1 => Level::Info,
-        _ => Level::Debug,
+        _ => Level::Info,
     }
 }
 
@@ -166,14 +145,32 @@ pub fn enabled(at: Level) -> bool {
     raw_level() >= at as u8
 }
 
-/// Zeroes every global counter, the span registry (with its duration
-/// histograms) and the event log. The level and trace destination are
-/// left unchanged. Intended for tests and for the report binary between
-/// profiling sections.
+/// Clears the span registry (with its duration histograms). The level
+/// and trace destination are left unchanged. Intended for tests and for
+/// the report binary between profiling sections.
 pub fn reset() {
-    counters::reset_counters();
     span::reset_registry();
-    events::clear_events();
+}
+
+/// Escapes `s` as a JSON string literal, quotes included.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// The `STREAMSIM_TRACE_OUT` destination, if set and non-empty. The
@@ -194,8 +191,8 @@ pub(crate) fn trace_out_env() -> Option<String> {
 pub(crate) mod test_lock {
     use std::sync::{Mutex, MutexGuard};
 
-    /// Unit tests mutate process-global state (level, counters,
-    /// registry); this lock serializes them within the test binary.
+    /// Unit tests mutate process-global state (level, registry); this
+    /// lock serializes them within the test binary.
     static LOCK: Mutex<()> = Mutex::new(());
 
     pub fn hold() -> MutexGuard<'static, ()> {
@@ -210,18 +207,23 @@ mod tests {
     #[test]
     fn levels_order() {
         assert!(Level::Off < Level::Info);
-        assert!(Level::Info < Level::Debug);
     }
 
     #[test]
     fn set_level_round_trips() {
         let _guard = test_lock::hold();
         let before = level();
-        set_level(Level::Debug);
-        assert_eq!(level(), Level::Debug);
+        set_level(Level::Info);
+        assert_eq!(level(), Level::Info);
         assert!(enabled(Level::Info));
         set_level(Level::Off);
         assert!(!enabled(Level::Info));
         set_level(before);
+    }
+
+    #[test]
+    fn escape_covers_specials() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -6,7 +6,7 @@
 //! report layer stamps the deterministic subset into every JSON row as
 //! `run_*` keys and emits the full manifest as its own artifact.
 
-use crate::events::json_escape;
+use crate::json_escape;
 
 /// The provenance of one experiment run.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -30,7 +30,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::hist::Hist;
-use crate::{trace_export, EventValue, Level};
+use crate::{trace_export, Level};
 
 /// Aggregated timing of one span path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -145,26 +145,14 @@ impl Drop for SpanGuard {
         if !inner.record {
             return;
         }
-        {
-            let mut registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-            let entry = registry.entry(inner.path.clone()).or_default();
-            entry.stat.calls += 1;
-            entry.stat.nanos += elapsed;
-            entry.stat.items += inner.items;
-            entry
-                .hist
-                .record(u64::try_from(elapsed).unwrap_or(u64::MAX));
-        }
-        if crate::enabled(Level::Debug) {
-            crate::emit_event(
-                "span",
-                &inner.path,
-                &[
-                    ("ms", EventValue::Num(elapsed as f64 / 1e6)),
-                    ("items", EventValue::Int(inner.items)),
-                ],
-            );
-        }
+        let mut registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = registry.entry(inner.path).or_default();
+        entry.stat.calls += 1;
+        entry.stat.nanos += elapsed;
+        entry.stat.items += inner.items;
+        entry
+            .hist
+            .record(u64::try_from(elapsed).unwrap_or(u64::MAX));
     }
 }
 
@@ -227,8 +215,8 @@ pub fn registry_hists() -> Vec<(String, PhaseStat, Hist)> {
         .collect()
 }
 
-/// Clears the span registry (counters and events are untouched).
-pub fn reset_registry() {
+/// Clears the span registry.
+pub(crate) fn reset_registry() {
     REGISTRY.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 

@@ -23,8 +23,8 @@
 //!   parent), making the parent links explicit even across `tid`s.
 //!
 //! The gate ([`trace_active`]) is one relaxed load and a predictable
-//! branch, mirroring the `STREAMSIM_LOG` level gate; it is checked on
-//! span open, never on the counter hot path.
+//! branch, mirroring the `STREAMSIM_LOG` level gate; it is checked only
+//! where a span opens or closes.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};

@@ -12,7 +12,6 @@
 // Hot-loop module: every L1 miss funnels through this module.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use streamsim_obs::{count, Counter};
 use streamsim_trace::{Addr, BlockAddr, WordAddr};
 
 use crate::buffer::StreamBuffer;
@@ -322,10 +321,6 @@ impl StreamSystem {
 
     /// Ends the simulation: accounts still-buffered prefetches as dead and
     /// records the final run length of every active stream. Idempotent.
-    ///
-    /// The first call also charges this system's allocation and
-    /// unit-filter totals to the global observability counters, so each
-    /// simulated cell is counted once, from its exact statistics.
     pub fn finalize(&mut self) {
         if self.finalized {
             return;
@@ -337,13 +332,6 @@ impl StreamSystem {
             self.stats.lengths.record_run(run);
         }
         self.finalized = true;
-        let filter = self.stats().unit_filter;
-        count(Counter::StreamAllocations, self.stats.allocations);
-        count(Counter::UnitFilterAccepts, filter.allocations);
-        count(
-            Counter::UnitFilterRejects,
-            filter.lookups - filter.allocations,
-        );
     }
 
     /// A human-readable snapshot of every buffer's state — which streams

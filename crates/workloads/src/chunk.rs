@@ -109,10 +109,6 @@ impl<'a> ChunkSink<'a> {
     /// chunk.
     pub fn flush(&mut self) {
         if !self.batch.is_empty() {
-            streamsim_obs::count(
-                streamsim_obs::Counter::RefsGenerated,
-                self.batch.len() as u64,
-            );
             (self.emit)(self.batch);
             self.batch.clear();
         }
@@ -124,12 +120,6 @@ impl RefSink for ChunkSink<'_> {
     fn emit(&mut self, access: Access) {
         self.batch.push(access);
         if self.batch.len() == self.capacity {
-            // Counting per flushed chunk (not per reference) keeps the
-            // observability cost off the per-reference path entirely.
-            streamsim_obs::count(
-                streamsim_obs::Counter::RefsGenerated,
-                self.batch.len() as u64,
-            );
             (self.emit)(self.batch);
             self.batch.clear();
         }

@@ -44,6 +44,15 @@ if grep -n '^source = ' Cargo.lock; then echo "error: Cargo.lock names a registr
 targets=$(cargo metadata --offline --no-deps --format-version 1)
 if grep -o '"custom-build"' <<<"$targets"; then echo "error: a workspace package has a build script" >&2; exit 1; fi
 
+# Layering: observability lives in the engine that composes the leaf
+# crates. The trace, workload, cache and stream-buffer crates count
+# their own events in their statistics and never link streamsim-obs.
+echo "==> layering: leaf crates do not name streamsim-obs"
+if grep -n 'streamsim-obs' crates/{trace,workloads,cache,streams}/Cargo.toml; then
+    echo "error: a leaf crate depends on streamsim-obs" >&2
+    exit 1
+fi
+
 # The clippy step's teeth: scripts/lint-fixture plants one violation per
 # invariant in clippy.toml and the lint levels (a type alias, renamed
 # re-exports across files, a raw thread spawn, an `expect` in a module
@@ -94,33 +103,37 @@ cargo check --offline --benches --quiet \
 echo "==> cargo test -q --offline ${test_scope[*]:-}"
 cargo test -q --offline "${test_scope[@]}"
 
-# Observability smoke: one quick experiment with spans, counters, the
-# event log and the trace timeline fully enabled (STREAMSIM_LOG=debug +
-# --profile + STREAMSIM_TRACE_OUT). The JSON artifact must open with
-# the run manifest, carry the per-phase profile rows (including the
-# obs-v2 latency quantile columns) and the trailing run_steps row, and
-# the drained event log must land beside it; diffing each file against
-# itself parses every line through the in-tree flat JSON reader, so a
-# malformed line is a hard failure here, not a surprise for a
-# downstream consumer. The exported Chrome trace must survive
-# --trace-check: well-formed flat JSON, every span's B matched by an E.
-echo "==> observability smoke (--profile + trace export under STREAMSIM_LOG=debug)"
+# Observability smoke: two quick experiments with spans and the trace
+# timeline enabled (STREAMSIM_LOG=info + --profile +
+# STREAMSIM_TRACE_OUT). Table 3 replays Table 2's ten-stream cell over
+# the same fifteen traces, so stderr must carry the trace store's memo
+# line for exactly that: 15 cells served, 15 simulated. The JSON
+# artifact must open with the run manifest, carry the per-phase profile
+# rows (including the latency quantile columns) and the trailing
+# run_steps row; diffing the file against itself parses every line
+# through the in-tree flat JSON reader, so a malformed line is a hard
+# failure here, not a surprise for a downstream consumer. The exported
+# Chrome trace must survive --trace-check: well-formed flat JSON, every
+# span's B matched by an E.
+echo "==> observability smoke (--profile + trace export under STREAMSIM_LOG=info)"
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$obs_dir" "$fixture_dir" "$perfbench_dir"' EXIT
-STREAMSIM_LOG=debug STREAMSIM_TRACE_OUT="$obs_dir/trace.json" \
+STREAMSIM_LOG=info STREAMSIM_TRACE_OUT="$obs_dir/trace.json" \
     ./target/release/streamsim-report \
-    --quick --profile --out /dev/null --json "$obs_dir/run.jsonl" table2
+    --quick --profile --out /dev/null --json "$obs_dir/run.jsonl" table2 table3 \
+    2> "$obs_dir/run.stderr" || { cat "$obs_dir/run.stderr" >&2; exit 1; }
+grep -q 'replay memo: 15 cells served, 15 simulated' "$obs_dir/run.stderr" || {
+    echo "error: the observability smoke lacks the expected replay memo line" >&2
+    cat "$obs_dir/run.stderr" >&2
+    exit 1
+}
 head -n 1 "$obs_dir/run.jsonl" | grep -q '"artifact":"manifest"'
 grep -q '"artifact":"profile"' "$obs_dir/run.jsonl"
 grep -q '"phase":"record"' "$obs_dir/run.jsonl"
 grep -q '"p50_ms"' "$obs_dir/run.jsonl"
 grep -q '"table":"run_steps"' "$obs_dir/run.jsonl"
 grep -q '"run_seed"' "$obs_dir/run.jsonl"
-grep -q '"event":"span"' "$obs_dir/run.jsonl.events.jsonl"
-grep -q '"event":"counter"' "$obs_dir/run.jsonl.events.jsonl"
-for f in "$obs_dir/run.jsonl" "$obs_dir/run.jsonl.events.jsonl"; do
-    ./target/release/streamsim-report --diff "$f" "$f"
-done
+./target/release/streamsim-report --diff "$obs_dir/run.jsonl" "$obs_dir/run.jsonl"
 grep -q '"ph":"B"' "$obs_dir/trace.json"
 ./target/release/streamsim-report --trace-check "$obs_dir/trace.json"
 
@@ -219,9 +232,9 @@ STREAMSIM_DST_SEED=$dst_seed cargo test -q --offline --test dst_engine
 # both. The enforce floor is deliberately far below the recorded
 # speedup (see BENCH_recording.json) so shared-machine noise cannot
 # flake the gate; a drop below it means the fast path actually rotted.
-# Observability is compiled into that loop (the per-chunk
-# reference-generation counter); CI leaves STREAMSIM_LOG unset, so this
-# floor also pins the disabled-mode overhead contract.
+# The only observability in the record path is the per-recording
+# `record` span, opened once outside that loop, so no level gate sits
+# on the per-reference or per-chunk path.
 echo "==> recording bench smoke (enforce >= 1.15x)"
 STREAMSIM_BENCH_SAMPLES=3 STREAMSIM_BENCH_WARMUP=1 STREAMSIM_BENCH_ENFORCE=1.15 \
     cargo bench --offline -p streamsim-bench --bench recording

@@ -60,9 +60,9 @@
 //! skipped and `run_*` keys are ignored, so wall clock and thread count
 //! never register as drift.
 //!
-//! Observability is controlled by `STREAMSIM_LOG` (`off`/`info`/`debug`);
-//! `--profile` raises `off` to `info`. At `debug` with `--json FILE`,
-//! span and counter events stream to `FILE.events.jsonl`. With
+//! Observability is controlled by `STREAMSIM_LOG` (`off` or `info`);
+//! `--profile` raises `off` to `info`. At `info` the report ends with
+//! the trace store's replay-memo line on stderr. With
 //! `STREAMSIM_TRACE_OUT=FILE`, the run additionally exports a Chrome
 //! `trace_event` timeline of every span (and, under the DST
 //! `SimExecutor`, every scheduler slice) to FILE — loadable in
@@ -563,17 +563,6 @@ fn run_manifest(options: &ExperimentOptions) -> RunManifest {
     RunManifest::new(seed, &config_text, &scale, &sampling)
 }
 
-fn write_file(path: &str, contents: &str) -> Result<(), ExitCode> {
-    let mut file = std::fs::File::create(path).map_err(|e| {
-        eprintln!("error: cannot create {path}: {e}");
-        ExitCode::FAILURE
-    })?;
-    file.write_all(contents.as_bytes()).map_err(|e| {
-        eprintln!("error: cannot write {path}: {e}");
-        ExitCode::FAILURE
-    })
-}
-
 fn main() -> ExitCode {
     let mut options = ExperimentOptions::default();
     let mut out: Option<String> = None;
@@ -587,7 +576,21 @@ fn main() -> ExitCode {
     let mut ledger_check: Option<Option<String>> = None;
     let mut trace_check: Option<String> = None;
 
-    let mut args = std::env::args().skip(1).peekable();
+    let args: Vec<String> = match std::env::args_os()
+        .skip(1)
+        .map(std::ffi::OsString::into_string)
+        .collect()
+    {
+        Ok(args) => args,
+        Err(arg) => {
+            eprintln!(
+                "error: argument '{}' is not valid UTF-8",
+                arg.to_string_lossy()
+            );
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut args = args.into_iter().peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => options.scale = Scale::Quick,
@@ -795,9 +798,8 @@ fn main() -> ExitCode {
             .collect();
     }
 
-    // `--profile` needs the span registry filling; honour a stronger
-    // STREAMSIM_LOG (debug) but raise `off` to `info`.
-    if profile && streamsim_obs::level() == streamsim_obs::Level::Off {
+    // `--profile` needs the span registry filling.
+    if profile {
         streamsim_obs::set_level(streamsim_obs::Level::Info);
     }
     let manifest = run_manifest(&options);
@@ -813,8 +815,9 @@ fn main() -> ExitCode {
         })
         .collect();
 
-    // Both output files are created before the first experiment runs,
-    // so an unwritable path fails at once, not after the whole report.
+    // Every output file, the timeline included, is created before the
+    // first experiment runs, so an unwritable path fails at once, not
+    // after the whole report.
     let out_file = match &out {
         Some(path) => match std::fs::File::create(path) {
             Ok(file) => Some((path, file)),
@@ -838,6 +841,12 @@ fn main() -> ExitCode {
         },
         None => None,
     };
+    if let Some(path) = streamsim_obs::trace_out_path() {
+        if let Err(e) = std::fs::File::create(&path) {
+            eprintln!("error: cannot create {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     let mut json_rows = 0usize;
     if let Some(file) = json_file.as_mut() {
         // The manifest leads the file, so a reader knows the run's
@@ -908,8 +917,8 @@ fn main() -> ExitCode {
         // drivers shared versus cells actually simulated.
         eprintln!(
             "replay memo: {} cells served, {} simulated",
-            streamsim_obs::counter(streamsim_obs::Counter::ReplayMemoHits),
-            streamsim_obs::counter(streamsim_obs::Counter::ReplayMemoMisses)
+            options.store.replay_hits(),
+            options.store.replay_misses()
         );
     }
 
@@ -943,21 +952,6 @@ fn main() -> ExitCode {
             }
         }
         eprintln!("{json_rows} JSON rows written to {path}");
-
-        // At debug, the event log streams next to the artifact output.
-        if streamsim_obs::level() == streamsim_obs::Level::Debug {
-            streamsim_obs::emit_counter_events();
-            let events = streamsim_obs::drain_events();
-            let events_path = format!("{path}.events.jsonl");
-            let mut contents = events.join("\n");
-            if !contents.is_empty() {
-                contents.push('\n');
-            }
-            if let Err(code) = write_file(&events_path, &contents) {
-                return code;
-            }
-            eprintln!("{} events written to {events_path}", events.len());
-        }
     }
     match out_file {
         Some((path, mut file)) => {

@@ -113,7 +113,19 @@ fn cmd_replay(path: &str, streams: usize) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = match std::env::args_os()
+        .skip(1)
+        .map(std::ffi::OsString::into_string)
+        .collect()
+    {
+        Ok(args) => args,
+        Err(arg) => {
+            return fail(&format!(
+                "argument '{}' is not valid UTF-8",
+                arg.to_string_lossy()
+            ))
+        }
+    };
     let code = match args
         .iter()
         .map(String::as_str)

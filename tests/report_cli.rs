@@ -106,6 +106,45 @@ fn unwritable_out_fails_before_any_experiment_runs() {
     std::fs::remove_file(&not_a_dir).ok();
 }
 
+/// A `STREAMSIM_TRACE_OUT` path that cannot be created fails before the
+/// first experiment runs, like `--out`, not when the timeline flushes.
+#[test]
+fn unwritable_trace_out_fails_before_any_experiment_runs() {
+    let dir = std::env::temp_dir().join("streamsim-report-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let not_a_dir = dir.join("trace-parent-is-a-file");
+    std::fs::write(&not_a_dir, "").unwrap();
+    let bad = not_a_dir.join("t.json");
+    let out = report()
+        .args(["--quick", "--out", "/dev/null", "table2", "table3"])
+        .env("STREAMSIM_TRACE_OUT", &bad)
+        .env_remove("STREAMSIM_LOG")
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: cannot create"), "{stderr}");
+    assert!(!stderr.contains("done in"), "experiments ran: {stderr}");
+    std::fs::remove_file(&not_a_dir).ok();
+}
+
+/// A command-line argument that is not valid UTF-8 is an input error,
+/// not a panic.
+#[cfg(unix)]
+#[test]
+fn non_utf8_argument_fails_with_an_error_line() {
+    use std::os::unix::ffi::OsStrExt;
+
+    let out = report()
+        .arg(std::ffi::OsStr::from_bytes(b"\xff"))
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn json_flag_writes_parseable_rows() {
     let dir = std::env::temp_dir().join("streamsim-report-test");
@@ -219,44 +258,6 @@ fn profile_flag_emits_phase_timings() {
         assert!(phases.iter().any(|p| p == phase), "{phase} in {phases:?}");
     }
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn debug_level_streams_events_beside_the_json_artifact() {
-    let dir = std::env::temp_dir().join("streamsim-report-events-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("run.jsonl");
-    let out = report()
-        .args([
-            "--quick",
-            "--out",
-            "/dev/null",
-            "--json",
-            path.to_str().unwrap(),
-            "table2",
-        ])
-        .env("STREAMSIM_LOG", "debug")
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-    let events_path = format!("{}.events.jsonl", path.to_str().unwrap());
-    let events = std::fs::read_to_string(&events_path).unwrap();
-    let mut saw_span = false;
-    let mut saw_counter = false;
-    for line in events.lines().filter(|l| !l.is_empty()) {
-        let fields = streamsim::parse_flat_json_line(line).expect("valid event line");
-        match fields.first() {
-            Some((k, streamsim::JsonValue::Text(s))) if k == "event" => {
-                saw_span |= s == "span";
-                saw_counter |= s == "counter";
-            }
-            other => panic!("event line must lead with an event kind, got {other:?}: {line}"),
-        }
-    }
-    assert!(saw_span, "no span events in {events}");
-    assert!(saw_counter, "no counter events in {events}");
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&events_path).ok();
 }
 
 #[test]

@@ -89,6 +89,24 @@ fn replay_rejects_missing_file() {
     assert!(!out.status.success());
 }
 
+/// A command-line argument that is not valid UTF-8 is an input error,
+/// not a panic.
+#[cfg(unix)]
+#[test]
+fn non_utf8_argument_fails_with_an_error_line() {
+    use std::os::unix::ffi::OsStrExt;
+
+    let out = trace_tool()
+        .arg("info")
+        .arg(std::ffi::OsStr::from_bytes(b"\xff"))
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn replay_rejects_stream_counts_above_the_bound() {
     // The count is checked before the file is opened, so the buffers
