@@ -71,12 +71,14 @@ struct JouppiChain {
 }
 
 impl MissObserver for JouppiChain {
+    #[inline(always)]
     fn on_fetch(&mut self, addr: Addr, kind: AccessKind) {
         if !self.streams.on_l1_miss(addr).is_hit() {
             self.residual_l2.access(addr, kind);
         }
     }
 
+    #[inline(always)]
     fn on_writeback(&mut self, base: Addr) {
         self.streams
             .on_writeback(base.block(self.streams.config().block()));

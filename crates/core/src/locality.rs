@@ -17,7 +17,9 @@
 //! configuration it cannot represent.
 
 use streamsim_cache::CacheConfig;
-use streamsim_model::{AllocModel, L2Geometry, LocalityProfile, ProfileBuilder, StreamGeometry};
+use streamsim_model::{
+    profile_events, AllocModel, L2Geometry, LocalityProfile, ProfileEvent, StreamGeometry,
+};
 use streamsim_streams::{Allocation, MatchPolicy, StreamConfig};
 use streamsim_trace::WordSize;
 
@@ -33,18 +35,19 @@ pub fn profile_trace(trace: &MissTrace) -> LocalityProfile {
     span.items(trace.events().len() as u64);
     let block = trace.l1_block();
     let word = WordSize::default();
-    let mut builder = ProfileBuilder::new(block.bytes(), word.bytes(), trace.events().len());
-    for event in trace.events() {
-        match event.decode() {
-            Miss::Fetch { addr, .. } => {
-                builder.fetch(addr.block(block).index(), addr.word(word).index());
-            }
-            Miss::Writeback { base } => {
-                builder.writeback(base.block(block).index());
-            }
-        }
-    }
-    let mut profile = builder.finish();
+    let events = trace
+        .events()
+        .iter()
+        .map(move |event| match event.decode() {
+            Miss::Fetch { addr, .. } => ProfileEvent::Fetch {
+                block: addr.block(block).index(),
+                word: addr.word(word).index(),
+            },
+            Miss::Writeback { base } => ProfileEvent::Writeback {
+                block: base.block(block).index(),
+            },
+        });
+    let mut profile = profile_events(block.bytes(), word.bytes(), events);
     profile.l1_refs = trace.l1().refs();
     profile.l1_misses = trace.l1().misses();
     profile

@@ -14,9 +14,10 @@
 //! chunk before the next observer runs, so one observer's tables stay
 //! hot in cache across a run of events instead of every observer being
 //! dragged through cache per event. Within a chunk the dispatch is a
-//! single devirtualized [`MissObserver::on_events`] call; the two
-//! dominant observer kinds override it with monomorphized loops that
-//! hoist per-event work (the geometry decode) out of the loop body.
+//! single devirtualized [`MissObserver::on_events`] call, whose default
+//! loop is monomorphized per observer with the per-event methods
+//! inlined; [`StreamObserver`] overrides it to hoist the geometry
+//! decode out of its family's loop.
 //!
 //! Three observers cover the common cases. [`StreamObserver`] evaluates
 //! a *family* of stream-buffer systems sharing one block/word geometry —
@@ -70,10 +71,14 @@ pub trait MissObserver {
     fn on_writeback(&mut self, base: Addr);
 
     /// Delivers a batch of events in program order. The default simply
-    /// forwards to the per-event methods — this is the *only* event
-    /// match/dispatch body in the engine, so batched and per-event
-    /// delivery cannot drift. Hot observers override it with a loop the
-    /// compiler can monomorphize and hoist invariants out of.
+    /// forwards to the per-event methods — the one event match body
+    /// the engine's observers share, so batched and per-event delivery
+    /// cannot drift. It is monomorphized per observer; mark the
+    /// per-event methods `#[inline(always)]` so they inline into that
+    /// loop (plain `#[inline]` leaves a call per event to a probe as
+    /// large as `L2Observer`'s). Only an observer that does more per
+    /// chunk than per event overrides it: [`StreamObserver`] decodes
+    /// each chunk once for its whole family.
     fn on_events(&mut self, events: &[MissEvent]) {
         for event in events {
             match event.decode() {
@@ -169,27 +174,14 @@ impl L2Observer {
 }
 
 impl MissObserver for L2Observer {
+    #[inline(always)]
     fn on_fetch(&mut self, addr: Addr, kind: AccessKind) {
         self.cache.access(addr, kind);
     }
 
+    #[inline(always)]
     fn on_writeback(&mut self, base: Addr) {
         self.cache.access(base, AccessKind::Store);
-    }
-
-    fn on_events(&mut self, events: &[MissEvent]) {
-        // Monomorphized fast path: the probe inlines into this loop,
-        // where the default body calls `on_fetch` out of line per event.
-        for event in events {
-            match event.decode() {
-                Miss::Fetch { addr, kind } => {
-                    self.cache.access(addr, kind);
-                }
-                Miss::Writeback { base } => {
-                    self.cache.access(base, AccessKind::Store);
-                }
-            }
-        }
     }
 }
 
@@ -241,6 +233,7 @@ impl PartitionedObserver {
 }
 
 impl MissObserver for PartitionedObserver {
+    #[inline(always)]
     fn on_fetch(&mut self, addr: Addr, kind: AccessKind) {
         if kind == AccessKind::IFetch {
             self.instruction.on_l1_miss(addr);
@@ -249,6 +242,7 @@ impl MissObserver for PartitionedObserver {
         }
     }
 
+    #[inline(always)]
     fn on_writeback(&mut self, base: Addr) {
         self.instruction
             .on_writeback(base.block(self.instruction.config().block()));

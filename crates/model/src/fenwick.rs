@@ -1,16 +1,20 @@
-//! A Fenwick (binary indexed) tree over 0/1 occupancy marks — the
-//! engine behind Mattson stack-distance computation.
+//! A Fenwick (binary indexed) tree over occupancy counts — the engine
+//! behind Mattson stack-distance computation.
 //!
 //! The classic trick: walk the access sequence left to right keeping a
 //! mark at the *latest* position each distinct item was seen. The LRU
 //! stack distance of a re-access is then the number of marks strictly
 //! between the item's previous position and the current one — a range
-//! count this tree answers in `O(log n)`.
+//! count this tree answers in `O(log n)`. The profile pass keeps its
+//! marks in a bitset and this tree over the bitset's 64-bit words
+//! (a count of up to 64 per position); the reference builder keeps one
+//! 0/1 count per event.
 
 /// A Fenwick tree of `u32` counts over a fixed index range.
 ///
-/// Counts are only ever 0 or 1 per position here, so `u32` prefix sums
-/// cannot overflow for any trace shorter than four billion events.
+/// Every count is a number of marks, one per event at most, so `u32`
+/// prefix sums cannot overflow for any trace shorter than four billion
+/// events.
 #[derive(Clone, Debug)]
 pub struct Fenwick {
     tree: Vec<u32>,
@@ -36,9 +40,14 @@ impl Fenwick {
 
     /// Sets the mark at `pos` (adds one).
     pub fn set(&mut self, pos: usize) {
+        self.add(pos, 1);
+    }
+
+    /// Adds `n` marks at `pos`.
+    pub fn add(&mut self, pos: usize, n: u32) {
         let mut i = pos + 1;
         while i < self.tree.len() {
-            self.tree[i] = self.tree[i].wrapping_add(1);
+            self.tree[i] = self.tree[i].wrapping_add(n);
             i += i & i.wrapping_neg();
         }
     }

@@ -7,10 +7,12 @@
 //! form from a [`LocalityProfile`] measured in **one** extra pass over
 //! the trace:
 //!
-//! * [`ProfileBuilder`] extracts reuse-distance histograms (Mattson
-//!   stack distances over a Fenwick tree) and a unit-run / stride
+//! * [`profile_events`] extracts reuse-distance histograms (Mattson
+//!   stack distances over dense block ids) and a unit-run / stride
 //!   profile of the fetch stream, including stream-stack-distance
 //!   histograms that capture LRU buffer reallocation exactly.
+//!   [`reference::ProfileBuilder`] is the frozen map-based pass it must
+//!   equal.
 //! * [`predict_streams`] / [`predict_l2`] turn the profile into hit
 //!   rate and extra-bandwidth estimates for *any* stream-buffer or
 //!   secondary-cache geometry — microseconds per cell instead of a
@@ -21,10 +23,9 @@
 //!
 //! The crate is hermetic by construction: its one dependency is the
 //! in-tree `streamsim-obs` (whose log-linear [`streamsim_obs::Hist`]
-//! holds the reuse-distance histograms), no clocks, no hash-order
-//! nondeterminism (`BTreeMap` only). Profiles and predictions are pure
-//! functions of the event stream, byte-identical across runs, threads
-//! and executors.
+//! holds the reuse-distance histograms), no clocks, and no hash order
+//! ever observed. Profiles and predictions are pure functions of
+//! the event stream, byte-identical across runs, threads and executors.
 
 #![deny(clippy::print_stdout, clippy::dbg_macro)]
 #![warn(missing_docs)]
@@ -34,6 +35,7 @@ pub mod fenwick;
 pub mod pareto;
 pub mod predict;
 pub mod profile;
+pub mod reference;
 
 pub use fenwick::Fenwick;
 pub use pareto::{frontier, keep_with_band, Band, Objectives};
@@ -41,6 +43,6 @@ pub use predict::{
     predict_l2, predict_streams, AllocModel, L2Estimate, L2Geometry, StreamEstimate, StreamGeometry,
 };
 pub use profile::{
-    CzoneSketch, LocalityProfile, ProfileBuilder, StreamProfile, CZONE_GRID, REUSE_GRANULARITIES,
-    SD_BUCKETS,
+    profile_events, CzoneSketch, LocalityProfile, ProfileEvent, StreamProfile, CZONE_GRID,
+    REUSE_GRANULARITIES, SD_BUCKETS,
 };

@@ -202,19 +202,25 @@ pub fn predict_l2(profile: &LocalityProfile, geom: L2Geometry) -> L2Estimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::ProfileBuilder;
+    use crate::profile::{profile_events, ProfileEvent};
+
+    /// The profile of demand fetches of `blocks`, 32-byte blocks of
+    /// 4-byte words.
+    fn fetch_profile(blocks: impl Iterator<Item = u64> + Clone) -> LocalityProfile {
+        profile_events(
+            32,
+            4,
+            blocks.map(|block| ProfileEvent::Fetch {
+                block,
+                word: block * 8,
+            }),
+        )
+    }
 
     fn sequential_profile(runs: u64, len: u64) -> LocalityProfile {
         // `runs` far-apart unit runs of `len` blocks each, visited
         // round-robin so every continuation sees `runs - 1` others.
-        let mut b = ProfileBuilder::new(32, 4, (runs * len) as usize);
-        for step in 0..len {
-            for r in 0..runs {
-                let block = r * 1_000_000 + step;
-                b.fetch(block, block * 8);
-            }
-        }
-        b.finish()
+        fetch_profile((0..len).flat_map(move |step| (0..runs).map(move |r| r * 1_000_000 + step)))
     }
 
     #[test]
@@ -267,13 +273,8 @@ mod tests {
     #[test]
     fn unit_filter_suppresses_isolated_allocations() {
         // One real run drowned in isolated noise.
-        let mut b = ProfileBuilder::new(32, 4, 300);
-        for i in 0..100u64 {
-            b.fetch(10_000 + i, (10_000 + i) * 8); // run
-            let noise = 1_000_000 + i * 7919;
-            b.fetch(noise, noise * 8); // isolated
-        }
-        let p = b.finish();
+        // Each run block is followed by an isolated one.
+        let p = fetch_profile((0..100u64).flat_map(|i| [10_000 + i, 1_000_000 + i * 7919]));
         let om = predict_streams(
             &p,
             StreamGeometry {
@@ -299,12 +300,7 @@ mod tests {
     #[test]
     fn stride_filter_adds_strided_hits() {
         // A long strided (non-unit) run: stride 4 blocks = 32 words.
-        let mut b = ProfileBuilder::new(32, 4, 200);
-        for i in 0..200u64 {
-            let block = i * 4;
-            b.fetch(block, block * 8);
-        }
-        let p = b.finish();
+        let p = fetch_profile((0..200u64).map(|i| i * 4));
         let uf = predict_streams(
             &p,
             StreamGeometry {
@@ -331,13 +327,7 @@ mod tests {
     #[test]
     fn l2_fully_associative_is_exact_mattson() {
         // 64 distinct blocks touched twice round-robin: distance 63.
-        let mut b = ProfileBuilder::new(32, 4, 128);
-        for _ in 0..2 {
-            for blk in 0..64u64 {
-                b.fetch(blk * 100, blk * 800);
-            }
-        }
-        let p = b.finish();
+        let p = fetch_profile((0..2).flat_map(|_| (0..64u64).map(|blk| blk * 100)));
         // Fully associative, capacity 64 blocks of 32B = 2048B.
         let big = predict_l2(
             &p,
@@ -361,13 +351,7 @@ mod tests {
 
     #[test]
     fn l2_set_associative_interpolates() {
-        let mut b = ProfileBuilder::new(32, 4, 128);
-        for _ in 0..2 {
-            for blk in 0..64u64 {
-                b.fetch(blk * 100, blk * 800);
-            }
-        }
-        let p = b.finish();
+        let p = fetch_profile((0..2).flat_map(|_| (0..64u64).map(|blk| blk * 100)));
         // Same capacity, 4-way: distance 63 across 16 sets gives
         // lambda ~ 3.9; P(< 4) is strictly between 0 and 1.
         let e = predict_l2(
@@ -391,7 +375,7 @@ mod tests {
 
     #[test]
     fn empty_profile_predicts_zero() {
-        let p = ProfileBuilder::new(32, 4, 0).finish();
+        let p = fetch_profile(std::iter::empty());
         let e = predict_streams(
             &p,
             StreamGeometry {

@@ -1,12 +1,13 @@
-//! One-pass locality profiling of a recorded miss stream.
+//! Locality profiling of a recorded miss stream.
 //!
-//! The builder walks the L1 miss/write-back event stream once and
+//! [`profile_events`] walks the L1 miss/write-back event stream and
 //! extracts everything the closed-form predictors need:
 //!
 //! * **Reuse profile** — Mattson LRU stack-distance histograms of the
 //!   *whole* event stream (fetches and write-backs: a secondary cache
-//!   sees both) at 1×, 2× and 4× the L1 block size, computed with a
-//!   Fenwick tree over latest-access marks in `O(N log N)`.
+//!   sees both) at 1×, 2× and 4× the L1 block size. Each block keeps a
+//!   mark at its latest touch; a re-touch's distance is the number of
+//!   marks after its previous one.
 //! * **Stream profile** — the fetch stream decomposed into unit-stride
 //!   *runs* (maximal chains of misses to consecutive blocks). Each run
 //!   continuation is recorded with its position class (second block of
@@ -30,11 +31,36 @@
 //!   czone size would train, and how their continuations distribute
 //!   over stream stack distance.
 //!
+//! # Dense ids
+//!
+//! The pass first renumbers the trace's L1 blocks to dense ids with one
+//! sort of (block, position) pairs; the ids ascend with the block
+//! index, so the 2× and 4× ids fall out of the same sorted list. Per-id
+//! state then lives in `Vec`s:
+//!
+//! * a reuse stack keeps each id's latest touch in a `Vec<u32>` and its
+//!   marks in a bitset of event positions. Every live mark lies before
+//!   the current position, so a re-touch's distance is the distinct ids
+//!   touched so far minus the marks up to its previous touch: popcounts
+//!   of the nearby bitset words, or a Fenwick tree over the bitset's
+//!   64-bit words for a far one;
+//! * the run stack is a 64-deep move-to-front array of run ids. A run
+//!   deeper than [`SD_BUCKETS`] lands in the overflow bucket whatever
+//!   its exact depth;
+//! * unit-run predictions sit in a `Vec` indexed by the predicted
+//!   block's id. A prediction for a block the trace never touches is
+//!   dropped: only fetched blocks are ever looked up;
+//! * each czone sketch keeps the FSM's 16-slot FIFO in fixed arrays and
+//!   its trained runs' expected words in a linear-probing table sized
+//!   by its live entries (per-word `Vec`s would cost nine times the
+//!   trace's distinct words).
+//!
 //! The profile is a pure function of the event stream: no clocks, no
-//! randomness, no capacity-dependent iteration order (`BTreeMap`
-//! throughout), so two builds over the same trace are byte-identical.
-
-use std::collections::BTreeMap;
+//! randomness, and no hash order is ever observed (the expected-word
+//! tables are only probed by key, never iterated), so two passes over
+//! the same trace are byte-identical — and equal, by `PartialEq` and by
+//! `Debug` text, to the frozen map-based
+//! [`reference::ProfileBuilder`](crate::reference::ProfileBuilder).
 
 use streamsim_obs::Hist;
 
@@ -52,10 +78,6 @@ pub const CZONE_GRID: [u32; 9] = [8, 10, 12, 14, 16, 18, 20, 22, 24];
 /// distances land in one overflow bucket (index `SD_BUCKETS`). No
 /// stream system of interest has more buffers than this.
 pub const SD_BUCKETS: usize = 64;
-
-/// A trained strided run whose allocation distance reaches this is
-/// dropped: its buffer is long gone in every configuration of interest.
-const STALE_SD: u64 = SD_BUCKETS as u64;
 
 /// Per-czone-size sketch of the §7 non-unit-stride filter.
 #[derive(Clone, Debug, PartialEq)]
@@ -195,60 +217,363 @@ impl LocalityProfile {
     }
 }
 
-/// A Mattson LRU stack over one granularity of block indices.
+/// One recorded L1 event, its address already split into indices.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ProfileEvent {
+    /// A demand fetch of `block` (index at L1 block granularity) whose
+    /// missing word has index `word`.
+    Fetch {
+        /// Block index at L1 block granularity.
+        block: u64,
+        /// Word index of the missing reference.
+        word: u64,
+    },
+    /// A dirty block written back (index at L1 block granularity).
+    Writeback {
+        /// Block index at L1 block granularity.
+        block: u64,
+    },
+}
+
+impl ProfileEvent {
+    /// The event's block index at L1 block granularity.
+    fn block(self) -> u64 {
+        match self {
+            ProfileEvent::Fetch { block, .. } | ProfileEvent::Writeback { block } => block,
+        }
+    }
+}
+
+/// Profiles a whole event stream, in program order, of an L1 that
+/// fetches blocks of `l1_block_bytes` and whose stride detection works
+/// on `word_bytes` words.
+///
+/// The iterator is walked twice — once to renumber the blocks, once to
+/// profile — so it must be cheap to clone (a mapped slice iterator is).
+/// The recorded L1 counts (`l1_refs`, `l1_misses`) are left at zero for
+/// the caller to fill in.
+///
+/// # Panics
+///
+/// If the stream holds `u32::MAX` events or more.
+pub fn profile_events<I>(l1_block_bytes: u64, word_bytes: u64, events: I) -> LocalityProfile
+where
+    I: IntoIterator<Item = ProfileEvent>,
+    I::IntoIter: Clone,
+{
+    let events = events.into_iter();
+    let blocks = DenseBlocks::new(events.clone().map(ProfileEvent::block));
+    let reuse = REUSE_GRANULARITIES
+        .iter()
+        .map(|&g| blocks.reuse_hist(g))
+        .collect();
+    let streams = stream_profile(&blocks, events);
+    let total = blocks.ids.len() as u64;
+    LocalityProfile {
+        l1_block_bytes,
+        word_bytes,
+        events: total,
+        fetches: streams.fetches,
+        writebacks: total - streams.fetches,
+        l1_refs: 0,
+        l1_misses: 0,
+        reuse,
+        streams,
+    }
+}
+
+/// The trace's L1 blocks renumbered to dense ids in ascending block
+/// order.
+#[derive(Debug)]
+struct DenseBlocks {
+    /// Per event, its block's dense id.
+    ids: Vec<u32>,
+    /// Per dense id, its block index: sorted and unique.
+    blocks: Vec<u64>,
+}
+
+impl DenseBlocks {
+    /// One sort of (block, position) pairs renumbers every event.
+    fn new(blocks: impl Iterator<Item = u64>) -> Self {
+        let mut pairs: Vec<(u64, u32)> = blocks
+            .enumerate()
+            .map(|(t, block)| {
+                let t = u32::try_from(t)
+                    .ok()
+                    .filter(|&t| t < u32::MAX)
+                    .expect("a profiled trace holds fewer than 2^32 - 1 events");
+                (block, t)
+            })
+            .collect();
+        // Positions within one block may land in any order: only the
+        // block's id is written back.
+        pairs.sort_unstable_by_key(|&(block, _)| block);
+        let mut ids = vec![0u32; pairs.len()];
+        let mut unique: Vec<u64> = Vec::new();
+        for &(block, t) in &pairs {
+            if unique.last() != Some(&block) {
+                unique.push(block);
+            }
+            ids[t as usize] = (unique.len() - 1) as u32;
+        }
+        DenseBlocks {
+            ids,
+            blocks: unique,
+        }
+    }
+
+    /// The id of block `id + 1` when the trace touches it: the block a
+    /// unit run through `id` predicts next.
+    fn successor(&self, id: usize) -> Option<usize> {
+        (self.blocks.get(id + 1) == Some(&(self.blocks[id] + 1))).then_some(id + 1)
+    }
+
+    /// The Mattson stack-distance histogram at `g`× the L1 block size.
+    /// Block indices ascend with the ids, so the coarse ids are the
+    /// changes of `block / g` along the sorted list.
+    fn reuse_hist(&self, g: u64) -> Hist {
+        let mut coarse = Vec::with_capacity(self.blocks.len());
+        let mut next = 0u32;
+        let mut prev: Option<u64> = None;
+        for &block in &self.blocks {
+            let item = block / g;
+            if prev.is_some_and(|p| p != item) {
+                next += 1;
+            }
+            prev = Some(item);
+            coarse.push(next);
+        }
+        let mut stack = ReuseStack::new(next as usize + 1, self.ids.len());
+        for &id in &self.ids {
+            stack.touch(coarse[id as usize]);
+        }
+        stack.hist
+    }
+}
+
+/// A Mattson LRU stack over dense item ids: a mark at each item's
+/// latest touch, one bit per event position.
 #[derive(Debug)]
 struct ReuseStack {
-    fen: Fenwick,
-    last: BTreeMap<u64, usize>,
+    /// Per item, its latest touch's position + 1 (0 = never touched).
+    last: Vec<u32>,
+    /// Marks, one bit per event position.
+    bits: Vec<u64>,
+    /// Set bits per word of `bits`, for every word before the current
+    /// position's: a word enters the tree, by its popcount, when the
+    /// position moves past it.
+    sealed: Fenwick,
+    /// Distinct items touched so far = marks set.
+    live: u32,
+    /// Next event position.
+    now: usize,
     hist: Hist,
 }
 
 impl ReuseStack {
-    fn new(capacity: usize) -> Self {
+    fn new(items: usize, events: usize) -> Self {
+        let words = events.div_ceil(64);
         ReuseStack {
-            fen: Fenwick::new(capacity),
-            last: BTreeMap::new(),
+            last: vec![0; items],
+            bits: vec![0; words],
+            sealed: Fenwick::new(words),
+            live: 0,
+            now: 0,
             hist: Hist::new(),
         }
     }
 
-    fn touch(&mut self, item: u64, now: usize) {
-        // A first touch (infinite distance) records nothing.
-        if let Some(prev) = self.last.insert(item, now) {
-            // Marks strictly between prev and now = distinct items
-            // touched since = LRU stack distance.
-            self.hist.record(self.fen.between(prev, now) as u64);
-            self.fen.clear(prev);
+    fn touch(&mut self, item: u32) {
+        let now = self.now;
+        self.now += 1;
+        let word = now / 64;
+        if word > 0 && now.is_multiple_of(64) {
+            self.sealed.add(word - 1, self.bits[word - 1].count_ones());
         }
-        self.fen.set(now);
+        let prev = std::mem::replace(&mut self.last[item as usize], now as u32 + 1);
+        if prev == 0 {
+            // A first touch (infinite distance) records nothing.
+            self.live += 1;
+        } else {
+            let prev = prev as usize - 1;
+            let (pw, pb) = (prev / 64, prev % 64);
+            // Marks strictly between prev and now = distinct items
+            // touched since = LRU stack distance. No mark lies at or
+            // after now, so that is every live mark but those up to
+            // prev: the sealed words before prev's, and prev's own word
+            // through prev.
+            let before = if pw == 0 {
+                0
+            } else {
+                self.sealed.prefix(pw - 1)
+            };
+            let through_prev = u64::MAX >> (63 - pb);
+            let distance = self.live - before - (self.bits[pw] & through_prev).count_ones();
+            self.hist.record(u64::from(distance));
+            self.bits[pw] &= !(1 << pb);
+            if pw < word {
+                self.sealed.clear(pw);
+            }
+        }
+        self.bits[word] |= 1 << (now % 64);
     }
 }
 
-/// One tracked unit-stride run.
+/// Continuation distances `>= SD_BUCKETS` share the overflow bucket.
+fn bucket(distance: u64) -> usize {
+    distance.min(SD_BUCKETS as u64) as usize
+}
+
+/// A trained strided run whose allocation distance reaches this is
+/// dropped: its buffer is long gone in every configuration of interest.
+pub(crate) const STALE_SD: u64 = SD_BUCKETS as u64;
+
+/// One tracked unit-stride run, filed under the block it predicts.
 #[derive(Clone, Copy, Debug)]
 struct Run {
-    id: u64,
-    /// Blocks fetched so far (1 after the run's first fetch).
+    id: u32,
+    /// Blocks fetched so far (1 after the run's first fetch; 0 marks an
+    /// empty prediction slot).
     pos: u32,
     /// Allocation clock at this run's latest fetch.
     allocs: u64,
 }
 
-/// Per-run last-touch bookkeeping for the all-runs stream stack.
-#[derive(Debug)]
-struct RunStack {
-    /// Marks at every run's latest touch (any position).
-    all: Fenwick,
-    last_all: BTreeMap<u64, usize>,
+impl Run {
+    const NONE: Run = Run {
+        id: 0,
+        pos: 0,
+        allocs: 0,
+    };
 }
 
-impl RunStack {
-    fn new(capacity: usize) -> Self {
-        RunStack {
-            all: Fenwick::new(capacity),
-            last_all: BTreeMap::new(),
+/// The all-runs stream stack, cut at [`SD_BUCKETS`]: the most recently
+/// fetched runs, most recent first.
+#[derive(Debug)]
+struct RecentRuns {
+    /// Run ids; `u32::MAX` fills the slots no run has reached yet.
+    ids: [u32; SD_BUCKETS],
+}
+
+impl RecentRuns {
+    fn new() -> Self {
+        RecentRuns {
+            ids: [u32::MAX; SD_BUCKETS],
         }
     }
+
+    /// Moves `run` to the top and returns its former depth — the
+    /// distinct other runs fetched since its previous fetch — or
+    /// [`SD_BUCKETS`] if it had sunk below the cut.
+    fn touch(&mut self, run: u32) -> usize {
+        let depth = self
+            .ids
+            .iter()
+            .position(|&r| r == run)
+            .unwrap_or(SD_BUCKETS);
+        self.push_from(run, depth.min(SD_BUCKETS - 1));
+        depth
+    }
+
+    /// Puts a fresh run on top.
+    fn push(&mut self, run: u32) {
+        self.push_from(run, SD_BUCKETS - 1);
+    }
+
+    /// Shifts the top `end` entries down one slot (overwriting slot
+    /// `end`) and puts `run` on top.
+    fn push_from(&mut self, run: u32, end: usize) {
+        self.ids.copy_within(0..end, 1);
+        self.ids[0] = run;
+    }
+}
+
+/// The unit-run and czone half of the profile: one walk over the
+/// fetches.
+fn stream_profile(
+    blocks: &DenseBlocks,
+    events: impl Iterator<Item = ProfileEvent>,
+) -> StreamProfile {
+    // Expected next block (by id) → the unit run that predicts it.
+    let mut unit_expect = vec![Run::NONE; blocks.blocks.len()];
+    let mut recent = RecentRuns::new();
+    let mut czone: Vec<CzoneState> = CZONE_GRID.iter().map(|&b| CzoneState::new(b)).collect();
+    let mut fetches = 0u64;
+    let mut runs = 0u32;
+    // Run establishments so far — the allocation clock. A unit-filtered
+    // system allocates a buffer exactly at these events.
+    let mut alloc_clock = 0u64;
+    let mut pos2 = vec![0; SD_BUCKETS + 1];
+    let mut pos3p = vec![0; SD_BUCKETS + 1];
+    let mut pos3p_alloc = vec![0; SD_BUCKETS + 1];
+
+    for (event, &id) in events.zip(&blocks.ids) {
+        let ProfileEvent::Fetch { word, .. } = event else {
+            continue;
+        };
+        fetches += 1;
+        let id = id as usize;
+        let run = std::mem::replace(&mut unit_expect[id], Run::NONE);
+        let (run_id, pos) = if run.pos > 0 {
+            // A unit-run continuation.
+            let pos = run.pos + 1;
+            let sd = recent.touch(run.id);
+            if pos == 2 {
+                pos2[sd] += 1;
+                // Establishing: a unit-filtered system allocates a
+                // buffer on this fetch. Advance the clock *before*
+                // stamping the run so its own establishment does not
+                // count against its later continuations.
+                alloc_clock += 1;
+            } else {
+                pos3p[sd] += 1;
+                pos3p_alloc[bucket(alloc_clock - run.allocs)] += 1;
+            }
+            (run.id, pos)
+        } else {
+            // A fresh unit run; in a filtered system this fetch falls
+            // through the unit filter to the czone filters.
+            let run_id = runs;
+            runs += 1;
+            recent.push(run_id);
+            for cz in &mut czone {
+                cz.fetch(word, alloc_clock);
+            }
+            (run_id, 1)
+        };
+        if let Some(next) = blocks.successor(id) {
+            unit_expect[next] = Run {
+                id: run_id,
+                pos,
+                allocs: alloc_clock,
+            };
+        }
+    }
+
+    StreamProfile {
+        fetches,
+        runs: u64::from(runs),
+        pos2,
+        pos3p,
+        pos3p_alloc,
+        czone: czone
+            .into_iter()
+            .map(|cz| CzoneSketch {
+                czone_bits: cz.czone_bits,
+                trained: cz.trained,
+                cont: cz.cont,
+            })
+            .collect(),
+    }
+}
+
+/// One czone partition the FSM tracks: its last miss word, candidate
+/// stride and whether it has reached META2.
+#[derive(Clone, Copy, Debug, Default)]
+struct Partition {
+    last: u64,
+    stride: i64,
+    meta2: bool,
 }
 
 /// The §7 czone FSM replica for one grid czone size, plus the expected
@@ -256,13 +581,16 @@ impl RunStack {
 #[derive(Debug)]
 struct CzoneState {
     czone_bits: u32,
-    /// FIFO partition table: (tag, last word, candidate stride, in
-    /// META2). Capacity [`CzoneState::CAPACITY`]; index 0 = oldest.
-    table: Vec<(u64, u64, i64, bool)>,
-    /// Trained strided runs keyed by their expected next word index:
-    /// (stride in words, allocation clock at the run's previous fetch —
-    /// unit establishments plus this czone size's own trainings).
-    expect: BTreeMap<u64, (i64, u64)>,
+    /// FIFO partition table as a ring: the `len` entries sit in slots
+    /// `head, head + 1, …` (mod [`CzoneState::CAPACITY`]), oldest
+    /// first. Tags live apart from their state so the lookup compares
+    /// one short array.
+    tags: [u64; CzoneState::CAPACITY],
+    partitions: [Partition; CzoneState::CAPACITY],
+    head: usize,
+    len: usize,
+    /// Trained strided runs keyed by their expected next word.
+    expect: ExpectTable,
     trained: u64,
     cont: Vec<u64>,
 }
@@ -275,15 +603,44 @@ impl CzoneState {
     fn new(czone_bits: u32) -> Self {
         CzoneState {
             czone_bits,
-            table: Vec::with_capacity(Self::CAPACITY),
-            expect: BTreeMap::new(),
+            tags: [0; Self::CAPACITY],
+            partitions: [Partition::default(); Self::CAPACITY],
+            head: 0,
+            len: 0,
+            expect: ExpectTable::new(),
             trained: 0,
             cont: vec![0; SD_BUCKETS + 1],
         }
     }
 
-    /// Mirrors [`CzoneFilter::lookup`]'s FSM: returns the verified
-    /// stride (in words) when a third constant-stride miss lands in one
+    /// A fetch that fell through the unit filter, at unit allocation
+    /// clock `alloc_clock`.
+    fn fetch(&mut self, word: u64, alloc_clock: u64) {
+        // This czone size's allocation clock: unit establishments plus
+        // its own trainings, since both allocate a buffer.
+        let clock = alloc_clock + self.trained;
+        // A trained strided run continuing at its expected word hits
+        // the stream — it never reaches the filters.
+        if let Some((stride, prev)) = self.expect.remove(word) {
+            let da = clock - prev;
+            self.cont[bucket(da)] += 1;
+            if da < STALE_SD {
+                if let Some(next) = word.checked_add_signed(stride) {
+                    self.expect.insert(next, stride, clock);
+                }
+            }
+            return;
+        }
+        if let Some(stride) = self.fsm(word) {
+            self.trained += 1;
+            if let Some(next) = word.checked_add_signed(stride) {
+                self.expect.insert(next, stride, alloc_clock + self.trained);
+            }
+        }
+    }
+
+    /// Mirrors `CzoneFilter::lookup`'s FSM: returns the verified stride
+    /// (in words) when a third constant-stride miss lands in one
     /// partition.
     fn fsm(&mut self, word: u64) -> Option<i64> {
         let tag = if self.czone_bits >= 64 {
@@ -291,219 +648,176 @@ impl CzoneState {
         } else {
             word >> self.czone_bits
         };
-        if let Some(pos) = self.table.iter().position(|e| e.0 == tag) {
-            let delta = word as i64 - self.table[pos].1 as i64;
+        // Compare all sixteen slots at once; live tags are unique, so
+        // at most one live slot matches.
+        let mut hits = 0u32;
+        for (i, &t) in self.tags.iter().enumerate() {
+            hits |= u32::from(t == tag) << i;
+        }
+        let live = ((1u32 << self.len) - 1) << self.head;
+        hits &= (live | live >> Self::CAPACITY) & ((1 << Self::CAPACITY) - 1);
+        if hits != 0 {
+            let slot = hits.trailing_zeros() as usize;
+            let Partition {
+                last,
+                stride,
+                meta2,
+            } = self.partitions[slot];
+            let delta = word as i64 - last as i64;
             if delta == 0 {
                 return None;
             }
-            if self.table[pos].3 && delta == self.table[pos].2 {
-                self.table.remove(pos);
+            if meta2 && delta == stride {
+                self.remove(slot);
                 return Some(delta);
             }
-            self.table[pos].1 = word;
-            self.table[pos].2 = delta;
-            self.table[pos].3 = true;
+            self.partitions[slot] = Partition {
+                last: word,
+                stride: delta,
+                meta2: true,
+            };
             return None;
         }
-        if self.table.len() == Self::CAPACITY {
-            self.table.remove(0);
+        if self.len == Self::CAPACITY {
+            // Evict the oldest.
+            self.head = (self.head + 1) % Self::CAPACITY;
+            self.len -= 1;
         }
-        self.table.push((tag, word, 0, false));
+        let slot = (self.head + self.len) % Self::CAPACITY;
+        self.tags[slot] = tag;
+        self.partitions[slot] = Partition {
+            last: word,
+            stride: 0,
+            meta2: false,
+        };
+        self.len += 1;
         None
     }
+
+    /// Drops the entry in `slot`, moving each younger entry one slot
+    /// toward the head so the ring stays in insertion order.
+    fn remove(&mut self, slot: usize) {
+        let tail = (self.head + self.len - 1) % Self::CAPACITY;
+        let mut i = slot;
+        while i != tail {
+            let next = (i + 1) % Self::CAPACITY;
+            self.tags[i] = self.tags[next];
+            self.partitions[i] = self.partitions[next];
+            i = next;
+        }
+        self.len -= 1;
+    }
 }
 
-/// Streaming builder for a [`LocalityProfile`].
-///
-/// Feed the recorded events in program order via
-/// [`fetch`](ProfileBuilder::fetch) and
-/// [`writeback`](ProfileBuilder::writeback) (with addresses already
-/// split into block and word indices), then call
-/// [`finish`](ProfileBuilder::finish).
+/// One trained strided run, filed under its expected next word.
+#[derive(Clone, Copy, Debug)]
+struct Expect {
+    word: u64,
+    /// Stride in words; never 0 for a trained run, so 0 marks an empty
+    /// slot.
+    stride: i64,
+    /// Allocation clock at the run's previous fetch.
+    clock: u64,
+}
+
+impl Expect {
+    const EMPTY: Expect = Expect {
+        word: 0,
+        stride: 0,
+        clock: 0,
+    };
+}
+
+/// Expected word → trained run: a linear-probing hash table that grows
+/// with its live entries (at most half full) and deletes by backward
+/// shift, so no tombstones build up. It is only ever probed by key.
 #[derive(Debug)]
-pub struct ProfileBuilder {
-    l1_block_bytes: u64,
-    word_bytes: u64,
-    reuse: Vec<ReuseStack>,
-    event_clock: usize,
-    fetch_clock: usize,
-    fetches: u64,
-    writebacks: u64,
-    /// Expected next block index → the unit run that predicts it.
-    unit_expect: BTreeMap<u64, Run>,
-    run_stack: RunStack,
-    next_run_id: u64,
-    runs: u64,
-    /// Run establishments so far — the allocation clock. A unit-
-    /// filtered system allocates a buffer exactly at these events.
-    alloc_clock: u64,
-    pos2: Vec<u64>,
-    pos3p: Vec<u64>,
-    pos3p_alloc: Vec<u64>,
-    czone: Vec<CzoneState>,
+struct ExpectTable {
+    /// Power-of-two many slots.
+    slots: Vec<Expect>,
+    /// `64 - log2(slots.len())`: the hash keeps the top bits.
+    shift: u32,
+    live: usize,
 }
 
-impl ProfileBuilder {
-    /// A builder for a trace of (at most) `capacity_events` events whose
-    /// L1 fetches blocks of `l1_block_bytes` and whose stride detection
-    /// operates on `word_bytes` words.
-    pub fn new(l1_block_bytes: u64, word_bytes: u64, capacity_events: usize) -> Self {
-        ProfileBuilder {
-            l1_block_bytes,
-            word_bytes,
-            reuse: REUSE_GRANULARITIES
-                .iter()
-                .map(|_| ReuseStack::new(capacity_events))
-                .collect(),
-            event_clock: 0,
-            fetch_clock: 0,
-            fetches: 0,
-            writebacks: 0,
-            unit_expect: BTreeMap::new(),
-            run_stack: RunStack::new(capacity_events),
-            next_run_id: 0,
-            runs: 0,
-            alloc_clock: 0,
-            pos2: vec![0; SD_BUCKETS + 1],
-            pos3p: vec![0; SD_BUCKETS + 1],
-            pos3p_alloc: vec![0; SD_BUCKETS + 1],
-            czone: CZONE_GRID.iter().map(|&b| CzoneState::new(b)).collect(),
+impl ExpectTable {
+    const INITIAL_SLOTS: usize = 16;
+
+    fn new() -> Self {
+        ExpectTable {
+            slots: vec![Expect::EMPTY; Self::INITIAL_SLOTS],
+            shift: 64 - Self::INITIAL_SLOTS.trailing_zeros(),
+            live: 0,
         }
     }
 
-    fn touch_reuse(&mut self, block: u64) {
-        let now = self.event_clock;
-        self.event_clock += 1;
-        for (stack, &g) in self.reuse.iter_mut().zip(REUSE_GRANULARITIES.iter()) {
-            stack.touch(block / g, now);
-        }
+    fn home(&self, word: u64) -> usize {
+        (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// A demand fetch of `block` (index at L1 block granularity) whose
-    /// missing word has index `word`.
-    pub fn fetch(&mut self, block: u64, word: u64) {
-        self.touch_reuse(block);
-        self.fetches += 1;
-        let now = self.fetch_clock;
-        self.fetch_clock += 1;
+    /// The slot holding `word`, or the empty slot that ends its probe.
+    fn find(&self, word: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(word);
+        while self.slots[i].stride != 0 && self.slots[i].word != word {
+            i = (i + 1) & mask;
+        }
+        i
+    }
 
-        // Unit-run continuation?
-        match self.unit_expect.remove(&block) {
-            Some(run) => {
-                let pos = run.pos + 1;
-                let sd = match self.run_stack.last_all.get(&run.id) {
-                    Some(&prev) => self.run_stack.all.between(prev, now) as u64,
-                    None => STALE_SD,
-                };
-                if pos == 2 {
-                    self.pos2[(sd as usize).min(SD_BUCKETS)] += 1;
-                    // Establishing: a unit-filtered system allocates a
-                    // buffer on this fetch. Advance the clock *before*
-                    // stamping the run so its own establishment does
-                    // not count against its later continuations.
-                    self.alloc_clock += 1;
-                } else {
-                    self.pos3p[(sd as usize).min(SD_BUCKETS)] += 1;
-                    let da = self.alloc_clock - run.allocs;
-                    self.pos3p_alloc[(da as usize).min(SD_BUCKETS)] += 1;
-                }
-                // Move the run's mark to this touch.
-                if let Some(prev) = self.run_stack.last_all.insert(run.id, now) {
-                    self.run_stack.all.clear(prev);
-                }
-                self.run_stack.all.set(now);
-                self.unit_expect.insert(
-                    block + 1,
-                    Run {
-                        id: run.id,
-                        pos,
-                        allocs: self.alloc_clock,
-                    },
-                );
+    /// Removes the run expecting `word`, returning its (stride, clock).
+    fn remove(&mut self, word: u64) -> Option<(i64, u64)> {
+        let mut hole = self.find(word);
+        let found = self.slots[hole];
+        if found.stride == 0 {
+            return None;
+        }
+        // Backward shift: pull each later entry of the probe cluster
+        // into the hole when the hole lies on its probe path.
+        let mask = self.slots.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let entry = self.slots[j];
+            if entry.stride == 0 {
+                break;
             }
-            None => {
-                // A fresh unit run; in a filtered system this fetch
-                // falls through the unit filter to the czone filters.
-                let id = self.next_run_id;
-                self.next_run_id += 1;
-                self.runs += 1;
-                self.run_stack.last_all.insert(id, now);
-                self.run_stack.all.set(now);
-                self.unit_expect.insert(
-                    block + 1,
-                    Run {
-                        id,
-                        pos: 1,
-                        allocs: self.alloc_clock,
-                    },
-                );
-                self.czone_fetch(word);
+            let home = self.home(entry.word);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = entry;
+                hole = j;
             }
         }
+        self.slots[hole] = Expect::EMPTY;
+        self.live -= 1;
+        Some((found.stride, found.clock))
     }
 
-    /// Drives the czone sketches with a fetch that fell through the
-    /// unit filter.
-    fn czone_fetch(&mut self, word: u64) {
-        for cz in &mut self.czone {
-            // This czone size's allocation clock: unit establishments
-            // plus its own trainings, since both allocate a buffer.
-            let clock = self.alloc_clock + cz.trained;
-            // A trained strided run continuing at its expected word
-            // hits the stream — it never reaches the filters.
-            if let Some((stride, prev)) = cz.expect.remove(&word) {
-                let da = clock - prev;
-                cz.cont[(da as usize).min(SD_BUCKETS)] += 1;
-                if da < STALE_SD {
-                    if let Some(next) = word.checked_add_signed(stride) {
-                        cz.expect.insert(next, (stride, clock));
-                    }
-                }
-                continue;
+    /// Files a run under `word`, replacing any run already expecting it.
+    fn insert(&mut self, word: u64, stride: i64, clock: u64) {
+        debug_assert_ne!(stride, 0, "a trained stride is never 0");
+        let mut i = self.find(word);
+        if self.slots[i].stride == 0 {
+            if 2 * (self.live + 1) > self.slots.len() {
+                self.grow();
+                i = self.find(word);
             }
-            if let Some(stride) = cz.fsm(word) {
-                cz.trained += 1;
-                if let Some(next) = word.checked_add_signed(stride) {
-                    cz.expect
-                        .insert(next, (stride, self.alloc_clock + cz.trained));
-                }
-            }
+            self.live += 1;
         }
+        self.slots[i] = Expect {
+            word,
+            stride,
+            clock,
+        };
     }
 
-    /// A dirty block written back (index at L1 block granularity).
-    pub fn writeback(&mut self, block: u64) {
-        self.touch_reuse(block);
-        self.writebacks += 1;
-    }
-
-    /// Finalizes the profile.
-    pub fn finish(self) -> LocalityProfile {
-        LocalityProfile {
-            l1_block_bytes: self.l1_block_bytes,
-            word_bytes: self.word_bytes,
-            events: self.event_clock as u64,
-            fetches: self.fetches,
-            writebacks: self.writebacks,
-            l1_refs: 0,
-            l1_misses: 0,
-            reuse: self.reuse.into_iter().map(|s| s.hist).collect(),
-            streams: StreamProfile {
-                fetches: self.fetches,
-                runs: self.runs,
-                pos2: self.pos2,
-                pos3p: self.pos3p,
-                pos3p_alloc: self.pos3p_alloc,
-                czone: self
-                    .czone
-                    .into_iter()
-                    .map(|cz| CzoneSketch {
-                        czone_bits: cz.czone_bits,
-                        trained: cz.trained,
-                        cont: cz.cont,
-                    })
-                    .collect(),
-            },
+    fn grow(&mut self) {
+        let slots = vec![Expect::EMPTY; 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, slots);
+        self.shift -= 1;
+        for entry in old.into_iter().filter(|e| e.stride != 0) {
+            let i = self.find(entry.word);
+            self.slots[i] = entry;
         }
     }
 }
@@ -515,15 +829,20 @@ mod tests {
     fn build(events: &[(bool, u64)]) -> LocalityProfile {
         // (is_fetch, block index); word = block * 8 (32-byte blocks,
         // 4-byte words).
-        let mut b = ProfileBuilder::new(32, 4, events.len());
-        for &(is_fetch, block) in events {
-            if is_fetch {
-                b.fetch(block, block * 8);
-            } else {
-                b.writeback(block);
-            }
-        }
-        b.finish()
+        profile_events(
+            32,
+            4,
+            events.iter().map(|&(is_fetch, block)| {
+                if is_fetch {
+                    ProfileEvent::Fetch {
+                        block,
+                        word: block * 8,
+                    }
+                } else {
+                    ProfileEvent::Writeback { block }
+                }
+            }),
+        )
     }
 
     #[test]

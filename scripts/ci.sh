@@ -227,6 +227,15 @@ dst_seed=$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')
 echo "==> DST replay smoke (fresh seed: STREAMSIM_DST_SEED=$dst_seed)"
 STREAMSIM_DST_SEED=$dst_seed cargo test -q --offline --test dst_engine
 
+# The same for the model's profile pass: the seeded cases of the
+# dense-versus-reference profile property already ran under `cargo
+# test`; one more case on a fresh seed gives every CI run an event
+# stream nobody has seen before, and the logged seed replays it.
+qc_seed=$(od -An -N8 -tx8 /dev/urandom | tr -d ' ')
+echo "==> profile equivalence (fresh seed: STREAMSIM_QC_SEED=0x$qc_seed)"
+STREAMSIM_QC_SEED=0x$qc_seed cargo test -q --offline -p streamsim-model \
+    --test profile_equivalence dense_profile_equals_the_reference_builder
+
 # Perf smoke: the recording bench asserts the chunked/SoA hot loop is
 # byte-identical to the pre-PR reference implementation, then times
 # both. The enforce floor is deliberately far below the recorded

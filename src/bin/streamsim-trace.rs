@@ -126,6 +126,13 @@ fn main() -> ExitCode {
             ))
         }
     };
+    // The timeline file is created before the command runs, so an
+    // unwritable STREAMSIM_TRACE_OUT fails at once, not after the work.
+    if let Some(path) = streamsim_obs::trace_out_path() {
+        if let Err(e) = File::create(&path) {
+            return fail(&format!("cannot create {path}: {e}"));
+        }
+    }
     let code = match args
         .iter()
         .map(String::as_str)

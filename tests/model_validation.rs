@@ -25,8 +25,9 @@ use streamsim::experiments::sweep::{DEPTHS, PRESCREEN_BAND};
 use streamsim::experiments::{miss_traces, ExperimentOptions};
 use streamsim::{
     l2_geometry, profile_trace, replay_streams, run_l2, stream_geometry, Allocation, BlockSize,
-    CacheConfig, MissTrace, StreamConfig,
+    CacheConfig, Miss, MissTrace, StreamConfig, WordSize,
 };
+use streamsim_model::reference::ProfileBuilder;
 use streamsim_model::{predict_l2, predict_streams, LocalityProfile};
 
 /// Worst single-benchmark hit-rate error allowed on any stream grid.
@@ -73,6 +74,37 @@ fn corpus() -> &'static [Bench] {
             })
             .collect()
     })
+}
+
+/// Every quick-scale trace's profile equals the frozen map-based
+/// builder's, by `PartialEq` and by `Debug` text: the dense pass
+/// changes how the profile is computed, never what it holds.
+#[test]
+fn quick_trace_profiles_equal_the_reference_builder() {
+    for bench in corpus() {
+        let trace = &bench.trace;
+        let block = trace.l1_block();
+        let word = WordSize::default();
+        let mut builder = ProfileBuilder::new(block.bytes(), word.bytes(), trace.events().len());
+        for event in trace.events() {
+            match event.decode() {
+                Miss::Fetch { addr, .. } => {
+                    builder.fetch(addr.block(block).index(), addr.word(word).index());
+                }
+                Miss::Writeback { base } => builder.writeback(base.block(block).index()),
+            }
+        }
+        let mut reference = builder.finish();
+        reference.l1_refs = trace.l1().refs();
+        reference.l1_misses = trace.l1().misses();
+        assert_eq!(bench.profile, reference, "{}", bench.name);
+        assert_eq!(
+            format!("{:?}", bench.profile),
+            format!("{reference:?}"),
+            "{}",
+            bench.name
+        );
+    }
 }
 
 /// Measured-vs-predicted errors over one grid of stream configurations.

@@ -89,6 +89,29 @@ fn replay_rejects_missing_file() {
     assert!(!out.status.success());
 }
 
+/// An unwritable timeline path fails before the command does any work:
+/// `gen` exits 1 naming the path and leaves its trace file unwritten.
+#[test]
+fn unwritable_trace_out_fails_before_gen_writes() {
+    let path = tmp("trace-out-first.sstr");
+    std::fs::remove_file(&path).ok();
+    let out = trace_tool()
+        .env("STREAMSIM_TRACE_OUT", "/nonexistent/dir/t.json")
+        .args(["gen", "embar", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: cannot create /nonexistent/dir/t.json:"),
+        "{stderr}"
+    );
+    assert!(
+        !path.exists(),
+        "gen ran before the timeline path was checked"
+    );
+}
+
 /// A command-line argument that is not valid UTF-8 is an input error,
 /// not a panic.
 #[cfg(unix)]
