@@ -1,16 +1,18 @@
 //! Timing: the recording hot loop (chunked generation + SoA L1) against
-//! the pre-PR implementation.
+//! a frozen reference loop.
 //!
 //! Recording is the part of every experiment that touches each
 //! reference — everything downstream works on the ~100× smaller miss
 //! trace — so it is the loop worth keeping hardware-fast. This bench
-//! pits the current [`record_miss_trace`] (chunk-batched emission into
-//! the structure-of-arrays `SetAssocCache`) against a faithful
-//! reconstruction of the pre-PR path: per-reference closure dispatch
-//! into [`ReferenceCache`], the verbatim array-of-structs model kept in
-//! `streamsim_cache::reference`. Both paths are run over the quick
-//! scorecard workload set and must produce identical miss events, which
-//! the bench asserts before timing anything.
+//! pits the current [`record_miss_trace`] (chunked emission into the
+//! structure-of-arrays `SetAssocCache`) against a frozen reference loop
+//! that reads the same chunks reference by reference into
+//! [`ReferenceCache`], the verbatim array-of-structs model kept in
+//! `streamsim_cache::reference`. Chunked generation is the only
+//! emission path, so both loops share it and the ratio measures the
+//! cache model and the event recording. Both paths are run over the
+//! quick scorecard workload set and must produce identical miss events,
+//! which the bench asserts before timing anything.
 //!
 //! Output: one human + JSON line per (workload, path) pair in the usual
 //! harness shape, plus a summary. With `STREAMSIM_BENCH_WRITE=1` the
@@ -31,29 +33,31 @@ use streamsim_core::{record_miss_trace, Miss, RecordOptions};
 use streamsim_trace::{Access, AccessKind};
 use streamsim_workloads::Workload;
 
-/// The pre-PR recording loop: closure-based generation into the
-/// array-of-structs reference cache, one virtual call per reference.
+/// The frozen recording loop: the workload's chunks, read reference by
+/// reference into the array-of-structs reference cache.
 fn reference_record(w: &dyn Workload, record: &RecordOptions) -> Vec<Miss> {
     let mut icache = ReferenceCache::new(record.icache).expect("valid L1");
     let mut dcache = ReferenceCache::new(record.dcache).expect("valid L1");
     let block = record.dcache.block();
     let mut events = Vec::new();
-    w.generate(&mut |access: Access| {
-        let outcome = match access.kind {
-            AccessKind::IFetch => icache.access(access.addr, access.kind),
-            AccessKind::Load | AccessKind::Store => dcache.access(access.addr, access.kind),
-        };
-        match outcome {
-            AccessOutcome::Hit | AccessOutcome::Bypassed => {}
-            AccessOutcome::Miss { writeback } => {
-                events.push(Miss::Fetch {
-                    addr: access.addr,
-                    kind: access.kind,
-                });
-                if let Some(victim) = writeback {
-                    events.push(Miss::Writeback {
-                        base: victim.base_addr(block),
+    w.generate_chunks(&mut Vec::new(), &mut |chunk: &[Access]| {
+        for &access in chunk {
+            let outcome = match access.kind {
+                AccessKind::IFetch => icache.access(access.addr, access.kind),
+                AccessKind::Load | AccessKind::Store => dcache.access(access.addr, access.kind),
+            };
+            match outcome {
+                AccessOutcome::Hit | AccessOutcome::Bypassed => {}
+                AccessOutcome::Miss { writeback } => {
+                    events.push(Miss::Fetch {
+                        addr: access.addr,
+                        kind: access.kind,
                     });
+                    if let Some(victim) = writeback {
+                        events.push(Miss::Writeback {
+                            base: victim.base_addr(block),
+                        });
+                    }
                 }
             }
         }

@@ -9,10 +9,10 @@
 //!   outcome (stats, hits, eviction sequence) under every policy and
 //!   geometry, which the `soa_equivalence` property tests check against
 //!   randomized traces;
-//! * **benchmark baseline** — the `recording` bench measures the SoA +
-//!   chunked hot loop against this model driving the closure-based
-//!   generation path, so the tracked speedup is against the real pre-PR
-//!   implementation, not a strawman.
+//! * **benchmark baseline** — the `recording` bench measures the SoA
+//!   hot loop against this model reading the same chunks reference by
+//!   reference, so the tracked speedup is the cache model's and the
+//!   event recording's, not the generator's.
 //!
 //! It is deliberately *not* optimised; do not use it in drivers.
 

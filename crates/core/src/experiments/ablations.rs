@@ -210,12 +210,14 @@ pub fn run(options: &ExperimentOptions) -> Ablations {
         let cfg = CacheConfig::new(l1_bytes, 1, BlockSize::default()).expect("valid");
         let mut l1 = VictimL1::new(cfg, 16).expect("valid");
         let mut streams = StreamSystem::new(StreamConfig::paper_basic(10).expect("valid"));
-        w.generate(&mut |access| {
-            if access.kind == streamsim_trace::AccessKind::IFetch {
-                return;
-            }
-            if l1.access(access.addr, access.kind) == VictimL1Outcome::Miss {
-                streams.on_l1_miss(access.addr);
+        w.generate_chunks(&mut Vec::new(), &mut |chunk| {
+            for &access in chunk {
+                if access.kind == streamsim_trace::AccessKind::IFetch {
+                    continue;
+                }
+                if l1.access(access.addr, access.kind) == VictimL1Outcome::Miss {
+                    streams.on_l1_miss(access.addr);
+                }
             }
         });
         streams.finalize();

@@ -144,8 +144,10 @@ fn measure(
     // unsampled even under time sampling (see the module docs).
     let l2_cfg = CacheConfig::new(1 << 20, 2, BlockSize::default()).expect("valid");
     let mut two_level = TwoLevel::new(record.icache, record.dcache, l2_cfg).expect("valid");
-    workload.generate(&mut |a| {
-        two_level.access(a);
+    workload.generate_chunks(&mut Vec::new(), &mut |chunk| {
+        for &a in chunk {
+            two_level.access(a);
+        }
     });
     let l2_hit = two_level.l2_stats().hit_rate();
 

@@ -212,31 +212,37 @@ pub fn run(options: &ExperimentOptions) -> Sweep {
 /// territory — see `crates/bench/benches/model.rs`).
 fn run_grid(options: &ExperimentOptions, grid: Vec<SweepCell>) -> Sweep {
     let cells_total = grid.len();
-    if !options.prescreen {
-        let traces = miss_traces(options);
-        let scores = simulate(options, traces, &grid);
-        let flags = frontier_flags(&scores);
-        let rows = grid
-            .into_iter()
-            .zip(scores)
-            .zip(flags)
-            .map(|((cell, (hit, eb)), frontier)| Row {
-                cell,
-                hit,
-                eb,
-                frontier,
-            })
-            .collect();
-        return Sweep {
-            rows,
-            cells_total,
-            cells_simulated: cells_total,
-            prescreened: false,
-        };
+    let grid = if options.prescreen {
+        prescreen(options, grid)
+    } else {
+        grid
+    };
+    let traces = miss_traces(options);
+    let scores = simulate(options, traces, &grid);
+    let flags = frontier_flags(&scores);
+    let rows: Vec<Row> = grid
+        .into_iter()
+        .zip(scores)
+        .zip(flags)
+        .map(|((cell, (hit, eb)), frontier)| Row {
+            cell,
+            hit,
+            eb,
+            frontier,
+        })
+        .collect();
+    Sweep {
+        cells_simulated: rows.len(),
+        rows,
+        cells_total,
+        prescreened: options.prescreen,
     }
+}
 
-    // Pre-screen: score every cell in closed form from the memoized
-    // locality profiles, keep the predicted frontier plus the band.
+/// Scores every cell of `grid` in closed form from the memoized
+/// locality profiles and keeps the predicted frontier plus the band, in
+/// grid order.
+fn prescreen(options: &ExperimentOptions, grid: Vec<SweepCell>) -> Vec<SweepCell> {
     let workloads = workload_set(options.scale);
     let profiles = options
         .store
@@ -263,32 +269,10 @@ fn run_grid(options: &ExperimentOptions, grid: Vec<SweepCell>) -> Sweep {
         })
         .collect();
     let keep = keep_with_band(&predicted, PRESCREEN_BAND);
-    let kept: Vec<SweepCell> = grid
-        .into_iter()
+    grid.into_iter()
         .zip(&keep)
         .filter_map(|(cell, &k)| k.then_some(cell))
-        .collect();
-
-    let traces = miss_traces(options);
-    let scores = simulate(options, traces, &kept);
-    let flags = frontier_flags(&scores);
-    let rows: Vec<Row> = kept
-        .into_iter()
-        .zip(scores)
-        .zip(flags)
-        .map(|((cell, (hit, eb)), frontier)| Row {
-            cell,
-            hit,
-            eb,
-            frontier,
-        })
-        .collect();
-    Sweep {
-        cells_simulated: rows.len(),
-        rows,
-        cells_total,
-        prescreened: true,
-    }
+        .collect()
 }
 
 impl Artifact for Sweep {

@@ -22,7 +22,7 @@ use std::fmt;
 
 use streamsim_cache::{CacheConfig, TwoLevel};
 use streamsim_streams::{StreamConfig, StreamStats};
-use streamsim_trace::{BlockSize, ChunkSampler};
+use streamsim_trace::{Access, BlockSize, ChunkSampler};
 
 use crate::experiments::{workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
@@ -103,22 +103,21 @@ pub fn run(options: &ExperimentOptions) -> Traffic {
         let l2_cfg = CacheConfig::new(L2_BYTES, 2, BlockSize::default()).expect("valid L2");
         let mut two_level =
             TwoLevel::new(record.icache, record.dcache, l2_cfg).expect("valid hierarchy");
+        let mut consume = |chunk: &[Access]| {
+            for &a in chunk {
+                two_level.access(a);
+            }
+        };
         match record.sampling {
             // The same window record_miss_trace applies: chunks split
             // into kept sub-slices by the sampler.
             Some((on, off)) => {
                 let mut sampler = ChunkSampler::new(on, off);
                 w.generate_chunks(&mut Vec::new(), &mut |chunk| {
-                    sampler.sample(chunk, &mut |kept| {
-                        for &a in kept {
-                            two_level.access(a);
-                        }
-                    });
+                    sampler.sample(chunk, &mut consume);
                 });
             }
-            None => w.generate(&mut |a| {
-                two_level.access(a);
-            }),
+            None => w.generate_chunks(&mut Vec::new(), &mut consume),
         }
 
         Row {

@@ -74,12 +74,6 @@ impl Workload for RecordedTrace {
         hi.saturating_sub(lo)
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        for &a in &self.trace {
-            sink(a);
-        }
-    }
-
     /// A stored trace is already contiguous, so chunks are emitted as
     /// zero-copy slices; `batch` only supplies the chunk size.
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
@@ -168,12 +162,6 @@ impl Workload for Interleaved {
 
     fn data_set_bytes(&self) -> u64 {
         self.parts.iter().map(|p| p.data_set_bytes()).sum()
-    }
-
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.generate_chunks(&mut Vec::new(), &mut |chunk| {
-            chunk.iter().for_each(|&a| sink(a));
-        });
     }
 
     /// Part 0's chunks are cut at its quantum boundaries, and after each

@@ -10,7 +10,7 @@ use streamsim_prng::{Rng, Xoshiro256StarStar};
 
 use streamsim_trace::{Access, Addr};
 
-use crate::{AddressSpace, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Suite, Tracer, Workload};
 
 /// Sequential sweeps over one or more arrays, one after another.
 ///
@@ -40,14 +40,11 @@ impl Default for SequentialSweep {
 }
 
 impl SequentialSweep {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let mut mem = AddressSpace::new();
         let arrays: Vec<_> = (0..self.arrays)
             .map(|_| mem.array1(self.bytes_per_array / self.elem, self.elem))
             .collect();
-        let mut t = Tracer::new(sink, 2048, Tracer::DEFAULT_IFETCH_INTERVAL);
         for _ in 0..self.passes {
             for a in &arrays {
                 for i in 0..a.len() {
@@ -75,14 +72,8 @@ impl Workload for SequentialSweep {
         self.arrays as u64 * self.bytes_per_array
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 2048));
     }
 }
 
@@ -110,12 +101,11 @@ impl Default for InterleavedStreams {
 }
 
 impl InterleavedStreams {
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let mut mem = AddressSpace::new();
         let arrays: Vec<_> = (0..self.num_streams)
             .map(|_| mem.array1(self.elements, self.elem))
             .collect();
-        let mut t = Tracer::new(sink, 1024, Tracer::DEFAULT_IFETCH_INTERVAL);
         for i in 0..self.elements {
             for a in &arrays {
                 t.load(a.at(i));
@@ -141,14 +131,8 @@ impl Workload for InterleavedStreams {
         self.num_streams as u64 * self.elements * self.elem
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 1024));
     }
 }
 
@@ -175,10 +159,9 @@ impl Default for StridedSweep {
 }
 
 impl StridedSweep {
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let mut mem = AddressSpace::new();
         let base = mem.alloc(self.stride_bytes * self.count + 8, 64);
-        let mut t = Tracer::new(sink, 1024, Tracer::DEFAULT_IFETCH_INTERVAL);
         for _ in 0..self.repeats {
             for i in 0..self.count {
                 t.load(Addr::new(base.raw() + i * self.stride_bytes));
@@ -204,14 +187,8 @@ impl Workload for StridedSweep {
         self.stride_bytes * self.count
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 1024));
     }
 }
 
@@ -238,12 +215,11 @@ impl Default for RandomGather {
 }
 
 impl RandomGather {
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let mut mem = AddressSpace::new();
         let words = self.footprint / 8;
         let a = mem.array1(words, 8);
         let mut rng = Xoshiro256StarStar::seed_from_u64(self.seed);
-        let mut t = Tracer::new(sink, 1024, Tracer::DEFAULT_IFETCH_INTERVAL);
         for _ in 0..self.count {
             t.load(a.at(rng.gen_range(0..words)));
         }
@@ -267,14 +243,8 @@ impl Workload for RandomGather {
         self.footprint
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 1024));
     }
 }
 

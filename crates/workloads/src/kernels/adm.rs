@@ -13,7 +13,7 @@ use streamsim_prng::{Rng, Xoshiro256StarStar};
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Suite, Tracer, Workload};
 
 /// The ADM kernel model.
 #[derive(Clone, Debug)]
@@ -41,9 +41,7 @@ impl Adm {
 }
 
 impl Adm {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let mut mem = AddressSpace::new();
         let conc = mem.array1(self.cells, 8);
         let conc2 = mem.array1(self.cells, 8);
@@ -59,7 +57,6 @@ impl Adm {
             .map(|_| rng.gen_range(0..self.cells))
             .collect();
 
-        let mut t = Tracer::new(sink, 4096, Tracer::DEFAULT_IFETCH_INTERVAL);
         for _ in 0..self.steps {
             t.branch_to(0);
             for i in 0..self.cells {
@@ -99,14 +96,8 @@ impl Workload for Adm {
         self.cells * (8 + 8 + 8 + 4 + 4)
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 4096));
     }
 }
 

@@ -14,7 +14,7 @@
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, Array4, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Array4, Suite, Tracer, Workload};
 
 /// The BT kernel model.
 #[derive(Clone, Debug)]
@@ -49,8 +49,8 @@ impl Appbt {
         reason = "a grid point needs its three fields, the line buffer and its cursor, and \
                   (i, j, k); a parameter struct would only rename them"
     )]
-    fn point<S: RefSink + ?Sized>(
-        t: &mut Tracer<'_, S>,
+    fn point(
+        t: &mut Tracer<'_>,
         u: &Array4,
         rhs: &Array4,
         qs: &Array4,
@@ -78,9 +78,7 @@ impl Appbt {
 }
 
 impl Appbt {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let n = self.n;
         let mut mem = AddressSpace::new();
         let u = mem.array4(5, n, n, n, 8);
@@ -91,7 +89,6 @@ impl Appbt {
         // rebuilt each line — resident by construction.
         let lhs_line = mem.array1(3 * 25 * n, 8);
 
-        let mut t = Tracer::new(sink, 8192, Tracer::DEFAULT_IFETCH_INTERVAL);
         let mut lp = 0u64;
         for _ in 0..self.iters {
             // compute_rhs: storage-order pass over u, forcing and rhs.
@@ -161,14 +158,8 @@ impl Workload for Appbt {
         (5 + 5 + 5 + 1) * points * 8
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 8192));
     }
 }
 

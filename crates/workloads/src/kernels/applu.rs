@@ -13,7 +13,7 @@
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Suite, Tracer, Workload};
 
 /// The LU kernel model.
 #[derive(Clone, Debug)]
@@ -43,9 +43,7 @@ impl Applu {
 }
 
 impl Applu {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let n = self.n;
         let mut mem = AddressSpace::new();
         let u = mem.array4(5, n, n, n, 8);
@@ -54,9 +52,8 @@ impl Applu {
         // Per-point 5×5 Jacobian blocks, rebuilt each point — resident.
         let jac = mem.array1(4 * 25, 8);
 
-        let mut t = Tracer::new(sink, 8192, Tracer::DEFAULT_IFETCH_INTERVAL);
         let mut jp = 0u64;
-        let mut block_math = |t: &mut Tracer<'_, S>, refs: u64| {
+        let mut block_math = |t: &mut Tracer<'_>, refs: u64| {
             for _ in 0..refs {
                 jp = (jp + 1) % jac.len();
                 t.load(jac.at(jp));
@@ -134,14 +131,8 @@ impl Workload for Applu {
         3 * 5 * points * 8
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 8192));
     }
 }
 

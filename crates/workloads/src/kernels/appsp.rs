@@ -13,7 +13,7 @@
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Suite, Tracer, Workload};
 
 /// The SP kernel model.
 #[derive(Clone, Debug)]
@@ -44,9 +44,7 @@ impl Appsp {
 }
 
 impl Appsp {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let n = self.n;
         let mut mem = AddressSpace::new();
         let u = mem.array4(5, n, n, n, 8);
@@ -56,7 +54,6 @@ impl Appsp {
         mem.skip_to(0x5000_0000);
         let rhs = mem.array4(5, n, n, n, 8);
 
-        let mut t = Tracer::new(sink, 8192, Tracer::DEFAULT_IFETCH_INTERVAL);
         for _ in 0..self.iters {
             // compute_rhs: one pass over u and rhs in storage order — two
             // long unit-stride streams.
@@ -132,14 +129,8 @@ impl Workload for Appsp {
         2 * 5 * self.n * self.n * self.n * 8
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 8192));
     }
 }
 

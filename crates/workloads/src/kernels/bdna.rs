@@ -12,7 +12,7 @@ use streamsim_prng::{Rng, Xoshiro256StarStar};
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Suite, Tracer, Workload};
 
 /// The BDNA kernel model.
 #[derive(Clone, Debug)]
@@ -44,9 +44,7 @@ impl Bdna {
 }
 
 impl Bdna {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let mut mem = AddressSpace::new();
         let pos = mem.array2(self.atoms, 3, 8);
         let force = mem.array2(self.atoms, 3, 8);
@@ -62,7 +60,6 @@ impl Bdna {
             })
             .collect();
 
-        let mut t = Tracer::new(sink, 4096, Tracer::DEFAULT_IFETCH_INTERVAL);
         for _ in 0..self.steps {
             t.branch_to(0);
             let mut p = 0u64;
@@ -111,14 +108,8 @@ impl Workload for Bdna {
         self.atoms * 6 * 8 + self.atoms * self.neighbours * 4
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 4096));
     }
 }
 

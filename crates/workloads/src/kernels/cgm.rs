@@ -14,7 +14,7 @@ use streamsim_prng::{Rng, Xoshiro256StarStar};
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Suite, Tracer, Workload};
 
 /// The CG kernel model.
 #[derive(Clone, Debug)]
@@ -61,9 +61,7 @@ impl Cgm {
         }
     }
 
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let mut mem = AddressSpace::new();
         let a = mem.array1(self.nnz, 8);
         let colidx = mem.array1(self.nnz, 4);
@@ -92,7 +90,6 @@ impl Cgm {
             }
         }
 
-        let mut t = Tracer::new(sink, 4096, Tracer::DEFAULT_IFETCH_INTERVAL);
         for _ in 0..self.iters {
             // q = A · p  (mat-vec).
             t.branch_to(0);
@@ -140,14 +137,8 @@ impl Workload for Cgm {
         self.nnz * 8 + self.nnz * 4 + (self.rows + 1) * 4 + 5 * self.rows * 8
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 4096));
     }
 }
 

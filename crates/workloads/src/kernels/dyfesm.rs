@@ -11,7 +11,7 @@ use streamsim_prng::{Rng, Xoshiro256StarStar};
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Suite, Tracer, Workload};
 
 /// The DYFESM kernel model.
 #[derive(Clone, Debug)]
@@ -42,9 +42,7 @@ impl Dyfesm {
 }
 
 impl Dyfesm {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let mut mem = AddressSpace::new();
         let disp = mem.array2(self.nodes, 3, 8);
         let force = mem.array2(self.nodes, 3, 8);
@@ -68,7 +66,6 @@ impl Dyfesm {
             })
             .collect();
 
-        let mut t = Tracer::new(sink, 4096, Tracer::DEFAULT_IFETCH_INTERVAL);
         let mut sp = 0u64;
         for _ in 0..self.steps {
             t.branch_to(0);
@@ -126,14 +123,8 @@ impl Workload for Dyfesm {
         self.nodes * 6 * 8 + self.elements * self.nodes_per_elem * 4
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 4096));
     }
 }
 

@@ -11,7 +11,7 @@
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Suite, Tracer, Workload};
 
 /// The EP kernel model.
 #[derive(Clone, Debug)]
@@ -37,9 +37,7 @@ impl Embar {
 }
 
 impl Embar {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let mut mem = AddressSpace::new();
         // Scratch scales with the chunk so it stays cache-resident at
         // any simulated scale.
@@ -47,7 +45,6 @@ impl Embar {
         let bins = mem.array1(16, 8);
         let log = mem.array1((self.batches as u64) * self.chunk * 2, 8);
 
-        let mut t = Tracer::new(sink, 4096, Tracer::DEFAULT_IFETCH_INTERVAL);
         let mut log_pos = 0u64;
         let mut sp = 0u64;
         for _batch in 0..self.batches {
@@ -88,14 +85,8 @@ impl Workload for Embar {
         self.chunk.max(256) * 8 + 16 * 8 + (self.batches as u64) * self.chunk * 2 * 8
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 4096));
     }
 }
 

@@ -12,7 +12,7 @@
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Suite, Tracer, Workload};
 
 /// The FT kernel model.
 #[derive(Clone, Debug)]
@@ -36,9 +36,7 @@ impl Fftpde {
         }
     }
 
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let n = self.n;
         let mut mem = AddressSpace::new();
         let x = mem.alloc(n * n * n * COMPLEX, 64);
@@ -49,7 +47,6 @@ impl Fftpde {
         mem.skip_to(x.raw() + (1 << 25));
         let y = mem.alloc(n * n * n * COMPLEX / 2, 64);
 
-        let mut t = Tracer::new(sink, 8192, Tracer::DEFAULT_IFETCH_INTERVAL);
         let at_x = |e: u64| streamsim_trace::Addr::new(x.raw() + e * COMPLEX);
         let at_y = |e: u64| streamsim_trace::Addr::new(y.raw() + e * COMPLEX);
 
@@ -119,14 +116,8 @@ impl Workload for Fftpde {
         self.n * self.n * self.n * COMPLEX * 3 / 2
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 8192));
     }
 }
 

@@ -12,7 +12,7 @@ use streamsim_prng::{Rng, Xoshiro256StarStar};
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Suite, Tracer, Workload};
 
 /// The IS kernel model.
 #[derive(Clone, Debug)]
@@ -40,9 +40,7 @@ impl Is {
 }
 
 impl Is {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let mut mem = AddressSpace::new();
         let key = mem.array1(self.keys, 4);
         let rank = mem.array1(self.keys, 4);
@@ -53,7 +51,6 @@ impl Is {
             .map(|_| rng.gen_range(0..self.max_key))
             .collect();
 
-        let mut t = Tracer::new(sink, 2048, Tracer::DEFAULT_IFETCH_INTERVAL);
         for _ in 0..self.iters {
             // Counting pass: sequential keys, data-dependent counts.
             t.branch_to(0);
@@ -98,14 +95,8 @@ impl Workload for Is {
         self.keys * 4 * 2 + self.max_key * 4
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 2048));
     }
 }
 

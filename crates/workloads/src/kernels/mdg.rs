@@ -11,7 +11,7 @@ use streamsim_prng::{Rng, Xoshiro256StarStar};
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Suite, Tracer, Workload};
 
 /// The MDG kernel model.
 #[derive(Clone, Debug)]
@@ -37,9 +37,7 @@ impl Mdg {
 }
 
 impl Mdg {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let n = self.molecules;
         let mut mem = AddressSpace::new();
         let pos = mem.array2(n * 9, 1, 8); // 3 atoms × 3 coords per molecule
@@ -53,7 +51,6 @@ impl Mdg {
             .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
             .collect();
         rng.shuffle(&mut pair_order);
-        let mut t = Tracer::new(sink, 4096, Tracer::DEFAULT_IFETCH_INTERVAL);
         for _ in 0..self.steps {
             // Pairwise force loop: the pair list itself streams
             // sequentially, but the referenced molecules jump around.
@@ -105,14 +102,8 @@ impl Workload for Mdg {
         n * 9 * 2 * 8 + n * (n - 1) / 2 * 8
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 4096));
     }
 }
 

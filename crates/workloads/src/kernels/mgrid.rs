@@ -12,7 +12,7 @@
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, Array3, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Array3, Suite, Tracer, Workload};
 
 /// The MG kernel model.
 #[derive(Clone, Debug)]
@@ -41,7 +41,7 @@ impl Mgrid {
     }
 
     /// Relaxation sweep: u ← smooth(u, r) with a 27-point stencil.
-    fn relax<S: RefSink + ?Sized>(t: &mut Tracer<'_, S>, u: &Array3, r: &Array3) {
+    fn relax(t: &mut Tracer<'_>, u: &Array3, r: &Array3) {
         let n = u.dims()[0];
         for k in 1..n - 1 {
             for j in 1..n - 1 {
@@ -62,7 +62,7 @@ impl Mgrid {
     }
 
     /// Residual: r ← v − A·u.
-    fn resid<S: RefSink + ?Sized>(t: &mut Tracer<'_, S>, u: &Array3, v: &Array3, r: &Array3) {
+    fn resid(t: &mut Tracer<'_>, u: &Array3, v: &Array3, r: &Array3) {
         let n = u.dims()[0];
         for k in 1..n - 1 {
             for j in 1..n - 1 {
@@ -78,7 +78,7 @@ impl Mgrid {
     }
 
     /// Restriction: coarse ← fine at stride 2.
-    fn restrict<S: RefSink + ?Sized>(t: &mut Tracer<'_, S>, fine: &Array3, coarse: &Array3) {
+    fn restrict(t: &mut Tracer<'_>, fine: &Array3, coarse: &Array3) {
         let nc = coarse.dims()[0];
         for k in 0..nc {
             for j in 0..nc {
@@ -92,7 +92,7 @@ impl Mgrid {
     }
 
     /// Prolongation: fine ← fine + interpolate(coarse).
-    fn interp<S: RefSink + ?Sized>(t: &mut Tracer<'_, S>, coarse: &Array3, fine: &Array3) {
+    fn interp(t: &mut Tracer<'_>, coarse: &Array3, fine: &Array3) {
         let nc = coarse.dims()[0];
         for k in 0..nc {
             for j in 0..nc {
@@ -107,9 +107,7 @@ impl Mgrid {
 }
 
 impl Mgrid {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let mut mem = AddressSpace::new();
         // Grid hierarchy down to 4³.
         let mut dims = Vec::new();
@@ -129,7 +127,6 @@ impl Mgrid {
             })
             .collect();
 
-        let mut t = Tracer::new(sink, 8192, Tracer::DEFAULT_IFETCH_INTERVAL);
         for _ in 0..self.cycles {
             // Down-sweep: relax + residual + restrict.
             for l in 0..levels.len() - 1 {
@@ -178,14 +175,8 @@ impl Workload for Mgrid {
         3 * fine + 3 * fine / 7
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 8192));
     }
 }
 

@@ -9,7 +9,7 @@
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, Array2, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Array2, Suite, Tracer, Workload};
 
 /// The QCD kernel model.
 #[derive(Clone, Debug)]
@@ -31,9 +31,7 @@ impl Qcd {
 const MATRIX: u64 = 18;
 
 impl Qcd {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let l = self.l;
         let sites = l.pow(4);
         let mut mem = AddressSpace::new();
@@ -43,7 +41,6 @@ impl Qcd {
         let scratch = mem.array1(256, 8);
 
         let strides = [1u64, l, l * l, l * l * l];
-        let mut t = Tracer::new(sink, 8192, Tracer::DEFAULT_IFETCH_INTERVAL);
         let mut sp = 0u64;
         for _ in 0..self.sweeps {
             t.branch_to(0);
@@ -103,14 +100,8 @@ impl Workload for Qcd {
         sites * 4 * MATRIX * 8
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 8192));
     }
 }
 

@@ -10,7 +10,7 @@
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Suite, Tracer, Workload};
 
 /// The spec77 kernel model.
 #[derive(Clone, Debug)]
@@ -39,9 +39,7 @@ impl Spec77 {
 }
 
 impl Spec77 {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let mut mem = AddressSpace::new();
         let spec = mem.array2(self.waves * self.waves, self.levels, 8);
         let legendre = mem.array1(self.waves * self.waves, 8);
@@ -50,7 +48,6 @@ impl Spec77 {
         let grid2 = mem.array2(self.lats * self.lats, self.levels, 8);
         let scratch = mem.array1(2048, 8);
 
-        let mut t = Tracer::new(sink, 8192, Tracer::DEFAULT_IFETCH_INTERVAL);
         let mut sp = 0u64;
         for _ in 0..self.steps {
             // Inverse Legendre transform: for each level, a long
@@ -118,14 +115,8 @@ impl Workload for Spec77 {
         spec + four + grid
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 8192));
     }
 }
 

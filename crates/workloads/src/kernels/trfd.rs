@@ -15,7 +15,7 @@
 
 use streamsim_trace::Access;
 
-use crate::{AddressSpace, ChunkSink, RefSink, Suite, Tracer, Workload};
+use crate::{AddressSpace, Suite, Tracer, Workload};
 
 /// The TRFD kernel model.
 #[derive(Clone, Debug)]
@@ -45,9 +45,7 @@ impl Trfd {
 }
 
 impl Trfd {
-    // One body serves both emission paths, so closure and chunked
-    // streams are identical by construction.
-    fn trace<S: RefSink + ?Sized>(&self, sink: &mut S) {
+    fn trace(&self, mut t: Tracer<'_>) {
         let n = self.n;
         let mut mem = AddressSpace::new();
         let a = mem.array2(n, n, 8);
@@ -60,7 +58,6 @@ impl Trfd {
         let packed = mem.array1(n * (n + 1) / 2, 8);
         let scratch = mem.array1(1024, 8);
 
-        let mut t = Tracer::new(sink, 4096, Tracer::DEFAULT_IFETCH_INTERVAL);
         let mut sp = 0u64;
         // First half-transformation, C = Aᵀ·B accumulated over occupied
         // orbitals: every pass sweeps both operands down columns (the
@@ -130,14 +127,8 @@ impl Workload for Trfd {
         3 * self.n * self.n * 8
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.trace(sink);
-    }
-
     fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.trace(&mut sink);
-        sink.flush();
+        self.trace(Tracer::new(batch, emit, 4096));
     }
 }
 

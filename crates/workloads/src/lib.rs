@@ -12,11 +12,11 @@
 //! scatter/gather, `cgm` by sequential index/value arrays plus a banded
 //! gather).
 //!
-//! Kernels push references into a sink (`FnMut(Access)`), or in chunks
-//! through [`Workload::generate_chunks`], so traces never need to be
-//! materialised; feed the chunks through [`streamsim_trace::ChunkSampler`]
-//! for the paper's time sampling, or use [`collect_trace`] when a `Vec`
-//! is convenient.
+//! Every workload emits its trace in chunks through
+//! [`Workload::generate_chunks`] (kernels fill them through a
+//! [`Tracer`]), so traces never need to be materialised; feed the chunks
+//! through [`streamsim_trace::ChunkSampler`] for the paper's time
+//! sampling, or use [`collect_trace`] when a `Vec` is convenient.
 //!
 //! # Example
 //!
@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod chunk;
 pub mod combinators;
 pub mod generators;
 pub mod kernels;
@@ -43,9 +42,8 @@ use std::fmt;
 
 use streamsim_trace::Access;
 
-pub use chunk::{ChunkSink, RefSink, DEFAULT_CHUNK};
 pub use layout::{AddressSpace, Array1, Array2, Array3, Array4};
-pub use tracer::Tracer;
+pub use tracer::{Tracer, DEFAULT_CHUNK};
 
 /// The benchmark suite a workload models.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,10 +69,11 @@ impl fmt::Display for Suite {
 /// A reference-trace generator modelling one benchmark.
 ///
 /// Implementations must be deterministic: two calls to
-/// [`Workload::generate`] emit identical traces. Workloads are `Send +
-/// Sync` so experiment sweeps can generate traces from worker threads,
-/// and `Debug` so every instance can describe its full parameterisation
-/// (the basis of the default [`Workload::fingerprint`]).
+/// [`Workload::generate_chunks`] emit identical traces, whatever the
+/// batch capacity. Workloads are `Send + Sync` so experiment sweeps can
+/// generate traces from worker threads, and `Debug` so every instance
+/// can describe its full parameterisation (the basis of the default
+/// [`Workload::fingerprint`]).
 pub trait Workload: Send + Sync + fmt::Debug {
     /// Short benchmark name as the paper spells it (e.g. `"fftpde"`).
     fn name(&self) -> &str;
@@ -89,23 +88,21 @@ pub trait Workload: Send + Sync + fmt::Debug {
     /// The modelled data footprint in bytes (Table 1's "Data Set Size").
     fn data_set_bytes(&self) -> u64;
 
-    /// Pushes the complete reference trace into `sink`.
-    fn generate(&self, sink: &mut dyn FnMut(Access));
+    /// Emits the complete reference trace in chunks, so consumers pay
+    /// one indirect call per chunk instead of per reference. A kernel
+    /// fills `batch` up to its capacity ([`DEFAULT_CHUNK`] if
+    /// unallocated) and hands it to `emit` each time; a stored trace
+    /// hands over slices instead. No chunk is empty, and the
+    /// concatenation of the chunks does not depend on the capacity.
+    fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access]));
 
-    /// Emits the complete reference trace in chunks: `batch` is filled
-    /// up to its capacity ([`DEFAULT_CHUNK`] if unallocated) and handed
-    /// to `emit` repeatedly, so consumers pay one indirect call per
-    /// chunk instead of per reference.
-    ///
-    /// The concatenation of all emitted chunks must be byte-identical
-    /// to the stream [`Workload::generate`] pushes (pinned by property
-    /// tests for every kernel). The default adapter guarantees this by
-    /// routing `generate` through a [`ChunkSink`]; hot kernels override
-    /// it with a natively chunked body instead.
-    fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
-        let mut sink = ChunkSink::new(batch, emit);
-        self.generate(&mut |a| sink.emit(a));
-        sink.flush();
+    /// Pushes the complete reference trace into `sink`, one reference
+    /// at a time: the concatenation of [`Workload::generate_chunks`]'s
+    /// chunks, for callers that want a per-reference callback.
+    fn generate(&self, sink: &mut dyn FnMut(Access)) {
+        self.generate_chunks(&mut Vec::new(), &mut |chunk| {
+            chunk.iter().for_each(|&a| sink(a));
+        });
     }
 
     /// A string identifying this workload instance's reference stream,
@@ -124,7 +121,9 @@ pub trait Workload: Send + Sync + fmt::Debug {
 /// Materialises a workload's trace into a vector.
 pub fn collect_trace(workload: &dyn Workload) -> Vec<Access> {
     let mut trace = Vec::new();
-    workload.generate(&mut |a| trace.push(a));
+    workload.generate_chunks(&mut Vec::new(), &mut |chunk| {
+        trace.extend_from_slice(chunk);
+    });
     trace
 }
 

@@ -1,12 +1,12 @@
-//! The chunked emission path must be byte-identical to the closure path.
+//! Every workload emits its trace in chunks, and the stream is the
+//! concatenation of those chunks whatever the batch capacity.
 //!
-//! `Workload::generate_chunks` exists purely as a faster delivery
-//! mechanism: the concatenation of every emitted chunk has to equal the
-//! stream `Workload::generate` pushes, reference for reference. These
-//! tests pin that contract for all fifteen paper kernels (which share a
-//! generic trace body), every synthetic generator and combinator (which
-//! carry native chunked overrides), and across awkward batch capacities
-//! so chunk-boundary bookkeeping cannot hide an off-by-one.
+//! These tests pin that contract for all fifteen paper kernels, every
+//! synthetic generator and both combinators, across awkward batch
+//! capacities so chunk-boundary bookkeeping cannot hide an off-by-one:
+//! no chunk is empty, a reused batch leaks nothing into the next
+//! stream, and the per-reference `Workload::generate` adapter pushes
+//! exactly the concatenated chunks.
 
 use streamsim_prng::quickcheck::{check, Gen};
 use streamsim_prng::Rng;
@@ -15,79 +15,10 @@ use streamsim_workloads::combinators::{Interleaved, RecordedTrace};
 use streamsim_workloads::generators::{
     InterleavedStreams, RandomGather, SequentialSweep, StridedSweep,
 };
-use streamsim_workloads::{collect_trace, kernels, Suite, Workload};
+use streamsim_workloads::{collect_trace, Suite, Workload, DEFAULT_CHUNK};
 
-/// Small variants of every paper kernel (fast enough for debug-mode CI);
-/// sizes mirror `kernel_invariants.rs`.
-fn small_kernels() -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(kernels::Embar {
-            chunk: 256,
-            batches: 4,
-            compute_refs: 4,
-        }),
-        Box::new(kernels::Mgrid { n: 8, cycles: 1 }),
-        Box::new(kernels::Cgm {
-            rows: 200,
-            nnz: 3_000,
-            bandwidth: Some(40),
-            iters: 2,
-            seed: 1,
-        }),
-        Box::new(kernels::Fftpde {
-            n: 16,
-            steps: 1,
-            passes: 1,
-        }),
-        Box::new(kernels::Is {
-            keys: 2_048,
-            max_key: 256,
-            iters: 1,
-            seed: 2,
-        }),
-        Box::new(kernels::Appsp { n: 8, iters: 1 }),
-        Box::new(kernels::Appbt { n: 6, iters: 1 }),
-        Box::new(kernels::Applu { n: 6, iters: 1 }),
-        Box::new(kernels::Spec77 {
-            waves: 12,
-            lats: 12,
-            levels: 2,
-            steps: 1,
-        }),
-        Box::new(kernels::Adm {
-            cells: 2_048,
-            steps: 1,
-            indirect_pct: 60,
-            seed: 3,
-        }),
-        Box::new(kernels::Bdna {
-            atoms: 512,
-            neighbours: 6,
-            window: 32,
-            steps: 1,
-            seed: 4,
-        }),
-        Box::new(kernels::Dyfesm {
-            elements: 256,
-            nodes: 1_024,
-            nodes_per_elem: 4,
-            steps: 1,
-            seed: 5,
-        }),
-        Box::new(kernels::Mdg {
-            molecules: 48,
-            steps: 1,
-            seed: 6,
-        }),
-        Box::new(kernels::Qcd { l: 4, sweeps: 1 }),
-        Box::new(kernels::Trfd {
-            n: 48,
-            unit_passes: 1,
-            strided_passes: 1,
-            compute_refs: 1,
-        }),
-    ]
-}
+mod common;
+use common::small_kernels;
 
 fn synthetic_workloads() -> Vec<Box<dyn Workload>> {
     let sweep = SequentialSweep {
@@ -130,9 +61,13 @@ fn synthetic_workloads() -> Vec<Box<dyn Workload>> {
     ]
 }
 
-/// Collects a workload's trace through the chunked path with a batch of
-/// the given capacity (0 = let the adapter pick the default), checking
-/// that no emitted chunk is empty or oversized along the way.
+fn all_workloads() -> impl Iterator<Item = Box<dyn Workload>> {
+    small_kernels().into_iter().chain(synthetic_workloads())
+}
+
+/// Collects a workload's trace with a batch of the given capacity (0 =
+/// let the workload pick the default), checking that no emitted chunk is
+/// empty along the way.
 fn collect_chunked(w: &dyn Workload, capacity: usize) -> Vec<Access> {
     let mut batch = Vec::with_capacity(capacity);
     let mut out = Vec::new();
@@ -144,12 +79,12 @@ fn collect_chunked(w: &dyn Workload, capacity: usize) -> Vec<Access> {
 }
 
 #[test]
-fn chunked_stream_matches_closure_stream_for_every_kernel() {
-    for w in small_kernels() {
-        let closure = collect_trace(w.as_ref());
-        for capacity in [0usize, 1, 7, 4096] {
+fn stream_does_not_depend_on_batch_capacity() {
+    for w in all_workloads() {
+        let stream = collect_trace(w.as_ref());
+        for capacity in [1usize, 7, 4096] {
             assert_eq!(
-                closure,
+                stream,
                 collect_chunked(w.as_ref(), capacity),
                 "{} diverges at batch capacity {capacity}",
                 w.name()
@@ -159,17 +94,11 @@ fn chunked_stream_matches_closure_stream_for_every_kernel() {
 }
 
 #[test]
-fn chunked_stream_matches_closure_stream_for_generators_and_combinators() {
-    for w in synthetic_workloads() {
-        let closure = collect_trace(w.as_ref());
-        for capacity in [0usize, 1, 7, 4096] {
-            assert_eq!(
-                closure,
-                collect_chunked(w.as_ref(), capacity),
-                "{} diverges at batch capacity {capacity}",
-                w.name()
-            );
-        }
+fn generate_equals_the_concatenated_chunks() {
+    for w in all_workloads() {
+        let mut pushed = Vec::new();
+        w.generate(&mut |a| pushed.push(a));
+        assert_eq!(pushed, collect_chunked(w.as_ref(), 0), "{}", w.name());
     }
 }
 
@@ -215,14 +144,15 @@ fn materialised_round_robin(traces: &[Vec<Access>], quantum: usize) -> Vec<Acces
     }
 }
 
-/// A stored trace behind the default `generate_chunks` adapter, so the
-/// chunks it emits are `batch` refills rather than slices of the trace.
+/// A stored trace emitted through a batch it fills reference by
+/// reference, so its chunks are refills of `batch` rather than slices of
+/// the trace.
 #[derive(Debug)]
-struct ClosureOnly(Vec<Access>);
+struct BatchFilling(Vec<Access>);
 
-impl Workload for ClosureOnly {
+impl Workload for BatchFilling {
     fn name(&self) -> &str {
-        "closure-only"
+        "batch-filling"
     }
 
     fn suite(&self) -> Suite {
@@ -230,15 +160,29 @@ impl Workload for ClosureOnly {
     }
 
     fn description(&self) -> &str {
-        "a stored trace emitted through the default chunk adapter"
+        "a stored trace emitted through refills of the caller's batch"
     }
 
     fn data_set_bytes(&self) -> u64 {
         0
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
-        self.0.iter().for_each(|&a| sink(a));
+    fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
+        batch.clear();
+        if batch.capacity() == 0 {
+            batch.reserve(DEFAULT_CHUNK);
+        }
+        let capacity = batch.capacity();
+        for &a in &self.0 {
+            batch.push(a);
+            if batch.len() == capacity {
+                emit(batch);
+                batch.clear();
+            }
+        }
+        if !batch.is_empty() {
+            emit(batch);
+        }
     }
 }
 
@@ -298,13 +242,12 @@ fn interleaved_matches_the_materialised_round_robin() {
                 if g.gen_bool(0.5) {
                     Box::new(RecordedTrace::new("part", t.clone()))
                 } else {
-                    Box::new(ClosureOnly(t.clone()))
+                    Box::new(BatchFilling(t.clone()))
                 }
             })
             .collect();
         let mix = Interleaved::new("mix", parts, quantum);
         let expected = materialised_round_robin(&traces, quantum);
-        assert_eq!(collect_trace(&mix), expected, "closure path");
         for capacity in [0usize, 1, 7, 4096] {
             assert_eq!(
                 collect_chunked(&mix, capacity),

@@ -161,6 +161,27 @@ echo "==> sampled quick report golden (--diff tests/golden/report-quick-sampled.
 ./target/release/streamsim-report --diff tests/golden/report-quick-sampled.jsonl \
     "$obs_dir/report-quick-sampled.jsonl"
 
+# Pre-screened sweep golden: the quick design-space sweep pruned by the
+# model (about 4 s), diffed against perfbench's full-sweep golden. It is
+# the only CI step that pins sweep rows. `--diff` passes a golden row
+# absent behind the run's pre-screen marker as "skipped by model", but a
+# pruned frontier cell is a wrong answer, so the run's `"frontier":1`
+# cells must also equal the golden's, cell for cell. The step only
+# reads perfbench/golden/sweep-full.jsonl.
+echo "==> pre-screened sweep golden (--diff perfbench/golden/sweep-full.jsonl, same frontier)"
+./target/release/streamsim-report --quick --prescreen --out /dev/null \
+    --json "$obs_dir/sweep-prescreen.jsonl" sweep
+./target/release/streamsim-report --diff perfbench/golden/sweep-full.jsonl \
+    "$obs_dir/sweep-prescreen.jsonl" --summary
+frontier_cells() {
+    grep '"artifact":"sweep"' "$1" | grep '"frontier":1' | grep -o '"cell":"[^"]*"' | sort
+}
+if ! diff <(frontier_cells perfbench/golden/sweep-full.jsonl) \
+    <(frontier_cells "$obs_dir/sweep-prescreen.jsonl"); then
+    echo "error: the pre-screened sweep's frontier cells differ from the golden's" >&2
+    exit 1
+fi
+
 # Paper-scale golden: every default artifact at paper scale (about 15 s
 # on two cores), diffed against perfbench's golden. It is the only CI
 # step that pins the paper-scale scorecard (40 match / 20 close / 0 off;
@@ -236,11 +257,13 @@ echo "==> profile equivalence (fresh seed: STREAMSIM_QC_SEED=0x$qc_seed)"
 STREAMSIM_QC_SEED=0x$qc_seed cargo test -q --offline -p streamsim-model \
     --test profile_equivalence dense_profile_equals_the_reference_builder
 
-# Perf smoke: the recording bench asserts the chunked/SoA hot loop is
-# byte-identical to the pre-PR reference implementation, then times
-# both. The enforce floor is deliberately far below the recorded
-# speedup (see BENCH_recording.json) so shared-machine noise cannot
-# flake the gate; a drop below it means the fast path actually rotted.
+# Perf smoke: the recording bench asserts the SoA hot loop is
+# byte-identical to the frozen reference loop (the same chunks into the
+# array-of-structs `ReferenceCache`), then times both. The enforce floor
+# is deliberately far below the measured speedup (1.3-1.4x since the
+# reference loop reads chunks; see EXPERIMENTS.md) so shared-machine
+# noise cannot flake the gate; a drop below it means the fast path
+# actually rotted.
 # The only observability in the record path is the per-recording
 # `record` span, opened once outside that loop, so no level gate sits
 # on the per-reference or per-chunk path.

@@ -66,7 +66,10 @@
 //! `STREAMSIM_TRACE_OUT=FILE`, the run additionally exports a Chrome
 //! `trace_event` timeline of every span (and, under the DST
 //! `SimExecutor`, every scheduler slice) to FILE — loadable in
-//! `about:tracing` or Perfetto, checkable with `--trace-check`.
+//! `about:tracing` or Perfetto, checkable with `--trace-check`. `--out`,
+//! `--json` and the timeline must name different files (`/dev/null`
+//! may repeat); a run naming one file twice fails before it creates
+//! any.
 //!
 //! `--ledger` ingests `BENCH_*.json` artifacts (the flat
 //! `streamsim-bench-v2` schema) and appends one sequenced row per file to
@@ -88,6 +91,8 @@ use std::time::Instant;
 use streamsim::experiments::{self, ExperimentOptions, Scale, ARTIFACT_NAMES};
 use streamsim::{parse_flat_json_line, JsonLinesSink, JsonValue, ProfileArtifact, Value};
 use streamsim_obs::{LedgerEntry, RunManifest, StampValue};
+
+mod operands;
 
 /// Numeric tolerance for `--diff`: golden values are pinned to four
 /// decimals, so anything past 5e-5 is real drift.
@@ -817,7 +822,16 @@ fn main() -> ExitCode {
 
     // Every output file, the timeline included, is created before the
     // first experiment runs, so an unwritable path fails at once, not
-    // after the whole report.
+    // after the whole report; two naming one file would splice into it.
+    let timeline = streamsim_obs::trace_out_path();
+    if let Err(e) = operands::check_distinct(&[
+        ("--out", out.as_deref()),
+        ("--json", json_out.as_deref()),
+        ("STREAMSIM_TRACE_OUT", timeline.as_deref()),
+    ]) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let out_file = match &out {
         Some(path) => match std::fs::File::create(path) {
             Ok(file) => Some((path, file)),
@@ -841,8 +855,8 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    if let Some(path) = streamsim_obs::trace_out_path() {
-        if let Err(e) = std::fs::File::create(&path) {
+    if let Some(path) = &timeline {
+        if let Err(e) = std::fs::File::create(path) {
             eprintln!("error: cannot create {path}: {e}");
             return ExitCode::FAILURE;
         }

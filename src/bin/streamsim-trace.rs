@@ -16,6 +16,8 @@
 //! reference. A malformed or truncated file fails with an `error:` line
 //! and exit status 1, and so does a `replay` of a file holding an
 //! address of 2^62 or more, which a recorded miss event cannot hold.
+//! A `STREAMSIM_TRACE_OUT` timeline naming the trace file fails the same
+//! way before either file is touched.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -27,6 +29,8 @@ use streamsim::{
 use streamsim_trace::io::{read_trace, write_trace};
 use streamsim_workloads::combinators::RecordedTrace;
 use streamsim_workloads::{benchmark, benchmark_names, collect_trace};
+
+mod operands;
 
 /// The largest stream count `replay` accepts. The configuration sweep
 /// stops at 16 streams; the bound keeps a mistyped count from
@@ -126,19 +130,27 @@ fn main() -> ExitCode {
             ))
         }
     };
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let trace = match args.as_slice() {
+        ["gen", _, path] | ["info", path] | ["replay", path] | ["replay", path, _] => Some(*path),
+        _ => None,
+    };
     // The timeline file is created before the command runs, so an
-    // unwritable STREAMSIM_TRACE_OUT fails at once, not after the work.
-    if let Some(path) = streamsim_obs::trace_out_path() {
-        if let Err(e) = File::create(&path) {
+    // unwritable STREAMSIM_TRACE_OUT fails at once, not after the work;
+    // one naming the trace file would truncate it first.
+    let timeline = streamsim_obs::trace_out_path();
+    if let Err(e) = operands::check_distinct(&[
+        ("the trace file", trace),
+        ("STREAMSIM_TRACE_OUT", timeline.as_deref()),
+    ]) {
+        return fail(&e);
+    }
+    if let Some(path) = &timeline {
+        if let Err(e) = File::create(path) {
             return fail(&format!("cannot create {path}: {e}"));
         }
     }
-    let code = match args
-        .iter()
-        .map(String::as_str)
-        .collect::<Vec<_>>()
-        .as_slice()
-    {
+    let code = match args.as_slice() {
         ["gen", name, path] => cmd_gen(name, path),
         ["info", path] => cmd_info(path),
         ["replay", path] => cmd_replay(path, 10),

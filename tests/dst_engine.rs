@@ -175,9 +175,9 @@ impl Workload for FaultyWorkload {
         self.inner.data_set_bytes()
     }
 
-    fn generate(&self, sink: &mut dyn FnMut(Access)) {
+    fn generate_chunks(&self, batch: &mut Vec<Access>, emit: &mut dyn FnMut(&[Access])) {
         self.ctx.maybe_panic(self.index);
-        self.inner.generate(sink);
+        self.inner.generate_chunks(batch, emit);
     }
 
     fn fingerprint(&self) -> String {

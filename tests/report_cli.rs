@@ -128,6 +128,63 @@ fn unwritable_trace_out_fails_before_any_experiment_runs() {
     std::fs::remove_file(&not_a_dir).ok();
 }
 
+/// A quick `table1` run with `outputs` and the timeline at `timeline`:
+/// the exit code and stderr.
+fn table1_writing(outputs: &[&str], timeline: &str) -> (Option<i32>, String) {
+    let out = report()
+        .args(["--quick", "table1"])
+        .args(outputs)
+        .env("STREAMSIM_TRACE_OUT", timeline)
+        .env_remove("STREAMSIM_LOG")
+        .output()
+        .expect("binary runs");
+    (out.status.code(), String::from_utf8(out.stderr).unwrap())
+}
+
+/// A path in the test directory that does not exist yet.
+fn fresh(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("streamsim-report-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::remove_file(dir.join(name)).ok();
+    dir.join(name)
+}
+
+/// `--out` and `--json` naming one file, here through an aliased path,
+/// fail before anything is created or any experiment runs.
+#[test]
+fn out_and_json_naming_one_file_fail_before_any_experiment_runs() {
+    let path = fresh("out-json-collision.txt");
+    let text = path.to_str().unwrap();
+    let alias = text.replace("out-json", "./out-json");
+    let (code, stderr) = table1_writing(&["--out", text, "--json", &alias], "/dev/null");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: --out and --json name the same file"),
+        "{stderr}"
+    );
+    assert!(!path.exists(), "an output was created");
+}
+
+/// `--json` naming the timeline fails the same way.
+#[test]
+fn json_naming_the_timeline_fails_before_any_experiment_runs() {
+    let path = fresh("json-timeline-collision.jsonl");
+    let text = path.to_str().unwrap();
+    let (code, stderr) = table1_writing(&["--out", "/dev/null", "--json", text], text);
+    assert_eq!(code, Some(1), "{stderr}");
+    let expected = "error: --json and STREAMSIM_TRACE_OUT name the same file";
+    assert!(stderr.starts_with(expected), "{stderr}");
+    assert!(!path.exists(), "an output was created");
+}
+
+/// Only regular files collide: `/dev/null` may take every output.
+#[test]
+fn dev_null_may_take_every_output() {
+    let outputs = ["--out", "/dev/null", "--json", "/dev/null"];
+    let (code, stderr) = table1_writing(&outputs, "/dev/null");
+    assert_eq!(code, Some(0), "{stderr}");
+}
+
 /// A command-line argument that is not valid UTF-8 is an input error,
 /// not a panic.
 #[cfg(unix)]

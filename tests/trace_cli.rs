@@ -112,6 +112,62 @@ fn unwritable_trace_out_fails_before_gen_writes() {
     );
 }
 
+/// Runs `args` with the timeline at `timeline`: the exit code and
+/// stderr.
+fn with_timeline(timeline: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = trace_tool()
+        .env("STREAMSIM_TRACE_OUT", timeline)
+        .args(args)
+        .output()
+        .expect("binary runs");
+    (out.status.code(), String::from_utf8(out.stderr).unwrap())
+}
+
+const COLLISION: &str = "error: the trace file and STREAMSIM_TRACE_OUT name the same file";
+
+/// A timeline naming the trace `info` or `replay` reads (here also
+/// through an alias of its path and through a hard link) fails without
+/// touching the trace.
+#[test]
+fn a_trace_named_as_the_timeline_stays_intact() {
+    let path = tmp("timeline-collision.sstr");
+    let refs: Vec<Access> = (0..4096).map(|i| Access::load(Addr::new(i * 8))).collect();
+    write_trace(std::fs::File::create(&path).unwrap(), &refs).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let text = path.to_str().unwrap();
+    let alias = text.replace("timeline-", "./timeline-");
+    let link = text.replace("timeline-", "link-to-timeline-");
+    std::fs::remove_file(&link).ok();
+    std::fs::hard_link(&path, &link).unwrap();
+    let cases: [(&str, &[&str]); 3] = [
+        (text, &["info", text]),
+        (&alias, &["replay", text, "4"]),
+        (&link, &["info", text]),
+    ];
+    for (timeline, args) in cases {
+        let (code, stderr) = with_timeline(timeline, args);
+        let intact = std::fs::read(&path).unwrap() == bytes;
+        assert!(intact, "{args:?} touched the trace");
+        assert_eq!(code, Some(1), "{args:?}");
+        assert!(stderr.starts_with(COLLISION), "{stderr}");
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&link).ok();
+}
+
+/// `gen` refuses an output the timeline would overwrite, before writing
+/// anything.
+#[test]
+fn gen_refuses_an_output_named_as_the_timeline() {
+    let path = tmp("gen-timeline.sstr");
+    std::fs::remove_file(&path).ok();
+    let text = path.to_str().unwrap();
+    let (code, stderr) = with_timeline(text, &["gen", "embar", text]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.starts_with(COLLISION), "{stderr}");
+    assert!(!path.exists(), "gen wrote its trace");
+}
+
 /// A command-line argument that is not valid UTF-8 is an input error,
 /// not a panic.
 #[cfg(unix)]
