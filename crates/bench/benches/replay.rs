@@ -50,7 +50,7 @@ fn reference_replay_streams(trace: &MissTrace, configs: &[StreamConfig]) -> Vec<
                     sys.on_l1_miss(addr);
                 }
                 Miss::Writeback { base } => {
-                    sys.on_writeback(base.block(sys.config().block()));
+                    sys.on_writeback(base.block(BlockSize::default()));
                 }
             }
         }

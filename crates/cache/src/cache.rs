@@ -7,16 +7,16 @@ use streamsim_prng::{Rng, Xoshiro256StarStar};
 
 use streamsim_trace::{AccessKind, Addr, BlockAddr};
 
-use crate::{CacheConfig, CacheStats, Replacement, SetSampling, WritePolicy};
+use crate::{CacheConfig, CacheStats, Replacement, SetSampling};
 
 /// Result of presenting one reference to a cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// The block was present.
     Hit,
-    /// The block was absent; it has been filled (subject to the write
-    /// policy) and `writeback`, when present, is a dirty victim block that
-    /// must be written to the next level.
+    /// The block was absent; it has been filled, and `writeback`, when
+    /// present, is a dirty victim block that must be written to the next
+    /// level.
     Miss {
         /// Dirty victim evicted by the fill, if any.
         writeback: Option<BlockAddr>,
@@ -56,8 +56,7 @@ pub struct DetailedOutcome {
     /// Whether the block was present.
     pub hit: bool,
     /// The line displaced by the fill (misses only; `None` when an
-    /// invalid way absorbed the fill, the set was bypassed, or the write
-    /// policy did not allocate).
+    /// invalid way absorbed the fill).
     pub evicted: Option<EvictedLine>,
 }
 
@@ -89,11 +88,6 @@ impl BitVec {
         (self.words[i >> 6] >> (i & 63)) & 1 != 0
     }
 
-    #[inline(always)]
-    fn clear(&mut self, i: usize) {
-        self.words[i >> 6] &= !(1 << (i & 63));
-    }
-
     /// Branchless `bit |= v` — the hot paths call this with a
     /// data-dependent `v` (is the access a store?), and an unconditional
     /// read-modify-write beats a mispredict-prone branch.
@@ -112,16 +106,16 @@ impl BitVec {
 
 /// A set-associative cache simulating tags and dirty bits (no data).
 ///
-/// Supports LRU / FIFO / seeded-random replacement, write-back/write-
-/// allocate or write-through/no-allocate write handling, and optional
-/// [`SetSampling`] for cheap estimation of very large caches.
+/// Supports LRU, seeded-random and tree-PLRU replacement with
+/// write-back/write-allocate handling, and optional [`SetSampling`] for
+/// cheap estimation of very large caches.
 ///
 /// # Layout
 ///
 /// Storage is structure-of-arrays, sized for the recording hot loop: a
 /// dense way-contiguous tag array probed with a precomputed shift/mask,
 /// packed valid/dirty bitmaps, and replacement stamps allocated (and
-/// touched) only for the policies that read them (LRU/FIFO). A per-set
+/// touched) only for the policy that reads them (LRU). A per-set
 /// MRU way is probed first — it is a pure hint (replacement state is
 /// untouched), but it turns the ~95 % of references that hit the most
 /// recently used way into a single compare. Outcomes, statistics and
@@ -149,8 +143,8 @@ pub struct SetAssocCache {
     /// second load on the probe.
     tags: Vec<u64>,
     dirty: BitVec,
-    /// LRU: last-touch time. FIFO: fill time. Empty for random and
-    /// tree-PLRU, which never read stamps.
+    /// LRU last-touch times. Empty for random and tree-PLRU, which never
+    /// read stamps.
     stamps: Vec<u64>,
     /// Most recently *hit or filled* way per row — a probe hint only.
     mru: Vec<u32>,
@@ -169,11 +163,9 @@ pub struct SetAssocCache {
     block_log2: u32,
     assoc: u32,
     replacement: Replacement,
-    write_back: bool,
     /// Policy flags precomputed from `replacement`, so the hit path
     /// branches on a byte instead of matching the enum.
-    track_clock: bool,
-    lru_hit_stamp: bool,
+    lru: bool,
     plru_on: bool,
     clock: u64,
     rng: Option<Xoshiro256StarStar>,
@@ -301,12 +293,8 @@ impl SetAssocCache {
             Vec::new()
         };
         let lines = (rows * config.assoc() as u64) as usize;
-        let track_clock = matches!(config.replacement(), Replacement::Lru | Replacement::Fifo);
-        let stamps = if track_clock {
-            vec![0u64; lines]
-        } else {
-            Vec::new()
-        };
+        let lru = config.replacement() == Replacement::Lru;
+        let stamps = if lru { vec![0u64; lines] } else { Vec::new() };
         Ok(SetAssocCache {
             config,
             sampling,
@@ -323,9 +311,7 @@ impl SetAssocCache {
             block_log2: config.block().log2(),
             assoc: config.assoc(),
             replacement: config.replacement(),
-            write_back: config.write_policy() == WritePolicy::WriteBackAllocate,
-            track_clock,
-            lru_hit_stamp: config.replacement() == Replacement::Lru,
+            lru,
             plru_on: config.replacement() == Replacement::TreePlru,
             clock: 0,
             rng,
@@ -372,7 +358,7 @@ impl SetAssocCache {
         Some((row, tag, set))
     }
 
-    /// Presents one reference; fills on miss per the write policy.
+    /// Presents one reference; fills on miss.
     #[inline(always)]
     pub fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessOutcome {
         match self.detailed(addr, kind) {
@@ -398,13 +384,12 @@ impl SetAssocCache {
     /// scan. `idx` is the line index (`row * assoc + way`).
     #[inline(always)]
     fn register_hit(&mut self, row: u64, way: u32, idx: usize, kind: AccessKind) {
-        if self.lru_hit_stamp {
+        if self.lru {
             self.stamps[idx] = self.clock;
         } else if self.plru_on {
             plru_touch(&mut self.plru[row as usize], self.assoc, way);
         }
-        self.dirty
-            .or_assign(idx, kind.is_store() && self.write_back);
+        self.dirty.or_assign(idx, kind.is_store());
         self.mru[row as usize] = way;
         self.stats.record_hit(kind);
     }
@@ -413,9 +398,9 @@ impl SetAssocCache {
     fn detailed(&mut self, addr: Addr, kind: AccessKind) -> Option<DetailedOutcome> {
         let (row, tag, set) = self.locate(addr)?;
         let base = row as usize * self.assoc as usize;
-        // The clock only feeds LRU/FIFO stamps; skip the counter when no
-        // stamp will ever read it.
-        if self.track_clock {
+        // The clock only feeds LRU stamps; skip the counter when no stamp
+        // will ever read it.
+        if self.lru {
             self.clock += 1;
         }
 
@@ -470,14 +455,6 @@ impl SetAssocCache {
 
         self.stats.record_miss(kind);
 
-        // Write-through / no-allocate: store misses do not fill.
-        if kind.is_store() && !self.write_back {
-            return DetailedOutcome {
-                hit: false,
-                evicted: None,
-            };
-        }
-
         // Choose a victim: first invalid way, otherwise per policy.
         #[expect(
             clippy::expect_used,
@@ -490,7 +467,7 @@ impl SetAssocCache {
             match self.replacement {
                 // min_by_key returns the FIRST minimum — ties break to
                 // the lowest way, as before.
-                Replacement::Lru | Replacement::Fifo => self.stamps[base..base + assoc]
+                Replacement::Lru => self.stamps[base..base + assoc]
                     .iter()
                     .enumerate()
                     .min_by_key(|&(_, s)| s)
@@ -521,8 +498,8 @@ impl SetAssocCache {
             None
         };
         self.tags[vidx] = tag;
-        self.dirty.assign(vidx, kind.is_store() && self.write_back);
-        if self.track_clock {
+        self.dirty.assign(vidx, kind.is_store());
+        if self.lru {
             self.stamps[vidx] = self.clock;
         } else if self.plru_on {
             plru_touch(&mut self.plru[row as usize], self.assoc, victim as u32);
@@ -542,24 +519,6 @@ impl SetAssocCache {
         };
         let base = row as usize * self.assoc as usize;
         (0..self.assoc as usize).any(|w| self.tags[base + w] == tag)
-    }
-
-    /// Invalidates the block containing `addr` if present; returns whether
-    /// a line was invalidated and whether it was dirty.
-    pub fn invalidate(&mut self, addr: Addr) -> Option<bool> {
-        let (row, tag, _) = self.locate(addr)?;
-        let base = row as usize * self.assoc as usize;
-        for way in 0..self.assoc as usize {
-            let idx = base + way;
-            if self.tags[idx] == tag {
-                self.tags[idx] = INVALID_TAG;
-                let dirty = self.dirty.get(idx);
-                self.dirty.clear(idx);
-                self.stats.invalidations += 1;
-                return Some(dirty);
-            }
-        }
-        None
     }
 
     /// Number of valid lines currently held (sampled sets only).
@@ -607,21 +566,6 @@ mod tests {
         c.access(d, AccessKind::Load); // evicts b
         assert!(c.probe(a));
         assert!(!c.probe(b));
-        assert!(c.probe(d));
-    }
-
-    #[test]
-    fn fifo_ignores_touches() {
-        let mut c = small(2, Replacement::Fifo);
-        let a = block_addr(0, 1);
-        let b = block_addr(0, 2);
-        let d = block_addr(0, 3);
-        c.access(a, AccessKind::Load);
-        c.access(b, AccessKind::Load);
-        c.access(a, AccessKind::Load); // touch must NOT save a under FIFO
-        c.access(d, AccessKind::Load); // evicts a (oldest fill)
-        assert!(!c.probe(a));
-        assert!(c.probe(b));
         assert!(c.probe(d));
     }
 
@@ -724,40 +668,6 @@ mod tests {
         let b = block_addr(0, 2);
         let out = c.access(b, AccessKind::Load);
         assert!(matches!(out, AccessOutcome::Miss { writeback: Some(_) }));
-    }
-
-    #[test]
-    fn write_through_never_writes_back_and_does_not_allocate() {
-        let cfg = CacheConfig::new(128, 1, BlockSize::new(32).unwrap())
-            .unwrap()
-            .with_write_policy(WritePolicy::WriteThroughNoAllocate);
-        let mut c = SetAssocCache::new(cfg).unwrap();
-        let a = Addr::new(0);
-        assert_eq!(
-            c.access(a, AccessKind::Store),
-            AccessOutcome::Miss { writeback: None }
-        );
-        assert!(!c.probe(a), "store miss must not allocate");
-        // Load fills; subsequent store hit stays clean.
-        c.access(a, AccessKind::Load);
-        c.access(a, AccessKind::Store);
-        for t in 1..10u64 {
-            c.access(Addr::new(t * 128), AccessKind::Load);
-        }
-        assert_eq!(c.stats().writebacks, 0);
-    }
-
-    #[test]
-    fn invalidate_reports_dirtiness() {
-        let mut c = small(2, Replacement::Lru);
-        let a = block_addr(0, 1);
-        assert_eq!(c.invalidate(a), None);
-        c.access(a, AccessKind::Store);
-        assert_eq!(c.invalidate(a), Some(true));
-        assert!(!c.probe(a));
-        c.access(a, AccessKind::Load);
-        assert_eq!(c.invalidate(a), Some(false));
-        assert_eq!(c.stats().invalidations, 2);
     }
 
     #[test]

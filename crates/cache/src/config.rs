@@ -8,14 +8,12 @@ use streamsim_trace::BlockSize;
 ///
 /// The paper's primary caches use *random* replacement ("the caches use a
 /// random replacement policy"); its secondary caches are conventional, for
-/// which we default to LRU. FIFO is provided for ablations.
+/// which we default to LRU. The replacement ablation compares all three.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Replacement {
     /// Least-recently-used.
     #[default]
     Lru,
-    /// First-in-first-out (replace the oldest fill).
-    Fifo,
     /// Uniform random among the lines of the set, from a seeded PRNG so
     /// simulations stay reproducible.
     Random {
@@ -32,33 +30,8 @@ impl fmt::Display for Replacement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Replacement::Lru => f.write_str("LRU"),
-            Replacement::Fifo => f.write_str("FIFO"),
             Replacement::Random { seed } => write!(f, "random(seed={seed})"),
             Replacement::TreePlru => f.write_str("tree-PLRU"),
-        }
-    }
-}
-
-/// Write handling policy.
-///
-/// The paper's data cache is write-back with write-allocate; write-through
-/// without allocation is provided for ablation studies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WritePolicy {
-    /// Write-back, write-allocate: stores allocate on miss and dirty the
-    /// line; dirty victims produce write-backs.
-    #[default]
-    WriteBackAllocate,
-    /// Write-through, no-allocate: stores update memory directly; a store
-    /// miss does not fill the cache and no line is ever dirty.
-    WriteThroughNoAllocate,
-}
-
-impl fmt::Display for WritePolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WritePolicy::WriteBackAllocate => f.write_str("write-back/write-allocate"),
-            WritePolicy::WriteThroughNoAllocate => f.write_str("write-through/no-allocate"),
         }
     }
 }
@@ -112,8 +85,12 @@ impl std::error::Error for CacheConfigError {}
 
 /// Complete configuration of one set-associative cache.
 ///
-/// Construct with [`CacheConfig::new`] then customise with the `with_*`
-/// builder methods, or start from a preset such as
+/// Every cache is write-back/write-allocate, the paper's data-cache
+/// policy: stores allocate on a miss and dirty the line, and dirty
+/// victims produce write-backs.
+///
+/// Construct with [`CacheConfig::new`] then customise with
+/// [`CacheConfig::with_replacement`], or start from a preset such as
 /// [`CacheConfig::paper_l1`].
 ///
 /// # Example
@@ -133,12 +110,11 @@ pub struct CacheConfig {
     assoc: u32,
     block: BlockSize,
     replacement: Replacement,
-    write: WritePolicy,
 }
 
 impl CacheConfig {
     /// Creates a configuration with the given capacity, associativity and
-    /// block size, LRU replacement and write-back/write-allocate policy.
+    /// block size, and LRU replacement.
     ///
     /// # Errors
     ///
@@ -165,12 +141,11 @@ impl CacheConfig {
             assoc,
             block,
             replacement: Replacement::Lru,
-            write: WritePolicy::WriteBackAllocate,
         })
     }
 
     /// The paper's primary-cache configuration: 64 KB, 4-way, 32-byte
-    /// blocks, random replacement, write-back/write-allocate.
+    /// blocks, random replacement.
     ///
     /// (The paper states 64 KB 4-way with random replacement; it does not
     /// state the primary block size, for which we adopt 32 bytes — see
@@ -211,13 +186,6 @@ impl CacheConfig {
         self
     }
 
-    /// Replaces the write policy.
-    #[must_use]
-    pub fn with_write_policy(mut self, write: WritePolicy) -> Self {
-        self.write = write;
-        self
-    }
-
     /// Capacity in bytes.
     pub fn size_bytes(self) -> u64 {
         self.size_bytes
@@ -236,11 +204,6 @@ impl CacheConfig {
     /// Replacement policy.
     pub fn replacement(self) -> Replacement {
         self.replacement
-    }
-
-    /// Write policy.
-    pub fn write_policy(self) -> WritePolicy {
-        self.write
     }
 
     /// Number of sets (always a power of two).
@@ -266,8 +229,8 @@ impl fmt::Display for CacheConfig {
         }
         write!(
             f,
-            " {}-way, {} blocks, {}, {}",
-            self.assoc, self.block, self.replacement, self.write
+            " {}-way, {} blocks, {}",
+            self.assoc, self.block, self.replacement
         )
     }
 }
@@ -325,17 +288,14 @@ mod tests {
         assert_eq!(c.size_bytes(), 64 * 1024);
         assert_eq!(c.assoc(), 4);
         assert!(matches!(c.replacement(), Replacement::Random { .. }));
-        assert_eq!(c.write_policy(), WritePolicy::WriteBackAllocate);
     }
 
     #[test]
     fn builders_replace_policies() {
         let c = CacheConfig::new(1024, 1, BlockSize::default())
             .unwrap()
-            .with_replacement(Replacement::Fifo)
-            .with_write_policy(WritePolicy::WriteThroughNoAllocate);
-        assert_eq!(c.replacement(), Replacement::Fifo);
-        assert_eq!(c.write_policy(), WritePolicy::WriteThroughNoAllocate);
+            .with_replacement(Replacement::TreePlru);
+        assert_eq!(c.replacement(), Replacement::TreePlru);
     }
 
     #[test]

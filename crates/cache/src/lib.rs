@@ -2,12 +2,12 @@
 //!
 //! This crate provides every cache the paper's memory systems need:
 //!
-//! * [`SetAssocCache`] — a generic set-associative cache with configurable
-//!   size, associativity, block size, replacement policy ([`Replacement`])
-//!   and write policy ([`WritePolicy`]). The paper's primary caches are
-//!   64 KB 4-way write-back/write-allocate with random replacement; its
-//!   secondary-cache comparison sweeps 64 KB–4 MB, 1–4-way, 64/128-byte
-//!   blocks.
+//! * [`SetAssocCache`] — a generic write-back/write-allocate
+//!   set-associative cache with configurable size, associativity, block
+//!   size and replacement policy ([`Replacement`]: LRU, random or
+//!   tree-PLRU). The paper's primary caches are 64 KB 4-way with random
+//!   replacement; its secondary-cache comparison sweeps 64 KB–4 MB,
+//!   1–4-way, 64/128-byte blocks.
 //! * [`SplitL1`] — the 64K I + 64K D split primary cache configuration.
 //! * [`VictimCache`] — Jouppi's small fully-associative victim buffer
 //!   (mentioned by the paper for direct-mapped primaries; used here in
@@ -51,7 +51,7 @@ mod victim;
 mod victim_l1;
 
 pub use cache::{AccessOutcome, DetailedOutcome, EvictedLine, SetAssocCache};
-pub use config::{CacheConfig, CacheConfigError, Replacement, WritePolicy};
+pub use config::{CacheConfig, CacheConfigError, Replacement};
 pub use hierarchy::{HierarchyOutcome, TwoLevel};
 pub use sampling::SetSampling;
 pub use split::SplitL1;

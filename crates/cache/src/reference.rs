@@ -22,7 +22,6 @@ use streamsim_trace::{AccessKind, Addr, BlockAddr};
 
 use crate::{
     AccessOutcome, CacheConfig, CacheStats, DetailedOutcome, EvictedLine, Replacement, SetSampling,
-    WritePolicy,
 };
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -30,7 +29,7 @@ struct Line {
     tag: u64,
     valid: bool,
     dirty: bool,
-    /// LRU: last-touch time. FIFO: fill time. Unused for random.
+    /// LRU: last-touch time. Unused for random and tree-PLRU.
     stamp: u64,
 }
 
@@ -182,7 +181,7 @@ impl ReferenceCache {
         start..start + assoc
     }
 
-    /// Presents one reference; fills on miss per the write policy.
+    /// Presents one reference; fills on miss.
     pub fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessOutcome {
         match self.detailed(addr, kind) {
             None => AccessOutcome::Bypassed,
@@ -204,7 +203,6 @@ impl ReferenceCache {
 
     fn detailed(&mut self, addr: Addr, kind: AccessKind) -> Option<DetailedOutcome> {
         let (row, tag) = self.locate(addr)?;
-        let write_back = self.config.write_policy() == WritePolicy::WriteBackAllocate;
         let replacement = self.config.replacement();
         let range = self.set_range(row);
         self.clock += 1;
@@ -223,7 +221,7 @@ impl ReferenceCache {
                         way as u32,
                     );
                 }
-                if kind.is_store() && write_back {
+                if kind.is_store() {
                     line.dirty = true;
                 }
                 self.stats.record(kind, true);
@@ -236,21 +234,13 @@ impl ReferenceCache {
 
         self.stats.record(kind, false);
 
-        // Write-through / no-allocate: store misses do not fill.
-        if kind.is_store() && !write_back {
-            return Some(DetailedOutcome {
-                hit: false,
-                evicted: None,
-            });
-        }
-
         // Choose a victim: first invalid line, otherwise per policy.
         let victim_index = {
             let set = &self.lines[range.clone()];
             match set.iter().position(|l| !l.valid) {
                 Some(i) => i,
                 None => match replacement {
-                    Replacement::Lru | Replacement::Fifo => set
+                    Replacement::Lru => set
                         .iter()
                         .enumerate()
                         .min_by_key(|(_, l)| l.stamp)
@@ -284,7 +274,7 @@ impl ReferenceCache {
         *line = Line {
             tag,
             valid: true,
-            dirty: kind.is_store() && write_back,
+            dirty: kind.is_store(),
             stamp: clock,
         };
         if replacement == Replacement::TreePlru {
@@ -309,23 +299,6 @@ impl ReferenceCache {
         self.lines[self.set_range(row)]
             .iter()
             .any(|l| l.valid && l.tag == tag)
-    }
-
-    /// Invalidates the block containing `addr` if present; returns
-    /// whether it was dirty.
-    pub fn invalidate(&mut self, addr: Addr) -> Option<bool> {
-        let (row, tag) = self.locate(addr)?;
-        let range = self.set_range(row);
-        for line in &mut self.lines[range] {
-            if line.valid && line.tag == tag {
-                line.valid = false;
-                let dirty = line.dirty;
-                line.dirty = false;
-                self.stats.invalidations += 1;
-                return Some(dirty);
-            }
-        }
-        None
     }
 
     /// Number of valid lines currently held (sampled sets only).

@@ -1,6 +1,6 @@
 //! The split primary cache (separate instruction and data caches).
 
-use streamsim_trace::{Access, AccessKind, Addr};
+use streamsim_trace::{Access, AccessKind};
 
 use crate::{AccessOutcome, CacheConfig, CacheConfigError, CacheStats, SetAssocCache};
 
@@ -73,35 +73,18 @@ impl SplitL1 {
         &self.dcache
     }
 
-    /// Invalidates a block in the data cache (e.g. external intervention).
-    pub fn invalidate_data(&mut self, addr: Addr) -> Option<bool> {
-        self.dcache.invalidate(addr)
-    }
-
     /// Combined statistics of both sides.
     pub fn combined_stats(&self) -> CacheStats {
         let mut stats = *self.icache.stats();
         stats += *self.dcache.stats();
         stats
     }
-
-    /// Total misses across both sides (the length of the unified miss
-    /// stream the stream buffers observe).
-    pub fn total_misses(&self) -> u64 {
-        self.icache.stats().misses() + self.dcache.stats().misses()
-    }
-
-    /// Zeroes statistics on both sides, retaining contents.
-    pub fn reset_stats(&mut self) {
-        self.icache.reset_stats();
-        self.dcache.reset_stats();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamsim_trace::BlockSize;
+    use streamsim_trace::{Addr, BlockSize};
 
     fn tiny() -> SplitL1 {
         let cfg = CacheConfig::new(256, 2, BlockSize::new(32).unwrap()).unwrap();
@@ -136,16 +119,7 @@ mod tests {
         let stats = l1.combined_stats();
         assert_eq!(stats.accesses(), 3);
         assert_eq!(stats.hits(), 1);
-        assert_eq!(l1.total_misses(), 2);
-    }
-
-    #[test]
-    fn invalidate_data_touches_only_dcache() {
-        let mut l1 = tiny();
-        l1.access(Access::ifetch(Addr::new(0)));
-        l1.access(Access::store(Addr::new(0)));
-        assert_eq!(l1.invalidate_data(Addr::new(0)), Some(true));
-        assert!(l1.icache().probe(Addr::new(0)), "icache copy untouched");
+        assert_eq!(stats.misses(), 2);
     }
 
     #[test]
@@ -154,14 +128,5 @@ mod tests {
         assert_eq!(l1.icache().config().size_bytes(), 64 * 1024);
         assert_eq!(l1.dcache().config().size_bytes(), 64 * 1024);
         assert_eq!(l1.dcache().config().assoc(), 4);
-    }
-
-    #[test]
-    fn reset_stats_clears_both() {
-        let mut l1 = tiny();
-        l1.access(Access::ifetch(Addr::new(0)));
-        l1.access(Access::load(Addr::new(0)));
-        l1.reset_stats();
-        assert_eq!(l1.combined_stats().accesses(), 0);
     }
 }

@@ -31,8 +31,6 @@ pub struct CacheStats {
     misses: [u64; 3],
     /// Dirty blocks written back to the next level.
     pub writebacks: u64,
-    /// Lines invalidated externally.
-    pub invalidations: u64,
 }
 
 impl CacheStats {
@@ -137,7 +135,6 @@ impl AddAssign for CacheStats {
             self.misses[i] += rhs.misses[i];
         }
         self.writebacks += rhs.writebacks;
-        self.invalidations += rhs.invalidations;
     }
 }
 
@@ -187,12 +184,11 @@ mod tests {
         a.writebacks = 2;
         let mut b = CacheStats::new();
         b.record(AccessKind::Load, false);
-        b.invalidations = 1;
+        b.writebacks = 1;
         a += b;
         assert_eq!(a.accesses(), 2);
         assert_eq!(a.hits(), 1);
-        assert_eq!(a.writebacks, 2);
-        assert_eq!(a.invalidations, 1);
+        assert_eq!(a.writebacks, 3);
     }
 
     #[test]

@@ -64,35 +64,6 @@ fn lru_keeps_the_most_recent_blocks() {
     });
 }
 
-/// FIFO invariant: residency depends only on fill order, never on
-/// touches — the resident set equals the last `assoc` distinct blocks
-/// in *first-miss* order among those still unreplaced. We check the
-/// weaker but exact property that a re-access never extends a block's
-/// lifetime: interleaving extra touches of one block does not change
-/// which blocks survive.
-#[test]
-fn fifo_touches_do_not_extend_lifetime() {
-    check_with("fifo_touches_do_not_extend_lifetime", 96, |g| {
-        let tags = g.vec(1usize..40, |g| g.gen_range(0u64..10));
-        let hot = g.gen_range(0u64..10);
-        let run = |with_touches: bool| {
-            let mut c = cache(2, Replacement::Fifo);
-            for &t in &tags {
-                c.access(addr(1, t), AccessKind::Load);
-                if with_touches {
-                    // Touch `hot` only when already resident, so no new
-                    // fill is introduced.
-                    if c.probe(addr(1, hot)) {
-                        c.access(addr(1, hot), AccessKind::Load);
-                    }
-                }
-            }
-            (0u64..10).map(|t| c.probe(addr(1, t))).collect::<Vec<_>>()
-        };
-        assert_eq!(run(false), run(true));
-    });
-}
-
 /// All policies agree on a working set that fits: no evictions ever
 /// happen, so every policy gives the same (perfect) behaviour after the
 /// cold misses.
@@ -103,7 +74,6 @@ fn policies_agree_below_capacity() {
         let tags = g.vec(1usize..50, |g| g.gen_range(0u64..4));
         let policies = [
             Replacement::Lru,
-            Replacement::Fifo,
             Replacement::Random { seed: 1 },
             Replacement::TreePlru,
         ];
@@ -132,7 +102,6 @@ fn counters_stay_consistent() {
         let ops = g.vec(1usize..200, |g| (g.gen_range(0u64..64), g.gen_bool(0.5)));
         let policy = g.pick(&[
             Replacement::Lru,
-            Replacement::Fifo,
             Replacement::Random { seed: 7 },
             Replacement::TreePlru,
         ]);

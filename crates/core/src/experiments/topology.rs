@@ -80,8 +80,7 @@ impl MissObserver for JouppiChain {
 
     #[inline(always)]
     fn on_writeback(&mut self, base: Addr) {
-        self.streams
-            .on_writeback(base.block(self.streams.config().block()));
+        self.streams.on_writeback(base.block(BlockSize::default()));
         self.residual_l2.access(base, AccessKind::Store);
     }
 

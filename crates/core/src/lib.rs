@@ -18,11 +18,13 @@
 //!   each configuration over each trace, exactly once.
 //! * [`replay`] — drives any number of [`MissObserver`]s over one
 //!   recorded trace in a single pass: families of unified streams
-//!   sharing one geometry ([`StreamObserver`]), instruction/data
+//!   ([`StreamObserver`]), instruction/data
 //!   [`PartitionedObserver`]s, secondary caches ([`L2Observer`]), or
-//!   custom observers. [`replay_streams`] and
-//!   [`replay_l2`] sweep many configurations; [`run_streams`] and
-//!   [`run_l2`] are the one-observer wrappers.
+//!   custom observers. [`replay_streams`] sweeps a request of stream
+//!   configurations as one family (every stream system shares the
+//!   fixed 32-byte block and 4-byte word) and [`replay_l2`] sweeps
+//!   secondary caches; [`run_streams`] and [`run_l2`] are the
+//!   one-observer wrappers.
 //! * [`experiments`] — one driver per table and figure in the paper's
 //!   evaluation (Tables 1–4, Figures 3, 5, 8, 9) plus the ablation suite,
 //!   each printing measured results next to the paper's reported values.
@@ -70,7 +72,7 @@ pub use miss_trace::{
 };
 pub use profile::{ProfileArtifact, ProfilePhase};
 pub use replay::{
-    replay, replay_chunked, replay_l2, replay_streams, L2Observer, MissObserver, MixedGeometry,
+    replay, replay_chunked, replay_l2, replay_streams, L2Observer, MissObserver,
     PartitionedObserver, StreamObserver, REPLAY_CHUNK_EVENTS,
 };
 pub use runner::{parallel_map_on, ExecutorHandle};

@@ -9,7 +9,8 @@
 //! model's geometry types ([`stream_geometry`], [`l2_geometry`]).
 //!
 //! Not every simulator configuration is modelled: the profile is taken
-//! at the trace's own L1 block and the default word size, and the
+//! at the trace's own L1 block and the default word size, which must be
+//! the stream systems' fixed 32-byte block and 4-byte word, and the
 //! predictors only understand the paper's head-only match policy and
 //! its three allocation policies. [`stream_geometry`] returns `None`
 //! for anything else, and callers fall back to simulation for those
@@ -21,7 +22,7 @@ use streamsim_model::{
     profile_events, AllocModel, L2Geometry, LocalityProfile, ProfileEvent, StreamGeometry,
 };
 use streamsim_streams::{Allocation, MatchPolicy, StreamConfig};
-use streamsim_trace::WordSize;
+use streamsim_trace::{BlockSize, WordSize};
 
 use crate::{Miss, MissTrace};
 
@@ -54,12 +55,13 @@ pub fn profile_trace(trace: &MissTrace) -> LocalityProfile {
 }
 
 /// Maps a simulator stream configuration onto the model's geometry, or
-/// `None` if the configuration is outside the modelled space (block or
-/// word geometry differing from the profile's, a non-head-only match
-/// policy, or the min-delta ablation allocator).
+/// `None` if the cell is outside the modelled space (a profile whose
+/// block or word differs from the stream systems' fixed 32-byte block
+/// and 4-byte word, a non-head-only match policy, or the min-delta
+/// ablation allocator).
 pub fn stream_geometry(profile: &LocalityProfile, config: &StreamConfig) -> Option<StreamGeometry> {
-    if config.block().bytes() != profile.l1_block_bytes
-        || config.word().bytes() != profile.word_bytes
+    if profile.l1_block_bytes != BlockSize::default().bytes()
+        || profile.word_bytes != WordSize::default().bytes()
         || config.match_policy() != MatchPolicy::HeadOnly
     {
         return None;
@@ -145,10 +147,16 @@ mod tests {
     #[test]
     fn unmodelled_configurations_are_rejected() {
         let p = profile_trace(&trace());
-        let odd_block = StreamConfig::paper_basic(4)
+        let any_entry = StreamConfig::paper_basic(4)
             .unwrap()
-            .with_block(BlockSize::new(64).unwrap());
-        assert!(stream_geometry(&p, &odd_block).is_none());
+            .with_match_policy(MatchPolicy::AnyEntry);
+        assert!(stream_geometry(&p, &any_entry).is_none());
+        let basic = StreamConfig::paper_basic(4).unwrap();
+        let wide_l1 = LocalityProfile {
+            l1_block_bytes: 64,
+            ..p.clone()
+        };
+        assert!(stream_geometry(&wide_l1, &basic).is_none());
         let min_delta = StreamConfig::new(
             4,
             2,

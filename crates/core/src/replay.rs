@@ -16,15 +16,16 @@
 //! dragged through cache per event. Within a chunk the dispatch is a
 //! single devirtualized [`MissObserver::on_events`] call, whose default
 //! loop is monomorphized per observer with the per-event methods
-//! inlined; [`StreamObserver`] overrides it to hoist the geometry
+//! inlined; [`StreamObserver`] overrides it to hoist the address
 //! decode out of its family's loop.
 //!
 //! Three observers cover the common cases. [`StreamObserver`] evaluates
-//! a *family* of stream-buffer systems sharing one block/word geometry —
-//! the shape of every paper sweep (ten stream counts, four filter
-//! sizes...) — splitting each address into block and word exactly once
-//! per event instead of once per system; [`replay_streams`] runs one
-//! family per geometry a request names. [`L2Observer`] wraps a
+//! a *family* of stream-buffer systems — the shape of every paper sweep
+//! (ten stream counts, four filter sizes...) — splitting each address
+//! into block and word exactly once per event instead of once per
+//! system; [`replay_streams`] runs a whole request as one family. Every
+//! stream system fetches 32-byte blocks and detects strides in 4-byte
+//! words, so one decode serves any family. [`L2Observer`] wraps a
 //! [`SetAssocCache`]. [`PartitionedObserver`] splits the miss stream
 //! between instruction and data streams, the one topology beside the
 //! paper's unified streams. Drivers with bespoke plumbing (e.g. the
@@ -34,8 +35,6 @@
 
 // Hot-loop module: the replay loop touches every recorded miss event per observer.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
-
-use std::fmt;
 
 use streamsim_cache::{CacheConfig, CacheConfigError, CacheStats, SetAssocCache, SetSampling};
 use streamsim_streams::{StreamConfig, StreamStats, StreamSystem};
@@ -189,10 +188,9 @@ impl MissObserver for L2Observer {
 /// feed one [`StreamSystem`], load and store misses another — the
 /// MacroTek variant the paper mentions beside its unified streams.
 ///
-/// A write-back is broadcast to *both* partitions, each at its own block
-/// granularity: stream buffers snoop the bus by address, and a dirty
-/// block's address says nothing about which partition may have
-/// prefetched it.
+/// A write-back is broadcast to *both* partitions: stream buffers snoop
+/// the bus by address, and a dirty block's address says nothing about
+/// which partition may have prefetched it.
 #[derive(Debug)]
 pub struct PartitionedObserver {
     instruction: StreamSystem,
@@ -244,10 +242,9 @@ impl MissObserver for PartitionedObserver {
 
     #[inline(always)]
     fn on_writeback(&mut self, base: Addr) {
-        self.instruction
-            .on_writeback(base.block(self.instruction.config().block()));
-        self.data
-            .on_writeback(base.block(self.data.config().block()));
+        let block = base.block(BlockSize::default());
+        self.instruction.on_writeback(block);
+        self.data.on_writeback(block);
     }
 
     fn finish(&mut self) {
@@ -255,20 +252,6 @@ impl MissObserver for PartitionedObserver {
         self.data.finalize();
     }
 }
-
-/// Error fusing stream configurations whose block or word sizes differ:
-/// a fused pass decodes each address once, which is only sound when the
-/// whole family shares that decoding.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MixedGeometry;
-
-impl fmt::Display for MixedGeometry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("stream configurations do not share one block/word geometry")
-    }
-}
-
-impl std::error::Error for MixedGeometry {}
 
 /// A pre-decoded miss event: the block/word split is computed once per
 /// event and shared by every system in the fused family.
@@ -284,12 +267,12 @@ enum DecodedEvent {
     },
 }
 
-/// N stream-buffer systems sharing one block/word geometry, evaluated as
-/// a single observer: the only stream observer, so a single system is a
-/// family of one.
+/// N stream-buffer systems evaluated as a single observer: the only
+/// stream observer, so a single system is a family of one.
 ///
 /// Every paper sweep walks a *family* of stream configurations differing
-/// only in count, depth, filter or match policy — never in geometry. The
+/// in count, depth, filter or match policy, and every stream system
+/// splits an address into the same 32-byte block and 4-byte word. The
 /// observer exploits that: each chunk of events is decoded into
 /// `(block, word)` form once, then every system consumes the decoded
 /// batch back-to-back while its tables are hot, instead of paying one
@@ -303,43 +286,15 @@ enum DecodedEvent {
 #[derive(Debug)]
 pub struct StreamObserver {
     systems: Vec<StreamSystem>,
-    block: BlockSize,
-    word: WordSize,
     /// Per-chunk decode scratch, reused across chunks.
     decoded: Vec<DecodedEvent>,
 }
 
 impl StreamObserver {
-    /// Fuses `configs` into one observer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MixedGeometry`] unless every configuration shares one
-    /// block size and one word size. An empty family is allowed.
-    pub fn new(configs: &[StreamConfig]) -> Result<Self, MixedGeometry> {
-        let (block, word) = match configs.first() {
-            Some(first) => (first.block(), first.word()),
-            None => (BlockSize::default(), WordSize::default()),
-        };
-        if configs
-            .iter()
-            .any(|c| c.block() != block || c.word() != word)
-        {
-            return Err(MixedGeometry);
-        }
-        Ok(StreamObserver {
-            systems: configs.iter().map(|&c| StreamSystem::new(c)).collect(),
-            ..StreamObserver::empty(block, word)
-        })
-    }
-
-    /// A family with no systems yet; every system pushed later must
-    /// share `block` and `word`.
-    fn empty(block: BlockSize, word: WordSize) -> Self {
+    /// Fuses `configs` into one observer. An empty family is allowed.
+    pub fn new(configs: &[StreamConfig]) -> Self {
         StreamObserver {
-            systems: Vec::new(),
-            block,
-            word,
+            systems: configs.iter().map(|&c| StreamSystem::new(c)).collect(),
             decoded: Vec::new(),
         }
     }
@@ -353,15 +308,15 @@ impl StreamObserver {
 
 impl MissObserver for StreamObserver {
     fn on_fetch(&mut self, addr: Addr, _kind: AccessKind) {
-        let block = addr.block(self.block);
-        let word = addr.word(self.word);
+        let block = addr.block(BlockSize::default());
+        let word = addr.word(WordSize::default());
         for sys in &mut self.systems {
             sys.on_l1_miss_decoded(addr, block, word);
         }
     }
 
     fn on_writeback(&mut self, base: Addr) {
-        let block = base.block(self.block);
+        let block = base.block(BlockSize::default());
         for sys in &mut self.systems {
             sys.on_writeback(block);
         }
@@ -374,11 +329,11 @@ impl MissObserver for StreamObserver {
             .extend(events.iter().map(|event| match event.decode() {
                 Miss::Fetch { addr, .. } => DecodedEvent::Fetch {
                     addr,
-                    block: addr.block(self.block),
-                    word: addr.word(self.word),
+                    block: addr.block(BlockSize::default()),
+                    word: addr.word(WordSize::default()),
                 },
                 Miss::Writeback { base } => DecodedEvent::Writeback {
-                    block: base.block(self.block),
+                    block: base.block(BlockSize::default()),
                 },
             }));
         // ...then run each system over the decoded batch while its
@@ -410,41 +365,12 @@ impl MissObserver for StreamObserver {
 ///
 /// Equivalent to N calls of [`crate::run_streams`], but the event vector
 /// is walked once, and the configurations are fused into one
-/// [`StreamObserver`] family per block/word geometry, so each address is
-/// decoded once per event and geometry rather than once per cell. Every
-/// paper sweep shares one geometry and so runs as a single family.
-/// Statistics come back in request order.
+/// [`StreamObserver`] family, so each address is decoded once per event
+/// rather than once per cell. Statistics come back in request order.
 pub fn replay_streams(trace: &MissTrace, configs: &[StreamConfig]) -> Vec<StreamStats> {
-    // Families in order of each geometry's first appearance; `slots[i]`
-    // locates configuration i as (family, member).
-    let mut families: Vec<StreamObserver> = Vec::new();
-    let mut slots = Vec::with_capacity(configs.len());
-    for &config in configs {
-        let (block, word) = (config.block(), config.word());
-        let family = match families
-            .iter()
-            .position(|f| f.block == block && f.word == word)
-        {
-            Some(family) => family,
-            None => {
-                families.push(StreamObserver::empty(block, word));
-                families.len() - 1
-            }
-        };
-        slots.push((family, families[family].systems.len()));
-        families[family].systems.push(StreamSystem::new(config));
-    }
-    {
-        let mut refs: Vec<&mut dyn MissObserver> = families
-            .iter_mut()
-            .map(|f| f as &mut dyn MissObserver)
-            .collect();
-        replay(trace, &mut refs);
-    }
-    slots
-        .iter()
-        .map(|&(family, member)| families[family].systems[member].stats())
-        .collect()
+    let mut family = StreamObserver::new(configs);
+    replay(trace, &mut [&mut family]);
+    family.stats()
 }
 
 /// Replays `trace` against every secondary-cache cell in one pass.
@@ -491,26 +417,21 @@ mod tests {
         record_miss_trace(&w, &RecordOptions::default()).unwrap()
     }
 
-    /// Two block sizes, interleaved in the request: one family per
-    /// geometry, every statistic in request order.
+    /// One family, every statistic in request order.
     #[test]
     fn multi_stream_replay_matches_independent_passes() {
         let trace = trace();
-        let wide = BlockSize::new(64).unwrap();
         let configs = [
             StreamConfig::paper_basic(1).unwrap(),
             StreamConfig::paper_basic(4).unwrap(),
-            StreamConfig::paper_basic(4).unwrap().with_block(wide),
             StreamConfig::paper_filtered(10).unwrap(),
-            StreamConfig::paper_strided(6, 16).unwrap().with_block(wide),
+            StreamConfig::paper_strided(6, 16).unwrap(),
         ];
-        assert!(matches!(StreamObserver::new(&configs), Err(MixedGeometry)));
         let together = replay_streams(&trace, &configs);
         assert_eq!(together.len(), configs.len());
         for (config, joint) in configs.iter().zip(&together) {
             assert_eq!(*joint, run_streams(&trace, *config));
         }
-        assert_ne!(together[1], together[2], "block size must matter here");
     }
 
     #[test]
@@ -519,9 +440,9 @@ mod tests {
             StreamConfig::paper_basic(2).unwrap(),
             StreamConfig::paper_filtered(8).unwrap(),
         ];
-        let family = StreamObserver::new(&configs).unwrap();
+        let family = StreamObserver::new(&configs);
         assert_eq!(family.fan_out(), 2);
-        let empty = StreamObserver::new(&[]).unwrap();
+        let empty = StreamObserver::new(&[]);
         assert_eq!(empty.fan_out(), 0);
         assert_eq!(empty.stats(), Vec::new());
     }
@@ -535,7 +456,7 @@ mod tests {
             StreamConfig::paper_basic(4).unwrap(),
             StreamConfig::paper_strided(6, 16).unwrap(),
         ];
-        let mut manual = StreamObserver::new(&configs).unwrap();
+        let mut manual = StreamObserver::new(&configs);
         for event in trace.events() {
             match event.decode() {
                 Miss::Fetch { addr, kind } => manual.on_fetch(addr, kind),
@@ -567,7 +488,7 @@ mod tests {
     #[test]
     fn mixed_observer_kinds_share_one_pass() {
         let trace = trace();
-        let mut streams = StreamObserver::new(&[StreamConfig::paper_filtered(4).unwrap()]).unwrap();
+        let mut streams = StreamObserver::new(&[StreamConfig::paper_filtered(4).unwrap()]);
         let mut l2 = L2Observer::new(
             CacheConfig::new(1 << 20, 2, BlockSize::new(64).unwrap()).unwrap(),
             None,
@@ -610,8 +531,7 @@ mod tests {
     }
 
     /// A [`StreamSystem`] driven event by event with one partition's
-    /// fetches and, when `writebacks`, every write-back at its own
-    /// block size.
+    /// fetches and, when `writebacks`, every write-back.
     fn partition_reference(
         trace: &MissTrace,
         config: StreamConfig,
@@ -628,7 +548,7 @@ mod tests {
                 }
                 Miss::Writeback { base } => {
                     if writebacks {
-                        sys.on_writeback(base.block(config.block()));
+                        sys.on_writeback(base.block(BlockSize::default()));
                     }
                 }
             }
@@ -637,10 +557,10 @@ mod tests {
         sys.stats()
     }
 
-    /// Each partition sees its own fetches plus *every* write-back, at
-    /// its own block size: pinned against [`partition_reference`] on the
-    /// write-back-heavy quick `cgm` trace, where the write-backs change
-    /// the data partition's statistics.
+    /// Each partition sees its own fetches plus *every* write-back: pinned
+    /// against [`partition_reference`] on the write-back-heavy quick `cgm`
+    /// trace, where the write-backs change the data partition's
+    /// statistics.
     #[test]
     fn partitioned_observer_broadcasts_every_writeback() {
         use crate::experiments::{workload_set, ExperimentOptions, Scale};
@@ -653,33 +573,23 @@ mod tests {
         let trace = record_miss_trace(cgm.as_ref(), &record).unwrap();
         assert!(trace.writebacks() > 0, "need a write-back-heavy trace");
 
-        let wide = BlockSize::new(64).unwrap();
-        for (icfg, dcfg) in [
-            (
-                StreamConfig::paper_basic(2).unwrap(),
-                StreamConfig::paper_basic(8).unwrap(),
-            ),
-            (
-                StreamConfig::paper_basic(2).unwrap(),
-                StreamConfig::paper_basic(8).unwrap().with_block(wide),
-            ),
-        ] {
-            let mut part = PartitionedObserver::new(icfg, dcfg);
-            replay(&trace, &mut [&mut part]);
-            assert_eq!(
-                part.instruction_stats(),
-                partition_reference(&trace, icfg, true, true)
-            );
-            assert_eq!(
-                part.data_stats(),
-                partition_reference(&trace, dcfg, false, true)
-            );
-            assert_ne!(
-                part.data_stats(),
-                partition_reference(&trace, dcfg, false, false),
-                "cgm's write-backs must reach the data partition"
-            );
-        }
+        let icfg = StreamConfig::paper_basic(2).unwrap();
+        let dcfg = StreamConfig::paper_basic(8).unwrap();
+        let mut part = PartitionedObserver::new(icfg, dcfg);
+        replay(&trace, &mut [&mut part]);
+        assert_eq!(
+            part.instruction_stats(),
+            partition_reference(&trace, icfg, true, true)
+        );
+        assert_eq!(
+            part.data_stats(),
+            partition_reference(&trace, dcfg, false, true)
+        );
+        assert_ne!(
+            part.data_stats(),
+            partition_reference(&trace, dcfg, false, false),
+            "cgm's write-backs must reach the data partition"
+        );
     }
 
     /// The broadcast reaches the instruction partition too. Code and data
@@ -742,7 +652,7 @@ mod tests {
         let config = StreamConfig::paper_filtered(4).unwrap();
         let l2_cfg = CacheConfig::new(1 << 20, 2, BlockSize::new(64).unwrap()).unwrap();
         let reference = {
-            let mut streams = StreamObserver::new(&[config]).unwrap();
+            let mut streams = StreamObserver::new(&[config]);
             let mut l2 = L2Observer::new(l2_cfg, None).unwrap();
             // Strict per-event delivery through the default trait body.
             for event in trace.events() {
@@ -758,7 +668,7 @@ mod tests {
             (streams.stats(), l2.stats())
         };
         for chunk_len in [0, 1, 7, 1024, usize::MAX] {
-            let mut streams = StreamObserver::new(&[config]).unwrap();
+            let mut streams = StreamObserver::new(&[config]);
             let mut l2 = L2Observer::new(l2_cfg, None).unwrap();
             let chunk_len = chunk_len.min(trace.events().len() + 3);
             replay_chunked(&trace, &mut [&mut streams, &mut l2], chunk_len);

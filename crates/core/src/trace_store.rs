@@ -225,7 +225,7 @@ impl TraceStore {
     /// touches neither the trace nor the replay engine. The memo key is
     /// the trace key plus the configuration's `Debug` form, so every
     /// field — count, depth, allocation policy and its parameters, match
-    /// policy, block and word size — tells two cells apart.
+    /// policy — tells two cells apart.
     ///
     /// # Errors
     ///
@@ -252,7 +252,7 @@ impl TraceStore {
     ///
     /// Memoized exactly like [`TraceStore::stream_stats`]: cold cells
     /// replay together through [`replay_l2`], and the key covers the
-    /// cache geometry, replacement and write policies and the sampling.
+    /// cache geometry, the replacement policy and the sampling.
     ///
     /// # Errors
     ///
@@ -544,9 +544,9 @@ mod tests {
 
     #[test]
     fn configs_differing_in_one_key_field_are_distinct_entries() {
-        use streamsim_cache::{Replacement, WritePolicy};
+        use streamsim_cache::Replacement;
         use streamsim_streams::{Allocation, MatchPolicy};
-        use streamsim_trace::{BlockSize, WordSize};
+        use streamsim_trace::BlockSize;
 
         let store = TraceStore::new();
         let w = memo_workload();
@@ -589,8 +589,6 @@ mod tests {
             min_delta(8, 1 << 20),
             min_delta(16, 1 << 10),
             base.with_match_policy(MatchPolicy::AnyEntry),
-            base.with_block(BlockSize::new(64).unwrap()),
-            base.with_word(WordSize::new(8).unwrap()),
         ];
         let got = store.stream_stats(&w, &opts, &streams).unwrap();
         assert_eq!(
@@ -612,9 +610,9 @@ mod tests {
                 CacheConfig::new(256 << 10, 2, BlockSize::new(64).unwrap()).unwrap(),
                 None,
             ),
-            (geometry.with_replacement(Replacement::Fifo), None),
+            (geometry.with_replacement(Replacement::TreePlru), None),
             (
-                geometry.with_write_policy(WritePolicy::WriteThroughNoAllocate),
+                geometry.with_replacement(Replacement::Random { seed: 1 }),
                 None,
             ),
             (geometry, Some(SetSampling::new(2, 0))),

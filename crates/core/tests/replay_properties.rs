@@ -11,7 +11,7 @@ use streamsim_core::{
     L2Observer, Miss, RecordOptions, StreamObserver, TraceStore,
 };
 use streamsim_streams::{StreamConfig, StreamSystem};
-use streamsim_trace::{Access, AccessKind, Addr, BlockSize, WordSize};
+use streamsim_trace::{Access, AccessKind, Addr, BlockSize};
 use streamsim_workloads::combinators::RecordedTrace;
 
 fn tiny_l1() -> RecordOptions {
@@ -113,13 +113,10 @@ fn multi_l2_replay_equals_independent_passes() {
     });
 }
 
-/// A family of stream configurations sharing one randomized geometry —
-/// the shape [`StreamObserver`] accepts — covering every allocation
-/// policy and both match policies.
-fn shared_geometry_family(g: &mut Gen) -> Vec<StreamConfig> {
+/// A random [`StreamObserver`] family covering every allocation policy
+/// and both match policies.
+fn random_family(g: &mut Gen) -> Vec<StreamConfig> {
     use streamsim_streams::{Allocation, MatchPolicy};
-    let block = BlockSize::new(g.pick(&[16u64, 32, 64])).unwrap();
-    let word = WordSize::new(g.pick(&[4u64, 8])).unwrap();
     g.vec(1usize..6, |g| {
         let allocation = match g.gen_range(0u32..4) {
             0 => Allocation::OnMiss,
@@ -143,8 +140,6 @@ fn shared_geometry_family(g: &mut Gen) -> Vec<StreamConfig> {
         };
         StreamConfig::new(g.gen_range(1usize..8), g.gen_range(1usize..5), allocation)
             .expect("parameters drawn from valid ranges")
-            .with_block(block)
-            .with_word(word)
             .with_match_policy(policy)
     })
 }
@@ -165,7 +160,9 @@ fn per_event_stream_passes(
                     Miss::Fetch { addr, .. } => {
                         sys.on_l1_miss(addr);
                     }
-                    Miss::Writeback { base } => sys.on_writeback(base.block(c.block())),
+                    Miss::Writeback { base } => {
+                        sys.on_writeback(base.block(BlockSize::default()));
+                    }
                 }
             }
             sys.finalize();
@@ -174,9 +171,10 @@ fn per_event_stream_passes(
         .collect()
 }
 
-/// A fused family replayed in arbitrary (often misaligned) chunk sizes is
-/// byte-identical to independent per-event stream systems: both the
-/// fusion and the batching are pure delivery mechanics.
+/// A fused family replayed in arbitrary (often misaligned) chunk sizes,
+/// or through [`replay_streams`], is byte-identical to independent
+/// per-event stream systems: both the fusion and the batching are pure
+/// delivery mechanics.
 #[test]
 fn fused_replay_matches_independent_observers_at_any_chunk_size() {
     check_with(
@@ -186,13 +184,15 @@ fn fused_replay_matches_independent_observers_at_any_chunk_size() {
             let trace = accesses(g, 400);
             let w = RecordedTrace::new("prop", trace);
             let rec = record_miss_trace(&w, &tiny_l1()).unwrap();
-            let configs = shared_geometry_family(g);
+            let configs = random_family(g);
 
-            let mut fused = StreamObserver::new(&configs).expect("one shared geometry");
+            let mut fused = StreamObserver::new(&configs);
             let chunk = g.gen_range(1usize..80);
             replay_chunked(&rec, &mut [&mut fused], chunk);
 
-            assert_eq!(fused.stats(), per_event_stream_passes(&rec, &configs));
+            let expected = per_event_stream_passes(&rec, &configs);
+            assert_eq!(fused.stats(), expected);
+            assert_eq!(replay_streams(&rec, &configs), expected);
         },
     );
 }
@@ -208,47 +208,15 @@ fn chunk_boundaries_are_invisible_to_fused_families() {
             let trace = accesses(g, 400);
             let w = RecordedTrace::new("prop", trace);
             let rec = record_miss_trace(&w, &tiny_l1()).unwrap();
-            let configs = shared_geometry_family(g);
+            let configs = random_family(g);
 
-            let mut coarse = StreamObserver::new(&configs).unwrap();
-            let mut fine = StreamObserver::new(&configs).unwrap();
+            let mut coarse = StreamObserver::new(&configs);
+            let mut fine = StreamObserver::new(&configs);
             replay_chunked(&rec, &mut [&mut coarse], g.gen_range(100usize..500));
             replay_chunked(&rec, &mut [&mut fine], g.gen_range(1usize..10));
             assert_eq!(coarse.stats(), fine.stats());
         },
     );
-}
-
-/// A request mixing geometries cannot fuse into one observer;
-/// [`replay_streams`] splits it into one family per geometry, replays
-/// them all in one pass, and returns every statistic in request order.
-#[test]
-fn mixed_geometry_requests_match_per_event_passes() {
-    check_with("mixed_geometry_requests_match_per_event_passes", 32, |g| {
-        let trace = accesses(g, 400);
-        let w = RecordedTrace::new("prop", trace);
-        let rec = record_miss_trace(&w, &tiny_l1()).unwrap();
-
-        // Two random families, each of one geometry; 256-byte blocks
-        // set the second apart from anything the first can draw.
-        let mut configs = shared_geometry_family(g);
-        let odd: Vec<StreamConfig> = shared_geometry_family(g)
-            .into_iter()
-            .map(|c| c.with_block(BlockSize::new(256).unwrap()))
-            .collect();
-        // Shuffle the second family into the first at random slots, so
-        // request order interleaves the two geometries.
-        for c in odd {
-            let at = g.gen_range(0..configs.len() + 1);
-            configs.insert(at, c);
-        }
-
-        assert!(StreamObserver::new(&configs).is_err());
-        assert_eq!(
-            replay_streams(&rec, &configs),
-            per_event_stream_passes(&rec, &configs)
-        );
-    });
 }
 
 /// Mixing stream and L2 observers in one pass changes nothing either:
@@ -262,7 +230,7 @@ fn mixed_observers_do_not_interact() {
 
         let scfg = StreamConfig::paper_filtered(4).unwrap();
         let l2cfg = CacheConfig::new(64 * 1024, 2, BlockSize::new(32).unwrap()).unwrap();
-        let mut streams = StreamObserver::new(&[scfg]).unwrap();
+        let mut streams = StreamObserver::new(&[scfg]);
         let mut l2 = L2Observer::new(l2cfg, None).unwrap();
         replay(&rec, &mut [&mut streams, &mut l2]);
 

@@ -69,7 +69,6 @@ pub(crate) struct ConsumeEffects {
 #[derive(Clone, Debug)]
 pub struct StreamBuffer {
     depth: usize,
-    block: BlockSize,
     /// Ring storage: logical FIFO position `i` lives at slot
     /// `(head + i) % depth`, positions `0..len` are live. Slots past
     /// `len` hold stale values that are overwritten before they can be
@@ -98,17 +97,16 @@ pub struct StreamBuffer {
 }
 
 impl StreamBuffer {
-    /// Creates an idle buffer of `depth` entries for `block`-sized blocks.
-    pub(crate) fn new(depth: usize, block: BlockSize) -> Self {
+    /// Creates an idle buffer of `depth` entries.
+    pub(crate) fn new(depth: usize) -> Self {
         assert!(depth > 0, "stream depth must be at least 1");
         StreamBuffer {
             depth,
-            block,
             slots: vec![Slot { block: 0, meta: 0 }; depth].into_boxed_slice(),
             head: 0,
             len: 0,
             next_prefetch: Addr::new(0),
-            stride_bytes: block.bytes() as i64,
+            stride_bytes: BlockSize::default().bytes() as i64,
             last_queued_block: BlockAddr::from_index(0),
             exhausted: false,
             active: false,
@@ -206,7 +204,7 @@ impl StreamBuffer {
                 return false;
             }
             let target_addr = self.next_prefetch;
-            let target = target_addr.block(self.block);
+            let target = target_addr.block(BlockSize::default());
             let advanced = target_addr.offset(self.stride_bytes);
             if advanced == target_addr {
                 // Saturated at an end of the address space.
@@ -248,7 +246,7 @@ impl StreamBuffer {
         self.run_hits = 0;
         self.exhausted = false;
         self.stride_bytes = stride_bytes;
-        self.last_queued_block = miss.block(self.block);
+        self.last_queued_block = miss.block(BlockSize::default());
         self.next_prefetch = miss.offset(stride_bytes);
         if self.next_prefetch == miss {
             self.exhausted = true; // saturated immediately
@@ -319,7 +317,7 @@ mod tests {
     use super::*;
 
     fn buf(depth: usize) -> StreamBuffer {
-        StreamBuffer::new(depth, BlockSize::new(32).unwrap())
+        StreamBuffer::new(depth)
     }
 
     fn block_of(addr: u64) -> BlockAddr {

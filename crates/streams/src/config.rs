@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use streamsim_trace::{BlockSize, WordSize};
-
 /// How a primary-cache miss is compared against a stream buffer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MatchPolicy {
@@ -97,6 +95,11 @@ pub enum StreamConfigError {
         /// The offending czone size in bits.
         bits: u32,
     },
+    /// The min-delta detector's stride bound must be positive.
+    NonPositiveMaxStride {
+        /// The offending bound in words.
+        max_stride_words: i64,
+    },
 }
 
 impl fmt::Display for StreamConfigError {
@@ -111,6 +114,10 @@ impl fmt::Display for StreamConfigError {
                     "czone size of {bits} bits is outside the usable 1..=62 range"
                 )
             }
+            StreamConfigError::NonPositiveMaxStride { max_stride_words } => write!(
+                f,
+                "min-delta maximum stride of {max_stride_words} words must be positive"
+            ),
         }
     }
 }
@@ -119,8 +126,14 @@ impl std::error::Error for StreamConfigError {}
 
 /// Complete configuration of a [`crate::StreamSystem`].
 ///
+/// The geometry is fixed: every stream system fetches 32-byte blocks
+/// ([`BlockSize::default`](streamsim_trace::BlockSize::default)), the
+/// block every recorded L1 uses, and detects strides in 4-byte words
+/// ([`WordSize::default`](streamsim_trace::WordSize::default)).
+///
 /// Use the `paper_*` presets for the paper's experimental setups, or
-/// [`StreamConfig::new`] plus the `with_*` builders for custom systems.
+/// [`StreamConfig::new`] plus [`StreamConfig::with_match_policy`] for
+/// custom systems.
 ///
 /// # Example
 ///
@@ -137,8 +150,6 @@ impl std::error::Error for StreamConfigError {}
 pub struct StreamConfig {
     num_streams: usize,
     depth: usize,
-    block: BlockSize,
-    word: WordSize,
     match_policy: MatchPolicy,
     allocation: Allocation,
 }
@@ -151,13 +162,12 @@ impl StreamConfig {
     pub const PAPER_DEPTH: usize = 2;
 
     /// Creates a configuration with `num_streams` buffers of `depth`
-    /// entries, 32-byte blocks, 4-byte words, head-only matching and the
-    /// given allocation policy.
+    /// entries, head-only matching and the given allocation policy.
     ///
     /// # Errors
     ///
-    /// Returns [`StreamConfigError`] for zero streams/depth, empty filters
-    /// or an unusable czone size.
+    /// Returns [`StreamConfigError`] for zero streams/depth, empty filters,
+    /// an unusable czone size or a non-positive min-delta stride bound.
     pub fn new(
         num_streams: usize,
         depth: usize,
@@ -183,14 +193,22 @@ impl StreamConfig {
                     return Err(StreamConfigError::BadCzone { bits: czone_bits });
                 }
             }
-            Allocation::MinDelta { entries: 0, .. } => return Err(StreamConfigError::EmptyFilter),
+            Allocation::MinDelta {
+                entries,
+                max_stride_words,
+            } => {
+                if entries == 0 {
+                    return Err(StreamConfigError::EmptyFilter);
+                }
+                if max_stride_words <= 0 {
+                    return Err(StreamConfigError::NonPositiveMaxStride { max_stride_words });
+                }
+            }
             _ => {}
         }
         Ok(StreamConfig {
             num_streams,
             depth,
-            block: BlockSize::default(),
-            word: WordSize::default(),
             match_policy: MatchPolicy::HeadOnly,
             allocation,
         })
@@ -239,20 +257,6 @@ impl StreamConfig {
         )
     }
 
-    /// Replaces the cache block size (default 32 bytes).
-    #[must_use]
-    pub fn with_block(mut self, block: BlockSize) -> Self {
-        self.block = block;
-        self
-    }
-
-    /// Replaces the word size used by stride detection (default 4 bytes).
-    #[must_use]
-    pub fn with_word(mut self, word: WordSize) -> Self {
-        self.word = word;
-        self
-    }
-
     /// Replaces the match policy (default head-only).
     #[must_use]
     pub fn with_match_policy(mut self, policy: MatchPolicy) -> Self {
@@ -270,16 +274,6 @@ impl StreamConfig {
         self.depth
     }
 
-    /// Cache block size.
-    pub fn block(self) -> BlockSize {
-        self.block
-    }
-
-    /// Word size for stride detection.
-    pub fn word(self) -> WordSize {
-        self.word
-    }
-
     /// Match policy.
     pub fn match_policy(self) -> MatchPolicy {
         self.match_policy
@@ -295,8 +289,8 @@ impl fmt::Display for StreamConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} streams x depth {}, {} blocks, {}, {}",
-            self.num_streams, self.depth, self.block, self.match_policy, self.allocation
+            "{} streams x depth {}, {}, {}",
+            self.num_streams, self.depth, self.match_policy, self.allocation
         )
     }
 }
@@ -311,7 +305,6 @@ mod tests {
         assert_eq!(basic.num_streams(), 8);
         assert_eq!(basic.depth(), 2);
         assert_eq!(basic.allocation(), Allocation::OnMiss);
-        assert_eq!(basic.block().bytes(), 32);
         assert_eq!(basic.match_policy(), MatchPolicy::HeadOnly);
 
         let filtered = StreamConfig::paper_filtered(10).unwrap();
@@ -376,18 +369,26 @@ mod tests {
             ),
             Err(StreamConfigError::EmptyFilter)
         );
+        for max_stride_words in [0, -1, i64::MIN] {
+            assert_eq!(
+                StreamConfig::new(
+                    4,
+                    2,
+                    Allocation::MinDelta {
+                        entries: 16,
+                        max_stride_words
+                    }
+                ),
+                Err(StreamConfigError::NonPositiveMaxStride { max_stride_words })
+            );
+        }
     }
 
     #[test]
     fn builders_override_defaults() {
-        use streamsim_trace::{BlockSize, WordSize};
         let cfg = StreamConfig::paper_basic(4)
             .unwrap()
-            .with_block(BlockSize::new(64).unwrap())
-            .with_word(WordSize::new(8).unwrap())
             .with_match_policy(MatchPolicy::AnyEntry);
-        assert_eq!(cfg.block().bytes(), 64);
-        assert_eq!(cfg.word().bytes(), 8);
         assert_eq!(cfg.match_policy(), MatchPolicy::AnyEntry);
     }
 
@@ -397,6 +398,11 @@ mod tests {
             .to_string()
             .contains("63"));
         assert!(StreamConfigError::NoStreams.to_string().contains("stream"));
+        assert!(StreamConfigError::NonPositiveMaxStride {
+            max_stride_words: -3
+        }
+        .to_string()
+        .contains("-3"));
     }
 
     #[test]

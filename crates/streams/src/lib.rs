@@ -8,8 +8,10 @@
 //!   generates the next prefetch address.
 //! * [`StreamSystem`] — a multi-way collection of stream buffers with LRU
 //!   reallocation, head comparison against every buffer in parallel, and
-//!   write-back invalidation, exactly as §3 describes. All allocation
-//!   policies are supported:
+//!   write-back invalidation, exactly as §3 describes. Every system
+//!   fetches 32-byte blocks, the block every recorded L1 uses, and
+//!   detects strides in 4-byte words. All allocation policies are
+//!   supported:
 //!     - [`Allocation::OnMiss`] — Jouppi's original scheme: every miss that
 //!       also misses the streams reallocates the LRU stream (§5);
 //!     - [`Allocation::UnitFilter`] — the paper's bandwidth-saving filter:

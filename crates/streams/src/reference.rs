@@ -8,7 +8,7 @@
 //! * **equivalence oracle** — the SoA [`StreamSystem`](crate::StreamSystem)
 //!   must match it outcome for outcome (per-miss [`StreamOutcome`],
 //!   statistics, buffer snapshots) under every allocation policy and
-//!   geometry, which the `soa_equivalence` property tests check against
+//!   match policy, which the `soa_equivalence` property tests check against
 //!   randomized miss streams;
 //! * **benchmark baseline** — the `replay` bench measures the batched,
 //!   fused SoA replay loop against this model driven one virtual call
@@ -19,7 +19,7 @@
 
 use std::collections::VecDeque;
 
-use streamsim_trace::{Addr, BlockAddr, BlockSize, WordAddr};
+use streamsim_trace::{Addr, BlockAddr, BlockSize, WordAddr, WordSize};
 
 use crate::buffer::{AllocationEffects, ConsumeEffects};
 use crate::czone::FsmState;
@@ -43,7 +43,6 @@ struct RefEntry {
 #[derive(Clone, Debug)]
 pub struct RefStreamBuffer {
     depth: usize,
-    block: BlockSize,
     entries: VecDeque<RefEntry>,
     next_prefetch: Addr,
     stride_bytes: i64,
@@ -55,14 +54,13 @@ pub struct RefStreamBuffer {
 }
 
 impl RefStreamBuffer {
-    fn new(depth: usize, block: BlockSize) -> Self {
+    fn new(depth: usize) -> Self {
         assert!(depth > 0, "stream depth must be at least 1");
         RefStreamBuffer {
             depth,
-            block,
             entries: VecDeque::with_capacity(depth),
             next_prefetch: Addr::new(0),
-            stride_bytes: block.bytes() as i64,
+            stride_bytes: BlockSize::default().bytes() as i64,
             last_queued_block: BlockAddr::from_index(0),
             exhausted: false,
             active: false,
@@ -125,7 +123,7 @@ impl RefStreamBuffer {
                 return false;
             }
             let target_addr = self.next_prefetch;
-            let target = target_addr.block(self.block);
+            let target = target_addr.block(BlockSize::default());
             let advanced = target_addr.offset(self.stride_bytes);
             if advanced == target_addr {
                 self.exhausted = true;
@@ -151,7 +149,7 @@ impl RefStreamBuffer {
         self.run_hits = 0;
         self.exhausted = false;
         self.stride_bytes = stride_bytes;
-        self.last_queued_block = miss.block(self.block);
+        self.last_queued_block = miss.block(BlockSize::default());
         self.next_prefetch = miss.offset(stride_bytes);
         if self.next_prefetch == miss {
             self.exhausted = true;
@@ -388,7 +386,7 @@ impl ReferenceStreamSystem {
     /// Creates a reference system from a validated configuration.
     pub fn new(config: StreamConfig) -> Self {
         let buffers = (0..config.num_streams())
-            .map(|_| RefStreamBuffer::new(config.depth(), config.block()))
+            .map(|_| RefStreamBuffer::new(config.depth()))
             .collect();
         let (unit_filter, czone, min_delta) = match config.allocation() {
             Allocation::OnMiss => (None, None, None),
@@ -439,7 +437,7 @@ impl ReferenceStreamSystem {
         debug_assert!(!self.finalized, "stream system already finalized");
         self.stats.lookups += 1;
         self.clock += 1;
-        let block = addr.block(self.config.block());
+        let block = addr.block(BlockSize::default());
 
         let matched = match self.config.match_policy() {
             MatchPolicy::HeadOnly => self
@@ -468,8 +466,8 @@ impl ReferenceStreamSystem {
             return StreamOutcome::Hit;
         }
 
-        let unit_stride = self.config.block().bytes() as i64;
-        let word = addr.word(self.config.word());
+        let unit_stride = BlockSize::default().bytes() as i64;
+        let word = addr.word(WordSize::default());
         let stride_bytes = match self.config.allocation() {
             Allocation::OnMiss => Some(unit_stride),
             Allocation::UnitFilter { .. } => self
@@ -491,7 +489,7 @@ impl ReferenceStreamSystem {
                         .as_mut()
                         .expect("czone filter configured")
                         .lookup(word)
-                        .map(|stride_words| stride_words * self.config.word().bytes() as i64)
+                        .map(|stride_words| stride_words * WordSize::default().bytes() as i64)
                 }
             }
             Allocation::MinDelta { .. } => self
@@ -499,13 +497,13 @@ impl ReferenceStreamSystem {
                 .as_mut()
                 .expect("min-delta detector configured")
                 .lookup(word)
-                .map(|stride_words| stride_words * self.config.word().bytes() as i64),
+                .map(|stride_words| stride_words * WordSize::default().bytes() as i64),
         };
 
         match stride_bytes {
             Some(stride) => {
                 self.allocate(addr, stride);
-                if stride.unsigned_abs() != self.config.block().bytes() {
+                if stride.unsigned_abs() != BlockSize::default().bytes() {
                     self.stats.strided_allocations += 1;
                 }
                 StreamOutcome::MissAllocated

@@ -12,7 +12,7 @@
 // Hot-loop module: every L1 miss funnels through this module.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use streamsim_trace::{Addr, BlockAddr, WordAddr};
+use streamsim_trace::{Addr, BlockAddr, BlockSize, WordAddr, WordSize};
 
 use crate::buffer::StreamBuffer;
 use crate::czone::CzoneFilter;
@@ -22,9 +22,9 @@ use crate::unit_filter::UnitStrideFilter;
 use crate::{Allocation, MatchPolicy, StreamConfig, StreamStats};
 
 /// Sentinel head tag for a buffer with no valid head (idle, empty or an
-/// invalidated front entry). Collides with a real block index only for
-/// the very top block of the address space at the smallest block size,
-/// which no configuration reaches; a debug assertion pins this.
+/// invalidated front entry). Never a real block index: a 32-byte block's
+/// index is its byte address shifted right by five, so its top bits are
+/// clear; a debug assertion pins this.
 const IDLE_HEAD: u64 = u64::MAX;
 
 /// Result of presenting a primary-cache miss to the stream system.
@@ -70,6 +70,37 @@ fn lru_key(buffer: &StreamBuffer) -> u64 {
     ((buffer.is_active() as u64) << 63) | stamp
 }
 
+/// The allocation policy's state, built from [`Allocation`]: each policy
+/// holds exactly the filters it consults on a stream miss.
+#[derive(Clone, Debug)]
+enum AllocState {
+    OnMiss,
+    Unit(UnitStrideFilter),
+    UnitAndStride(UnitStrideFilter, CzoneFilter),
+    MinDelta(MinDeltaDetector),
+}
+
+impl AllocState {
+    fn new(allocation: Allocation) -> Self {
+        match allocation {
+            Allocation::OnMiss => AllocState::OnMiss,
+            Allocation::UnitFilter { entries } => AllocState::Unit(UnitStrideFilter::new(entries)),
+            Allocation::UnitAndStrideFilters {
+                unit_entries,
+                stride_entries,
+                czone_bits,
+            } => AllocState::UnitAndStride(
+                UnitStrideFilter::new(unit_entries),
+                CzoneFilter::new(stride_entries, czone_bits),
+            ),
+            Allocation::MinDelta {
+                entries,
+                max_stride_words,
+            } => AllocState::MinDelta(MinDeltaDetector::new(entries, max_stride_words)),
+        }
+    }
+}
+
 /// A multi-way set of stream buffers with LRU reallocation and the
 /// allocation policy configured in [`StreamConfig`].
 ///
@@ -112,9 +143,7 @@ pub struct StreamSystem {
     /// hold the block — most write-backs touch nothing.
     entry_blooms: Vec<u64>,
     clock: u64,
-    unit_filter: Option<UnitStrideFilter>,
-    czone: Option<CzoneFilter>,
-    min_delta: Option<MinDeltaDetector>,
+    alloc: AllocState,
     stats: StreamStats,
     finalized: bool,
 }
@@ -123,31 +152,8 @@ impl StreamSystem {
     /// Creates a stream system from a validated configuration.
     pub fn new(config: StreamConfig) -> Self {
         let buffers: Vec<StreamBuffer> = (0..config.num_streams())
-            .map(|_| StreamBuffer::new(config.depth(), config.block()))
+            .map(|_| StreamBuffer::new(config.depth()))
             .collect();
-        let (unit_filter, czone, min_delta) = match config.allocation() {
-            Allocation::OnMiss => (None, None, None),
-            Allocation::UnitFilter { entries } => {
-                (Some(UnitStrideFilter::new(entries)), None, None)
-            }
-            Allocation::UnitAndStrideFilters {
-                unit_entries,
-                stride_entries,
-                czone_bits,
-            } => (
-                Some(UnitStrideFilter::new(unit_entries)),
-                Some(CzoneFilter::new(stride_entries, czone_bits)),
-                None,
-            ),
-            Allocation::MinDelta {
-                entries,
-                max_stride_words,
-            } => (
-                None,
-                None,
-                Some(MinDeltaDetector::new(entries, max_stride_words)),
-            ),
-        };
         StreamSystem {
             head_tags: vec![IDLE_HEAD; buffers.len()],
             lru_keys: buffers.iter().map(lru_key).collect(),
@@ -155,9 +161,7 @@ impl StreamSystem {
             config,
             buffers,
             clock: 0,
-            unit_filter,
-            czone,
-            min_delta,
+            alloc: AllocState::new(config.allocation()),
             stats: StreamStats::default(),
             finalized: false,
         }
@@ -183,14 +187,14 @@ impl StreamSystem {
 
     /// Presents one primary-cache miss to the streams.
     pub fn on_l1_miss(&mut self, addr: Addr) -> StreamOutcome {
-        let block = addr.block(self.config.block());
-        let word = addr.word(self.config.word());
+        let block = addr.block(BlockSize::default());
+        let word = addr.word(WordSize::default());
         self.on_l1_miss_decoded(addr, block, word)
     }
 
     /// Like [`StreamSystem::on_l1_miss`], with the block and word of
     /// `addr` already decoded — the replay engine's `StreamObserver` splits
-    /// each address once and feeds every system sharing that geometry.
+    /// each address once and feeds every system of its family.
     pub fn on_l1_miss_decoded(
         &mut self,
         addr: Addr,
@@ -198,8 +202,8 @@ impl StreamSystem {
         word: WordAddr,
     ) -> StreamOutcome {
         debug_assert!(!self.finalized, "stream system already finalized");
-        debug_assert_eq!(block, addr.block(self.config.block()), "mismatched block");
-        debug_assert_eq!(word, addr.word(self.config.word()), "mismatched word");
+        debug_assert_eq!(block, addr.block(BlockSize::default()), "mismatched block");
+        debug_assert_eq!(word, addr.word(WordSize::default()), "mismatched word");
         self.stats.lookups += 1;
         self.clock += 1;
 
@@ -234,49 +238,31 @@ impl StreamSystem {
         }
 
         // Stream miss: consult the allocation policy.
-        let unit_stride = self.config.block().bytes() as i64;
-        #[expect(
-            clippy::expect_used,
-            reason = "the constructor builds each filter and detector whenever the policy names it"
-        )]
-        let stride_bytes = match self.config.allocation() {
-            Allocation::OnMiss => Some(unit_stride),
-            Allocation::UnitFilter { .. } => self
-                .unit_filter
-                .as_mut()
-                .expect("unit filter configured")
-                .lookup(block)
-                .then_some(unit_stride),
-            Allocation::UnitAndStrideFilters { .. } => {
-                let unit = self
-                    .unit_filter
-                    .as_mut()
-                    .expect("unit filter configured")
-                    .lookup(block);
-                if unit {
+        let unit_stride = BlockSize::default().bytes() as i64;
+        let word_bytes = WordSize::default().bytes() as i64;
+        let stride_bytes = match &mut self.alloc {
+            AllocState::OnMiss => Some(unit_stride),
+            AllocState::Unit(unit) => unit.lookup(block).then_some(unit_stride),
+            AllocState::UnitAndStride(unit, czone) => {
+                if unit.lookup(block) {
                     Some(unit_stride)
                 } else {
                     // References that miss the unit filter fall through to
                     // the non-unit-stride filter.
-                    self.czone
-                        .as_mut()
-                        .expect("czone filter configured")
+                    czone
                         .lookup(word)
-                        .map(|stride_words| stride_words * self.config.word().bytes() as i64)
+                        .map(|stride_words| stride_words * word_bytes)
                 }
             }
-            Allocation::MinDelta { .. } => self
-                .min_delta
-                .as_mut()
-                .expect("min-delta detector configured")
+            AllocState::MinDelta(detector) => detector
                 .lookup(word)
-                .map(|stride_words| stride_words * self.config.word().bytes() as i64),
+                .map(|stride_words| stride_words * word_bytes),
         };
 
         match stride_bytes {
             Some(stride) => {
                 self.allocate(addr, stride);
-                if stride.unsigned_abs() != self.config.block().bytes() {
+                if stride.unsigned_abs() != BlockSize::default().bytes() {
                     self.stats.strided_allocations += 1;
                 }
                 StreamOutcome::MissAllocated
@@ -379,13 +365,14 @@ impl StreamSystem {
     /// Accumulated statistics, including the filters' counters.
     pub fn stats(&self) -> StreamStats {
         let mut stats = self.stats;
-        if let Some(f) = &self.unit_filter {
-            stats.unit_filter = f.stats();
-        }
-        match (&self.czone, &self.min_delta) {
-            (Some(f), _) => stats.stride_filter = f.stats(),
-            (None, Some(d)) => stats.stride_filter = d.stats(),
-            _ => {}
+        match &self.alloc {
+            AllocState::OnMiss => {}
+            AllocState::Unit(unit) => stats.unit_filter = unit.stats(),
+            AllocState::UnitAndStride(unit, czone) => {
+                stats.unit_filter = unit.stats();
+                stats.stride_filter = czone.stats();
+            }
+            AllocState::MinDelta(detector) => stats.stride_filter = detector.stats(),
         }
         stats
     }
@@ -394,7 +381,6 @@ impl StreamSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamsim_trace::BlockSize;
 
     fn basic(n: usize) -> StreamSystem {
         StreamSystem::new(StreamConfig::paper_basic(n).unwrap())
@@ -504,8 +490,8 @@ mod tests {
             .collect();
         for &raw in &addrs {
             let addr = Addr::new(raw);
-            let block = addr.block(cfg.block());
-            let word = addr.word(cfg.word());
+            let block = addr.block(BlockSize::default());
+            let word = addr.word(WordSize::default());
             assert_eq!(
                 plain.on_l1_miss(addr),
                 decoded.on_l1_miss_decoded(addr, block, word)

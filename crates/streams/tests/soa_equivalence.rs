@@ -1,8 +1,7 @@
 //! The SoA `StreamSystem` is pinned outcome-for-outcome against the
 //! frozen pre-SoA [`streamsim_streams::reference::ReferenceStreamSystem`],
-//! across every allocation policy, both match policies and randomized
-//! geometries — the same oracle pattern that pinned `SetAssocCache`
-//! against `ReferenceCache`.
+//! across every allocation policy and both match policies — the same
+//! oracle pattern that pinned `SetAssocCache` against `ReferenceCache`.
 
 use streamsim_prng::quickcheck::check_with;
 use streamsim_prng::Rng;
@@ -27,17 +26,13 @@ fn random_config(g: &mut streamsim_prng::quickcheck::Gen) -> StreamConfig {
             max_stride_words: g.gen_range(1i64..(1 << 20)),
         },
     };
-    let cfg = StreamConfig::new(g.gen_range(1usize..9), g.gen_range(1usize..6), allocation)
-        .expect("parameters drawn from valid ranges");
-    let block = g.pick(&[16u64, 32, 64, 128]);
-    let word = g.pick(&[4u64, 8]);
     let policy = if g.gen_bool(0.5) {
         MatchPolicy::HeadOnly
     } else {
         MatchPolicy::AnyEntry
     };
-    cfg.with_block(BlockSize::new(block).unwrap())
-        .with_word(WordSize::new(word).unwrap())
+    StreamConfig::new(g.gen_range(1usize..9), g.gen_range(1usize..6), allocation)
+        .expect("parameters drawn from valid ranges")
         .with_match_policy(policy)
 }
 
@@ -99,7 +94,7 @@ fn soa_system_matches_the_reference_everywhere() {
                     );
                 }
                 Event::Writeback(raw) => {
-                    let block = Addr::new(raw).block(cfg.block());
+                    let block = Addr::new(raw).block(BlockSize::default());
                     soa.on_writeback(block);
                     reference.on_writeback(block);
                 }
@@ -125,15 +120,15 @@ fn decoded_soa_path_matches_the_reference() {
             match *event {
                 Event::Miss(raw) => {
                     let addr = Addr::new(raw);
-                    let block = addr.block(cfg.block());
-                    let word = addr.word(cfg.word());
+                    let block = addr.block(BlockSize::default());
+                    let word = addr.word(WordSize::default());
                     assert_eq!(
                         soa.on_l1_miss_decoded(addr, block, word),
                         reference.on_l1_miss(addr)
                     );
                 }
                 Event::Writeback(raw) => {
-                    let block = Addr::new(raw).block(cfg.block());
+                    let block = Addr::new(raw).block(BlockSize::default());
                     soa.on_writeback(block);
                     reference.on_writeback(block);
                 }

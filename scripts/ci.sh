@@ -257,6 +257,19 @@ echo "==> profile equivalence (fresh seed: STREAMSIM_QC_SEED=0x$qc_seed)"
 STREAMSIM_QC_SEED=0x$qc_seed cargo test -q --offline -p streamsim-model \
     --test profile_equivalence dense_profile_equals_the_reference_builder
 
+# The hot-loop oracles: the SoA `SetAssocCache` and `StreamSystem` must
+# match the frozen `ReferenceCache` and `ReferenceStreamSystem` outcome
+# for outcome. Those properties live in the cache and streams crates,
+# whose suites the default gate's root-package `cargo test` does not
+# run, so run both binaries here, then once more on a fresh logged seed.
+echo "==> hot-loop oracle properties (cache and streams soa_equivalence)"
+cargo test -q --offline -p streamsim-cache --test soa_equivalence
+cargo test -q --offline -p streamsim-streams --test soa_equivalence
+oracle_seed=$(od -An -N8 -tx8 /dev/urandom | tr -d ' ')
+echo "==> hot-loop oracle properties (fresh seed: STREAMSIM_QC_SEED=0x$oracle_seed)"
+STREAMSIM_QC_SEED=0x$oracle_seed cargo test -q --offline -p streamsim-cache --test soa_equivalence
+STREAMSIM_QC_SEED=0x$oracle_seed cargo test -q --offline -p streamsim-streams --test soa_equivalence
+
 # Perf smoke: the recording bench asserts the SoA hot loop is
 # byte-identical to the frozen reference loop (the same chunks into the
 # array-of-structs `ReferenceCache`), then times both. The enforce floor

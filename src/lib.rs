@@ -39,7 +39,7 @@
 
 pub use streamsim_cache::{
     AccessOutcome, CacheConfig, CacheConfigError, CacheStats, Replacement, SetAssocCache,
-    SetSampling, SplitL1, VictimCache, WritePolicy,
+    SetSampling, SplitL1, VictimCache,
 };
 pub use streamsim_core::{
     experiments, l2_geometry, paper, parse_flat_json_line, profile_trace, record_miss_trace,

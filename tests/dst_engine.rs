@@ -28,7 +28,7 @@ use streamsim_dst::{
 };
 use streamsim_prng::{Rng, SplitMix64, Xoshiro256StarStar};
 use streamsim_streams::{StreamConfig, StreamSystem};
-use streamsim_trace::Access;
+use streamsim_trace::{Access, BlockSize};
 use streamsim_workloads::{generators::RandomGather, Suite, Workload};
 
 /// A cheap pure cell: the work every sweep maps over when the point is
@@ -355,7 +355,7 @@ fn fused_and_unfused_replays_render_identical_artifacts() {
                                     sys.on_l1_miss(addr);
                                 }
                                 Miss::Writeback { base } => {
-                                    sys.on_writeback(base.block(c.block()));
+                                    sys.on_writeback(base.block(BlockSize::default()));
                                 }
                             }
                         }

@@ -244,7 +244,7 @@ fn replay_is_invariant_to_chunking_and_worker_count() {
         let l2_cfg = CacheConfig::new(1 << 20, 2, BlockSize::new(64).unwrap()).expect("valid");
         let observe =
             |trace: &streamsim::MissTrace, chunk_len: Option<usize>| -> (String, String, u64) {
-                let mut streams = StreamObserver::new(&[stream_cfg]).expect("one geometry");
+                let mut streams = StreamObserver::new(&[stream_cfg]);
                 let mut l2 = L2Observer::new(l2_cfg, None).expect("valid");
                 {
                     let mut obs: [&mut dyn MissObserver; 2] = [&mut streams, &mut l2];
