@@ -5,12 +5,15 @@
 //! amortised: every table and figure walks the same recorded miss trace
 //! against a *family* of configuration cells. This bench pits the
 //! current path — [`replay_streams`] (fused, chunk-batched, SoA stream
-//! state) and [`replay_l2`] (chunk-batched probes) — against a faithful
-//! reconstruction of the pre-PR path: one virtual call per event per
-//! cell, streams modelled by [`ReferenceStreamSystem`], the verbatim
-//! pre-SoA system kept in `streamsim_streams::reference`. Both paths are
-//! run over every (workload, family) pair and must produce identical
-//! statistics, which the bench asserts before timing anything.
+//! state) and [`replay_l2`] (LRU cells read from one recency stack per
+//! set count) — against a faithful reconstruction of the pre-PR path:
+//! one virtual call per event per cell, streams modelled by
+//! [`ReferenceStreamSystem`], the verbatim pre-SoA system kept in
+//! `streamsim_streams::reference`, and each L2 cell by its own
+//! [`L2Observer`]. Both paths are run over every (workload, family) pair
+//! and must produce identical statistics, which the bench asserts before
+//! timing anything — for the `l2` family that pins the stack pass
+//! against the set-associative cache model.
 //!
 //! Throughput is counted in *deliveries* — events × cells — so fusing a
 //! family does not deflate the rate.
@@ -61,9 +64,10 @@ fn reference_replay_streams(trace: &MissTrace, configs: &[StreamConfig]) -> Vec<
     systems.iter().map(ReferenceStreamSystem::stats).collect()
 }
 
-/// The pre-PR secondary-cache replay: per-event dispatch into each cell
-/// (the production cache model — the L2 side never had a reference copy,
-/// so this isolates exactly what batching buys).
+/// The pre-PR secondary-cache replay: per-event dispatch into one
+/// [`L2Observer`] (a `SetAssocCache`) per cell. Its three cells have
+/// three set counts, so `replay_l2` gives each its own recency stack
+/// and the timing measures the stack layout, not stack sharing.
 fn reference_replay_l2(
     trace: &MissTrace,
     cells: &[(CacheConfig, Option<SetSampling>)],
@@ -189,7 +193,7 @@ fn main() {
             let reference = reference_replay_l2(&trace, &l2_cells);
             assert_eq!(
                 current, reference,
-                "{name}/l2: batched L2 replay diverges from the per-event path"
+                "{name}/l2: the recency-stack replay diverges from per-event caches"
             );
 
             let cur_ns = median_ns(samples, warmup, || {

@@ -21,23 +21,28 @@
 //! stream system, and a 1 MB L2 — plus the speedup of streams over the
 //! bare machine.
 //!
-//! **Known mismatch under `--sampling`.** The L2 hit rate comes from a
-//! [`TwoLevel`] pass over the *unsampled* reference stream, even when
-//! time sampling is on, while the refs, misses and stream statistics
-//! come from the sampled miss trace. The `traffic` driver samples its
-//! `TwoLevel` pass; this one does not. The sampled `cpi` rows are pinned
-//! by golden data as they stand, so fixing the mismatch is a separate,
-//! golden-regenerating change (ROADMAP open item).
+//! The L2 hit rate is the trace store's hierarchy-order 1 MB cell
+//! ([`crate::TraceStore::hierarchy_l2_stats`]), the L2 of a coupled
+//! split-L1 → L2 hierarchy; at paper scale it is the cell `traffic`
+//! reads, served from the memo.
+//!
+//! **Known mismatch under `--sampling`.** That cell is requested over
+//! the *unsampled* recording (`sampling: None`), even when time sampling
+//! is on, while the refs, misses and stream statistics come from the
+//! sampled miss trace. The `traffic` driver reads its cell over the
+//! sampled recording; this one does not. The sampled `cpi` rows are
+//! pinned by golden data as they stand, so fixing the mismatch is a
+//! separate, golden-regenerating change (ROADMAP open item).
 
 use std::fmt;
 
-use streamsim_cache::{CacheConfig, TwoLevel};
+use streamsim_cache::CacheConfig;
 use streamsim_streams::{StreamConfig, StreamStats};
 use streamsim_trace::BlockSize;
 
 use crate::experiments::{workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::MissTrace;
+use crate::{MissTrace, RecordOptions};
 
 /// The assumed memory-system timing, in processor cycles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,16 +145,19 @@ fn measure(
         )
         .expect("valid L1")[0];
 
-    // Conventional 1 MB L2 over the workload's full reference stream —
-    // unsampled even under time sampling (see the module docs).
+    // Conventional 1 MB L2 behind the same L1, over the workload's full
+    // reference stream — unsampled even under time sampling (see the
+    // module docs).
     let l2_cfg = CacheConfig::new(1 << 20, 2, BlockSize::default()).expect("valid");
-    let mut two_level = TwoLevel::new(record.icache, record.dcache, l2_cfg).expect("valid");
-    workload.generate_chunks(&mut Vec::new(), &mut |chunk| {
-        for &a in chunk {
-            two_level.access(a);
-        }
-    });
-    let l2_hit = two_level.l2_stats().hit_rate();
+    let unsampled = RecordOptions {
+        sampling: None,
+        ..record
+    };
+    let l2_hit = options
+        .store
+        .hierarchy_l2_stats(workload, &unsampled, &[(l2_cfg, None)])
+        .expect("valid L2")[0]
+        .hit_rate();
 
     let inter_miss = refs as f64 / misses.max(1) as f64;
     let lm = timing.memory_latency as f64;

@@ -13,6 +13,14 @@
 //! 3. **L1 + 1 MB L2 + memory** — the conventional system: only L2
 //!    misses and L2 write-backs reach memory.
 //!
+//! Every system reads the same recorded miss trace. The L2 is the
+//! store's hierarchy-order cell ([`crate::TraceStore::hierarchy_l2_stats`]):
+//! each dirty L1 victim reaches the L2 before the fetch that evicted it,
+//! as in a coupled hierarchy, so one memory read per L2 miss and one
+//! memory write per dirty L2 victim make `(misses + writebacks) × block`
+//! bytes, as a coupled two-level simulation of the same references
+//! counts them.
+//!
 //! The stream system always moves *more* than the baseline and the L2
 //! system less (when the working set fits); the paper's claim is that the
 //! stream overhead is modest once filtered — which is what the measured
@@ -20,9 +28,9 @@
 
 use std::fmt;
 
-use streamsim_cache::{CacheConfig, TwoLevel};
+use streamsim_cache::CacheConfig;
 use streamsim_streams::{StreamConfig, StreamStats};
-use streamsim_trace::{Access, BlockSize, ChunkSampler};
+use streamsim_trace::BlockSize;
 
 use crate::experiments::{workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
@@ -78,12 +86,8 @@ fn baseline_bytes(trace: &MissTrace) -> u64 {
     (trace.fetches() + trace.writebacks()) * trace.l1_block().bytes()
 }
 
-/// Runs the experiment.
-///
-/// The stream side replays the stored miss trace; the conventional
-/// two-level system inherently needs the *full* reference stream (its L1
-/// is part of the simulated hierarchy), so it re-generates the workload
-/// rather than replaying the trace.
+/// Runs the experiment: both the stream side and the conventional
+/// system replay the stored miss trace.
 pub fn run(options: &ExperimentOptions) -> Traffic {
     let record = options.record_options();
     let store = options.store.clone();
@@ -99,34 +103,19 @@ pub fn run(options: &ExperimentOptions) -> Traffic {
         let baseline = baseline_bytes(&trace);
         let streams_bytes = baseline + streams.useless_prefetches() * trace.l1_block().bytes();
 
-        // Conventional system over the same references.
+        // Conventional system behind the same L1, in hierarchy order.
         let l2_cfg = CacheConfig::new(L2_BYTES, 2, BlockSize::default()).expect("valid L2");
-        let mut two_level =
-            TwoLevel::new(record.icache, record.dcache, l2_cfg).expect("valid hierarchy");
-        let mut consume = |chunk: &[Access]| {
-            for &a in chunk {
-                two_level.access(a);
-            }
-        };
-        match record.sampling {
-            // The same window record_miss_trace applies: chunks split
-            // into kept sub-slices by the sampler.
-            Some((on, off)) => {
-                let mut sampler = ChunkSampler::new(on, off);
-                w.generate_chunks(&mut Vec::new(), &mut |chunk| {
-                    sampler.sample(chunk, &mut consume);
-                });
-            }
-            None => w.generate_chunks(&mut Vec::new(), &mut consume),
-        }
+        let l2 = store
+            .hierarchy_l2_stats(w.as_ref(), &record, &[(l2_cfg, None)])
+            .expect("valid L2")[0];
 
         Row {
             name: w.name().to_owned(),
             baseline_bytes: baseline,
             streams_bytes,
-            l2_bytes: two_level.memory_traffic_bytes(),
+            l2_bytes: (l2.misses() + l2.writebacks) * l2_cfg.block().bytes(),
             streams,
-            l2_local_hit: two_level.l2_stats().hit_rate(),
+            l2_local_hit: l2.hit_rate(),
         }
     });
     Traffic { rows }

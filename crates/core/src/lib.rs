@@ -19,12 +19,14 @@
 //! * [`replay`] — drives any number of [`MissObserver`]s over one
 //!   recorded trace in a single pass: families of unified streams
 //!   ([`StreamObserver`]), instruction/data
-//!   [`PartitionedObserver`]s, secondary caches ([`L2Observer`]), or
-//!   custom observers. [`replay_streams`] sweeps a request of stream
-//!   configurations as one family (every stream system shares the
-//!   fixed 32-byte block and 4-byte word) and [`replay_l2`] sweeps
-//!   secondary caches; [`run_streams`] and [`run_l2`] are the
-//!   one-observer wrappers.
+//!   [`PartitionedObserver`]s, secondary caches ([`L2FamilyObserver`],
+//!   [`L2Observer`]), or custom observers. [`replay_streams`] sweeps a
+//!   request of stream configurations as one family (every stream
+//!   system shares the fixed 32-byte block and 4-byte word) and
+//!   [`replay_l2`] sweeps secondary caches, its LRU cells from one
+//!   recency stack per set count; [`replay_l2_hierarchy`] replays them
+//!   in a coupled hierarchy's event order ([`HierarchyOrder`]).
+//!   [`run_streams`] and [`run_l2`] are the one-cell wrappers.
 //! * [`experiments`] — one driver per table and figure in the paper's
 //!   evaluation (Tables 1–4, Figures 3, 5, 8, 9) plus the ablation suite,
 //!   each printing measured results next to the paper's reported values.
@@ -72,8 +74,9 @@ pub use miss_trace::{
 };
 pub use profile::{ProfileArtifact, ProfilePhase};
 pub use replay::{
-    replay, replay_chunked, replay_l2, replay_streams, L2Observer, MissObserver,
-    PartitionedObserver, StreamObserver, REPLAY_CHUNK_EVENTS,
+    replay, replay_chunked, replay_l2, replay_l2_hierarchy, replay_streams, HierarchyOrder,
+    L2FamilyObserver, L2Observer, MissObserver, PartitionedObserver, StreamObserver,
+    REPLAY_CHUNK_EVENTS,
 };
 pub use runner::{parallel_map_on, ExecutorHandle};
 pub use sink::{

@@ -308,6 +308,9 @@ pub fn run_streams(trace: &MissTrace, config: StreamConfig) -> StreamStats {
 /// set-sampled) and returns its statistics. The cache's hit rate over the
 /// replay is the paper's *local hit rate* — hits per primary-cache miss.
 ///
+/// [`crate::replay_l2`] over one cell; call that directly to sweep
+/// several geometries in a single pass over the trace.
+///
 /// # Errors
 ///
 /// Returns [`CacheConfigError`] if the configuration or sampling is
@@ -317,9 +320,8 @@ pub fn run_l2(
     config: CacheConfig,
     sampling: Option<SetSampling>,
 ) -> Result<CacheStats, CacheConfigError> {
-    let mut observer = crate::replay::L2Observer::new(config, sampling)?;
-    crate::replay(trace, &mut [&mut observer]);
-    Ok(observer.stats())
+    // One cell in, one statistic out.
+    Ok(crate::replay_l2(trace, &[(config, sampling)])?.remove(0))
 }
 
 #[cfg(test)]

@@ -16,27 +16,37 @@
 //! dragged through cache per event. Within a chunk the dispatch is a
 //! single devirtualized [`MissObserver::on_events`] call, whose default
 //! loop is monomorphized per observer with the per-event methods
-//! inlined; [`StreamObserver`] overrides it to hoist the address
-//! decode out of its family's loop.
+//! inlined; [`StreamObserver`] and [`L2FamilyObserver`] override it to
+//! hoist the address decode out of their family's loop.
 //!
-//! Three observers cover the common cases. [`StreamObserver`] evaluates
+//! These observers cover the common cases. [`StreamObserver`] evaluates
 //! a *family* of stream-buffer systems — the shape of every paper sweep
 //! (ten stream counts, four filter sizes...) — splitting each address
 //! into block and word exactly once per event instead of once per
 //! system; [`replay_streams`] runs a whole request as one family. Every
 //! stream system fetches 32-byte blocks and detects strides in 4-byte
-//! words, so one decode serves any family. [`L2Observer`] wraps a
-//! [`SetAssocCache`]. [`PartitionedObserver`] splits the miss stream
-//! between instruction and data streams, the one topology beside the
-//! paper's unified streams. Drivers with bespoke plumbing (e.g. the
-//! Jouppi topology, where a secondary cache sees only the stream-miss
-//! residual) implement [`MissObserver`] themselves and join the same
-//! pass.
+//! words, so one decode serves any family. [`L2FamilyObserver`] is the
+//! secondary-cache family behind [`replay_l2`]: its LRU cells read one
+//! recency stack per (block size, set count), every associativity at
+//! once by LRU's inclusion property, and the rest keep an
+//! [`L2Observer`] each, a [`SetAssocCache`] as an observer.
+//! [`HierarchyOrder`] hands any observer the trace in a coupled
+//! hierarchy's order, each dirty L1 victim before the fetch that
+//! evicted it ([`replay_l2_hierarchy`]). [`PartitionedObserver`] splits
+//! the miss stream between instruction and data streams, the one
+//! topology beside the paper's unified streams. Drivers with bespoke
+//! plumbing (e.g. the Jouppi topology, where a secondary cache sees only
+//! the stream-miss residual) implement [`MissObserver`] themselves and
+//! join the same pass.
 
 // Hot-loop module: the replay loop touches every recorded miss event per observer.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use streamsim_cache::{CacheConfig, CacheConfigError, CacheStats, SetAssocCache, SetSampling};
+use std::collections::BTreeMap;
+
+use streamsim_cache::{
+    CacheConfig, CacheConfigError, CacheStats, Replacement, SetAssocCache, SetSampling,
+};
 use streamsim_streams::{StreamConfig, StreamStats, StreamSystem};
 use streamsim_trace::{AccessKind, Addr, BlockAddr, BlockSize, WordAddr, WordSize};
 
@@ -76,8 +86,9 @@ pub trait MissObserver {
     /// per-event methods `#[inline(always)]` so they inline into that
     /// loop (plain `#[inline]` leaves a call per event to a probe as
     /// large as `L2Observer`'s). Only an observer that does more per
-    /// chunk than per event overrides it: [`StreamObserver`] decodes
-    /// each chunk once for its whole family.
+    /// chunk than per event overrides it: [`StreamObserver`] and
+    /// [`L2FamilyObserver`] decode each chunk once for their whole
+    /// family, and [`HierarchyOrder`] reorders it.
     fn on_events(&mut self, events: &[MissEvent]) {
         for event in events {
             match event.decode() {
@@ -375,8 +386,11 @@ pub fn replay_streams(trace: &MissTrace, configs: &[StreamConfig]) -> Vec<Stream
 
 /// Replays `trace` against every secondary-cache cell in one pass.
 ///
-/// Equivalent to N calls of [`crate::run_l2`], but the event vector is
-/// walked once.
+/// Equivalent to replaying each cell through its own [`L2Observer`],
+/// but the event vector is walked once and every LRU cell of one
+/// (block size, set count) shape reads its outcome from one shared
+/// recency stack ([`L2FamilyObserver`]). [`crate::run_l2`] is this
+/// over one cell.
 ///
 /// # Errors
 ///
@@ -386,18 +400,415 @@ pub fn replay_l2(
     trace: &MissTrace,
     cells: &[(CacheConfig, Option<SetSampling>)],
 ) -> Result<Vec<CacheStats>, CacheConfigError> {
-    let mut observers = cells
-        .iter()
-        .map(|&(config, sampling)| L2Observer::new(config, sampling))
-        .collect::<Result<Vec<_>, _>>()?;
-    {
-        let mut refs: Vec<&mut dyn MissObserver> = observers
-            .iter_mut()
-            .map(|o| o as &mut dyn MissObserver)
-            .collect();
-        replay(trace, &mut refs);
+    let mut family = L2FamilyObserver::new(cells)?;
+    replay(trace, &mut [&mut family]);
+    Ok(family.stats())
+}
+
+/// [`replay_l2`] in hierarchy order: each dirty L1 victim reaches the
+/// secondary caches before the fetch that evicted it
+/// ([`HierarchyOrder`]), the order a coupled split-L1 → L2 hierarchy
+/// (`streamsim_cache::TwoLevel`) presents them. An unsampled cell's
+/// statistics then equal that hierarchy's `l2_stats()`, and
+/// `(misses + writebacks) × block` its memory traffic.
+///
+/// # Errors
+///
+/// Returns [`CacheConfigError`] if any cell's configuration or sampling
+/// is invalid.
+pub fn replay_l2_hierarchy(
+    trace: &MissTrace,
+    cells: &[(CacheConfig, Option<SetSampling>)],
+) -> Result<Vec<CacheStats>, CacheConfigError> {
+    let mut family = HierarchyOrder::new(L2FamilyObserver::new(cells)?);
+    replay(trace, &mut [&mut family]);
+    Ok(family.inner().stats())
+}
+
+/// One LRU cell read from an [`LruStack`].
+#[derive(Debug)]
+struct StackCell {
+    /// Position in the [`L2FamilyObserver`] request.
+    index: usize,
+    assoc: usize,
+    /// This cell's dirty bit in a stack entry.
+    class_bit: u64,
+    /// The cell's own set sampling: it counts an access only when
+    /// `set & sample_mask == sample_match` (both 0 when unsampled).
+    sample_mask: u64,
+    sample_match: u64,
+    stats: CacheStats,
+}
+
+/// Every LRU cell of one (block size, set count) shape, evaluated from
+/// one recency stack per set.
+///
+/// LRU has Mattson's inclusion property: an A-way LRU set holds exactly
+/// the A most recently used distinct blocks that map to it. So one stack
+/// per set, most recent first and as deep as the largest associativity,
+/// answers every associativity at once. An access found at depth `d`
+/// (an absent block counts as found at the full depth) hits in every
+/// cell with more than `d` ways and misses in the rest; a miss in an
+/// A-way cell evicts the entry at depth A−1 if one is there, and writes
+/// it back when its dirty bit for that cell's associativity is set. The
+/// block then moves to depth 0, dirty where it hit and was dirty or the
+/// access is a store, and where it missed only if the access is a store.
+/// That is write-back/write-allocate `SetAssocCache` with
+/// `Replacement::Lru`, field for field (`tests/replay_properties.rs`).
+///
+/// Set sampling chooses which sets a cell counts, not how a set
+/// behaves, so a sampled cell reads the same stack and skips the sets
+/// it does not sample. The stack itself keeps only the sets some member
+/// samples.
+///
+/// An entry is one `u64`: `(tag + 1) << classes | dirty`, where the tag
+/// is the block number above the set index and bit `c` of `dirty` is
+/// the block's dirty bit in the cells of the `c`-th smallest
+/// associativity. 0 is an empty entry, with no dirty bit to write back.
+#[derive(Debug)]
+struct LruStack {
+    block_log2: u32,
+    set_bits: u32,
+    /// The sets some member samples: `set & filter_mask ==
+    /// filter_match`, kept at row `set >> row_shift`.
+    filter_mask: u64,
+    filter_match: u64,
+    row_shift: u32,
+    depth: usize,
+    /// How many associativity classes the stack tracks: the low bits of
+    /// an entry that hold its dirty bits.
+    classes: u32,
+    /// The associativity of each class, ascending.
+    class_assoc: Vec<usize>,
+    /// For each depth `d` in `0..=depth`, how many classes miss an
+    /// access found there. Classes ascend, so those are the first ones.
+    missed: Vec<usize>,
+    /// `depth` entries per kept set, most recent first.
+    entries: Vec<u64>,
+    cells: Vec<StackCell>,
+}
+
+/// The low `n` bits set, for `n` up to 64.
+fn low_bits(n: u32) -> u64 {
+    u64::MAX.checked_shr(64 - n).unwrap_or(0)
+}
+
+impl LruStack {
+    /// Most associativity classes one stack of this shape can track. A
+    /// tag plus one is at most `2^(62 − block_log2 − set_bits)` (a byte
+    /// address is below [`MissEvent::ADDR_LIMIT`]), so its shifted entry
+    /// fits a `u64` with this many dirty bits below it.
+    fn max_classes(block_log2: u32, set_bits: u32) -> usize {
+        (1 + block_log2 + set_bits).min(63) as usize
     }
-    Ok(observers.iter().map(L2Observer::stats).collect())
+
+    /// A stack for `members`, cells of one block size and set count
+    /// whose associativities are the ascending, distinct `class_assoc`.
+    fn new(
+        block_log2: u32,
+        set_bits: u32,
+        class_assoc: &[usize],
+        members: &[(usize, CacheConfig, Option<SetSampling>)],
+    ) -> Self {
+        debug_assert!(
+            !class_assoc.is_empty() && class_assoc.len() <= Self::max_classes(block_log2, set_bits)
+        );
+        let depth = *class_assoc.last().unwrap_or(&1);
+        let sampling =
+            |s: Option<SetSampling>| s.map_or((0, 0), |s| (s.log2_fraction(), s.matcher()));
+        // The longest low-bit pattern every member's sampled sets share:
+        // the stack skips every set outside it.
+        let first = members.first().map_or(0, |m| sampling(m.2).1);
+        let mut row_shift = members.iter().map(|m| sampling(m.2).0).min().unwrap_or(0);
+        while members
+            .iter()
+            .any(|m| (sampling(m.2).1 ^ first) & low_bits(row_shift) != 0)
+        {
+            row_shift -= 1;
+        }
+        let cells = members
+            .iter()
+            .map(|&(index, config, s)| {
+                let (bits, matcher) = sampling(s);
+                let class = class_assoc.partition_point(|&a| a < config.assoc() as usize);
+                StackCell {
+                    index,
+                    assoc: config.assoc() as usize,
+                    class_bit: 1 << class,
+                    sample_mask: low_bits(bits),
+                    sample_match: matcher,
+                    stats: CacheStats::new(),
+                }
+            })
+            .collect();
+        let rows = 1 << (set_bits - row_shift);
+        LruStack {
+            block_log2,
+            set_bits,
+            filter_mask: low_bits(row_shift),
+            filter_match: first & low_bits(row_shift),
+            row_shift,
+            depth,
+            classes: class_assoc.len() as u32,
+            missed: (0..=depth)
+                .map(|d| class_assoc.partition_point(|&a| a <= d))
+                .collect(),
+            class_assoc: class_assoc.to_vec(),
+            entries: vec![0; rows * depth],
+            cells,
+        }
+    }
+
+    /// Runs every access of a decoded chunk (byte address, kind)
+    /// through the stack.
+    fn run(&mut self, accesses: &[(u64, AccessKind)]) {
+        // Fields into locals: the stores into `entries` and `cells` below
+        // then cannot alias them, so they stay in registers.
+        let LruStack {
+            block_log2,
+            set_bits,
+            filter_mask,
+            filter_match,
+            row_shift,
+            depth: full_depth,
+            classes,
+            ref class_assoc,
+            ref missed,
+            ref mut entries,
+            ref mut cells,
+        } = *self;
+        let set_mask = low_bits(set_bits);
+        let dirty_bits = low_bits(classes);
+        for &(addr, kind) in accesses {
+            let block = addr >> block_log2;
+            let set = block & set_mask;
+            if set & filter_mask != filter_match {
+                continue;
+            }
+            let key = ((block >> set_bits) + 1) << classes;
+            let base = (set >> row_shift) as usize * full_depth;
+            let row = &mut entries[base..base + full_depth];
+            let depth = row
+                .iter()
+                .position(|&e| e & !dirty_bits == key)
+                .unwrap_or(full_depth);
+            let missed = missed[depth];
+            // Each class that misses evicts its least recent block, the
+            // entry at depth `assoc - 1`, and writes it back if the
+            // entry holds the class's dirty bit (an empty one holds none).
+            let mut written_back = 0u64;
+            for (class, &assoc) in class_assoc[..missed].iter().enumerate() {
+                written_back |= row[assoc - 1] & 1 << class;
+            }
+            let kept = row
+                .get(depth)
+                .map_or(0, |&e| e & dirty_bits & !low_bits(missed as u32));
+            let dirty = kept | if kind.is_store() { dirty_bits } else { 0 };
+            for d in (0..depth.min(full_depth - 1)).rev() {
+                row[d + 1] = row[d];
+            }
+            row[0] = key | dirty;
+            for cell in cells.iter_mut() {
+                if set & cell.sample_mask != cell.sample_match {
+                    continue;
+                }
+                if depth < cell.assoc {
+                    cell.stats.record_hit(kind);
+                } else {
+                    cell.stats.record_miss(kind);
+                    if written_back & cell.class_bit != 0 {
+                        cell.stats.writebacks += 1;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A family of secondary-cache cells evaluated as one observer: the L2
+/// counterpart of [`StreamObserver`], and the observer behind
+/// [`replay_l2`].
+///
+/// LRU cells are grouped by (block size, set count), and each group
+/// reads every associativity from one recency stack per set (see the
+/// `replay` module docs); Table 4's 21 cells are 9 stacks. Tree-PLRU and
+/// random cells have no inclusion property, so each keeps its own
+/// [`L2Observer`] in the same pass. Each chunk is decoded once and run
+/// through each stack back to back, the way [`StreamObserver`] runs
+/// each system. Statistics equal one [`L2Observer`] per cell, driven
+/// event by event; `tests/replay_properties.rs` pins this over random
+/// geometries, samplings and chunk lengths.
+#[derive(Debug)]
+pub struct L2FamilyObserver {
+    stacks: Vec<LruStack>,
+    /// The cells without a stack, with their request positions.
+    others: Vec<(usize, L2Observer)>,
+    cells: usize,
+    /// Per-chunk decode scratch: byte address and access kind, a
+    /// write-back as a store.
+    decoded: Vec<(u64, AccessKind)>,
+}
+
+impl L2FamilyObserver {
+    /// Fuses `cells` — a geometry and an optional set sampling each —
+    /// into one observer.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first (in request order) cell's [`CacheConfigError`]
+    /// if a configuration or sampling is invalid.
+    pub fn new(cells: &[(CacheConfig, Option<SetSampling>)]) -> Result<Self, CacheConfigError> {
+        let mut shapes: BTreeMap<(u32, u32), Vec<_>> = BTreeMap::new();
+        let mut others = Vec::new();
+        for (index, &(config, sampling)) in cells.iter().enumerate() {
+            if config.replacement() != Replacement::Lru {
+                others.push((index, L2Observer::new(config, sampling)?));
+                continue;
+            }
+            let sets = config.num_sets();
+            // `SetAssocCache::with_sampling`'s rule: a sampling must keep
+            // at least one set.
+            if sampling.is_some_and(|s| sets >> s.log2_fraction() == 0) {
+                return Err(CacheConfigError::SetsNotPowerOfTwo { sets });
+            }
+            shapes
+                .entry((config.block().log2(), config.set_index_bits()))
+                .or_default()
+                .push((index, config, sampling));
+        }
+        let mut stacks = Vec::new();
+        for ((block_log2, set_bits), members) in shapes {
+            let mut assocs: Vec<usize> = members.iter().map(|m| m.1.assoc() as usize).collect();
+            assocs.sort_unstable();
+            assocs.dedup();
+            for classes in assocs.chunks(LruStack::max_classes(block_log2, set_bits)) {
+                let group: Vec<_> = members
+                    .iter()
+                    .filter(|m| classes.contains(&(m.1.assoc() as usize)))
+                    .copied()
+                    .collect();
+                stacks.push(LruStack::new(block_log2, set_bits, classes, &group));
+            }
+        }
+        Ok(L2FamilyObserver {
+            stacks,
+            others,
+            cells: cells.len(),
+            decoded: Vec::new(),
+        })
+    }
+
+    /// Every cell's statistics, in request order (call after
+    /// [`replay`]).
+    pub fn stats(&self) -> Vec<CacheStats> {
+        let mut stats = vec![CacheStats::new(); self.cells];
+        for cell in self.stacks.iter().flat_map(|s| &s.cells) {
+            stats[cell.index] = cell.stats;
+        }
+        for (index, observer) in &self.others {
+            stats[*index] = observer.stats();
+        }
+        stats
+    }
+}
+
+impl MissObserver for L2FamilyObserver {
+    fn on_fetch(&mut self, addr: Addr, kind: AccessKind) {
+        self.on_events(&[MissEvent::fetch(addr, kind)]);
+    }
+
+    fn on_writeback(&mut self, base: Addr) {
+        self.on_events(&[MissEvent::writeback(base)]);
+    }
+
+    fn on_events(&mut self, events: &[MissEvent]) {
+        self.decoded.clear();
+        self.decoded
+            .extend(events.iter().map(|event| match event.decode() {
+                Miss::Fetch { addr, kind } => (addr.raw(), kind),
+                Miss::Writeback { base } => (base.raw(), AccessKind::Store),
+            }));
+        for stack in &mut self.stacks {
+            stack.run(&self.decoded);
+        }
+        for (_, observer) in &mut self.others {
+            observer.on_events(events);
+        }
+    }
+
+    fn fan_out(&self) -> u64 {
+        self.cells as u64
+    }
+}
+
+/// Delivers a miss trace to `O` in hierarchy order: each write-back
+/// before the fetch whose fill evicted its block.
+///
+/// [`crate::record_miss_trace`] pushes a dirty victim's write-back
+/// right after the fetch that evicted it (the instruction cache never
+/// writes back), while a coupled hierarchy writes the victim into the
+/// next level first. So hierarchy order is the trace with each (fetch,
+/// write-back) pair swapped: the adaptor holds each fetch back until
+/// the next event, and delivers a following write-back first. The held
+/// fetch carries across chunk boundaries and is flushed by
+/// [`finish`](MissObserver::finish).
+#[derive(Debug)]
+pub struct HierarchyOrder<O> {
+    inner: O,
+    held: Option<MissEvent>,
+    /// Per-chunk reorder scratch.
+    reordered: Vec<MissEvent>,
+}
+
+impl<O> HierarchyOrder<O> {
+    /// Wraps `inner`.
+    pub fn new(inner: O) -> Self {
+        HierarchyOrder {
+            inner,
+            held: None,
+            reordered: Vec::new(),
+        }
+    }
+
+    /// The wrapped observer (read its statistics after [`replay`]).
+    pub fn inner(&self) -> &O {
+        &self.inner
+    }
+}
+
+impl<O: MissObserver> MissObserver for HierarchyOrder<O> {
+    fn on_fetch(&mut self, addr: Addr, kind: AccessKind) {
+        self.on_events(&[MissEvent::fetch(addr, kind)]);
+    }
+
+    fn on_writeback(&mut self, base: Addr) {
+        self.on_events(&[MissEvent::writeback(base)]);
+    }
+
+    fn on_events(&mut self, events: &[MissEvent]) {
+        self.reordered.clear();
+        for &event in events {
+            match event.decode() {
+                Miss::Fetch { .. } => self.reordered.extend(self.held.replace(event)),
+                Miss::Writeback { .. } => {
+                    self.reordered.push(event);
+                    self.reordered.extend(self.held.take());
+                }
+            }
+        }
+        self.inner.on_events(&self.reordered);
+    }
+
+    fn finish(&mut self) {
+        if let Some(fetch) = self.held.take() {
+            self.inner.on_events(&[fetch]);
+        }
+        self.inner.finish();
+    }
+
+    fn fan_out(&self) -> u64 {
+        self.inner.fan_out()
+    }
 }
 
 #[cfg(test)]
@@ -481,7 +892,116 @@ mod tests {
         ];
         let together = replay_l2(&trace, &cells).unwrap();
         for (&(config, sampling), joint) in cells.iter().zip(&together) {
+            let mut alone = L2Observer::new(config, sampling).unwrap();
+            replay(&trace, &mut [&mut alone]);
+            assert_eq!(*joint, alone.stats());
             assert_eq!(*joint, run_l2(&trace, config, sampling).unwrap());
+        }
+    }
+
+    /// More distinct associativities than one stack's entries have
+    /// dirty bits for (16-byte blocks in one set leave room for five)
+    /// split into several stacks of one shape, each still exact.
+    #[test]
+    fn associativity_classes_beyond_one_stack_split_into_more() {
+        use streamsim_trace::Access;
+        use streamsim_workloads::combinators::RecordedTrace;
+
+        let block = BlockSize::new(16).unwrap();
+        let cells: Vec<_> = (1..=9)
+            .map(|assoc| {
+                (
+                    CacheConfig::new(16 * assoc, assoc as u32, block).unwrap(),
+                    None,
+                )
+            })
+            .collect();
+        let family = L2FamilyObserver::new(&cells).unwrap();
+        assert_eq!(family.stacks.len(), 2);
+        let refs = (0..4_000u64)
+            .map(|i| {
+                let addr = Addr::new((i * 7919 % 211) * 16);
+                if i % 3 == 0 {
+                    Access::store(addr)
+                } else {
+                    Access::load(addr)
+                }
+            })
+            .collect();
+        let l1 = CacheConfig::new(64, 1, block).unwrap();
+        let options = RecordOptions {
+            icache: l1,
+            dcache: l1,
+            sampling: None,
+        };
+        let trace = record_miss_trace(&RecordedTrace::new("classes", refs), &options).unwrap();
+        assert!(trace.writebacks() > 0);
+        for (&(config, sampling), stats) in cells.iter().zip(replay_l2(&trace, &cells).unwrap()) {
+            let mut alone = L2Observer::new(config, sampling).unwrap();
+            replay(&trace, &mut [&mut alone]);
+            assert_eq!(stats, alone.stats(), "{config}");
+        }
+    }
+
+    /// Every event an observer receives, in delivery order.
+    #[derive(Default)]
+    struct Recorder {
+        events: Vec<MissEvent>,
+        finished: bool,
+    }
+
+    impl MissObserver for Recorder {
+        fn on_fetch(&mut self, addr: Addr, kind: AccessKind) {
+            self.events.push(MissEvent::fetch(addr, kind));
+        }
+
+        fn on_writeback(&mut self, base: Addr) {
+            self.events.push(MissEvent::writeback(base));
+        }
+
+        fn finish(&mut self) {
+            self.finished = true;
+        }
+
+        fn fan_out(&self) -> u64 {
+            3
+        }
+    }
+
+    /// Each write-back overtakes the fetch before it, whichever chunk
+    /// boundary falls between them, and the last fetch is flushed on
+    /// finish.
+    #[test]
+    fn hierarchy_order_swaps_each_fetch_and_its_writeback() {
+        let fetch = |a| MissEvent::fetch(Addr::new(a), AccessKind::Store);
+        let writeback = |a| MissEvent::writeback(Addr::new(a));
+        let trace = [
+            fetch(0x40),
+            writeback(0x1040),
+            fetch(0x80),
+            fetch(0xc0),
+            writeback(0x10c0),
+            fetch(0x100),
+        ];
+        let hierarchy = [
+            writeback(0x1040),
+            fetch(0x40),
+            fetch(0x80),
+            writeback(0x10c0),
+            fetch(0xc0),
+            fetch(0x100),
+        ];
+        for chunk_len in 1..=trace.len() {
+            let mut adaptor = HierarchyOrder::new(Recorder::default());
+            assert_eq!(adaptor.fan_out(), 3);
+            for chunk in trace.chunks(chunk_len) {
+                adaptor.on_events(chunk);
+            }
+            assert_eq!(adaptor.inner().events, hierarchy[..5], "chunk {chunk_len}");
+            assert!(!adaptor.inner().finished);
+            adaptor.finish();
+            assert_eq!(adaptor.inner().events, hierarchy, "chunk {chunk_len}");
+            assert!(adaptor.inner().finished);
         }
     }
 

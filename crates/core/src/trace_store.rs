@@ -16,10 +16,15 @@
 //! secondary cache — are memoized per (trace key, configuration), so a
 //! cell that several drivers share (Table 2's ten streams reappear in
 //! Table 3, Figures 3 and 5, the baselines, the ablations and the
-//! scorecard) is simulated once per store. The replay engine itself
-//! ([`replay_streams`], [`replay_l2`]) stays uncached; only the
-//! [`TraceStore::stream_stats`] and [`TraceStore::l2_stats`] front doors
-//! consult the memo.
+//! scorecard) is simulated once per store. Secondary-cache cells come in
+//! two event orders, memoized apart: trace order
+//! ([`TraceStore::l2_stats`], which Table 4, the topology and the
+//! ablations read) and hierarchy order
+//! ([`TraceStore::hierarchy_l2_stats`], each dirty L1 victim before the
+//! fetch that evicted it, which `traffic` and `cpi` read). The replay
+//! engine itself ([`replay_streams`], [`replay_l2`],
+//! [`replay_l2_hierarchy`]) stays uncached; only the store's front
+//! doors consult the memo.
 //!
 //! The store is a cheap clone-able handle (`Arc` inside); experiment
 //! workers on different threads share one underlying map. Recording
@@ -41,7 +46,9 @@ use streamsim_cache::{CacheConfig, CacheConfigError, CacheStats, SetSampling};
 use streamsim_streams::{StreamConfig, StreamStats};
 use streamsim_workloads::Workload;
 
-use crate::{record_miss_trace, replay_l2, replay_streams, MissTrace, RecordOptions};
+use crate::{
+    record_miss_trace, replay_l2, replay_l2_hierarchy, replay_streams, MissTrace, RecordOptions,
+};
 
 /// Replay results of one observer kind: trace key, then the observer
 /// configuration's `Debug` form, to the statistics it produced.
@@ -80,8 +87,11 @@ struct Inner {
     /// Stream-system replay results per (trace, [`StreamConfig`]).
     streams: ReplayMemo<StreamStats>,
     /// Secondary-cache replay results per (trace, L2 geometry and set
-    /// sampling).
+    /// sampling), in trace order.
     l2: ReplayMemo<CacheStats>,
+    /// The same in hierarchy order: a map of its own, so the event
+    /// order is part of the key.
+    hierarchy_l2: ReplayMemo<CacheStats>,
     hits: AtomicU64,
     misses: AtomicU64,
     replay_hits: AtomicU64,
@@ -268,6 +278,32 @@ impl TraceStore {
         self.memoized(&self.inner.l2, workload, options, cells, replay_l2)
     }
 
+    /// [`TraceStore::l2_stats`] in hierarchy order: cold cells replay
+    /// through [`replay_l2_hierarchy`], so an unsampled cell equals the
+    /// secondary cache of a coupled split-L1 → L2 hierarchy over the
+    /// references `options` records. These cells are memoized apart
+    /// from trace-order cells of the same configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheConfigError`] if a cache configuration in
+    /// `options`, or a cold cell's configuration or sampling, is
+    /// invalid.
+    pub fn hierarchy_l2_stats(
+        &self,
+        workload: &dyn Workload,
+        options: &RecordOptions,
+        cells: &[(CacheConfig, Option<SetSampling>)],
+    ) -> Result<Vec<CacheStats>, CacheConfigError> {
+        self.memoized(
+            &self.inner.hierarchy_l2,
+            workload,
+            options,
+            cells,
+            replay_l2_hierarchy,
+        )
+    }
+
     /// Serves `cells` from `memo`, replaying the cold ones (in request
     /// order) as one family with `simulate`.
     ///
@@ -338,9 +374,9 @@ impl TraceStore {
         self.inner.misses.load(Ordering::Relaxed)
     }
 
-    /// How many replay cells ([`TraceStore::stream_stats`] and
-    /// [`TraceStore::l2_stats`] configurations) were served from the
-    /// memo.
+    /// How many replay cells ([`TraceStore::stream_stats`],
+    /// [`TraceStore::l2_stats`] and [`TraceStore::hierarchy_l2_stats`]
+    /// configurations) were served from the memo.
     pub fn replay_hits(&self) -> u64 {
         self.inner.replay_hits.load(Ordering::Relaxed)
     }
@@ -357,6 +393,7 @@ impl TraceStore {
         self.inner.profiles.lock().expect("store lock").clear();
         self.inner.streams.lock().expect("store lock").clear();
         self.inner.l2.lock().expect("store lock").clear();
+        self.inner.hierarchy_l2.lock().expect("store lock").clear();
     }
 }
 
@@ -540,6 +577,73 @@ mod tests {
         }
         assert_eq!((store.replay_misses(), store.replay_hits()), (5, 5));
         assert_eq!(store.misses(), 1, "both observer kinds share one trace");
+    }
+
+    /// The event order is part of an L2 cell's key: one configuration
+    /// requested in trace order and in hierarchy order is two memo
+    /// entries, each equal to a fresh replay in its order, and a served
+    /// hierarchy cell equals a fresh hierarchy-order replay.
+    #[test]
+    fn hierarchy_and_trace_order_cells_are_distinct_entries() {
+        use streamsim_prng::{Rng, Xoshiro256StarStar};
+        use streamsim_trace::{Access, Addr};
+        use streamsim_workloads::combinators::RecordedTrace;
+
+        // Random loads and stores over 2 MB: the stores leave dirty L1
+        // victims, so the two orders differ.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(3);
+        let refs = (0..20_000)
+            .map(|_| {
+                let addr = Addr::new(rng.gen_range(0..1u64 << 21));
+                if rng.gen_bool(0.3) {
+                    Access::store(addr)
+                } else {
+                    Access::load(addr)
+                }
+            })
+            .collect();
+        let w = RecordedTrace::new("stores", refs);
+        let store = TraceStore::new();
+        let opts = RecordOptions::default();
+        let cells = [l2_cell(64 << 10, 1), l2_cell(64 << 10, 2)];
+        let trace = record_miss_trace(&w, &opts).unwrap();
+        assert!(trace.writebacks() > 0, "need dirty L1 victims");
+        let fresh_trace_order = replay_l2(&trace, &cells).unwrap();
+        let fresh_hierarchy = replay_l2_hierarchy(&trace, &cells).unwrap();
+        assert_ne!(fresh_trace_order, fresh_hierarchy, "the orders must differ");
+
+        assert_eq!(
+            store.l2_stats(&w, &opts, &cells).unwrap(),
+            fresh_trace_order
+        );
+        assert_eq!((store.replay_misses(), store.replay_hits()), (2, 0));
+        // Same cells, other order: cold, not served from the trace-order
+        // entries.
+        assert_eq!(
+            store.hierarchy_l2_stats(&w, &opts, &cells).unwrap(),
+            fresh_hierarchy
+        );
+        assert_eq!((store.replay_misses(), store.replay_hits()), (4, 0));
+        // Both orders are served from now on, each its own result.
+        for _ in 0..2 {
+            assert_eq!(
+                store.hierarchy_l2_stats(&w, &opts, &cells).unwrap(),
+                fresh_hierarchy
+            );
+            assert_eq!(
+                store.l2_stats(&w, &opts, &cells).unwrap(),
+                fresh_trace_order
+            );
+        }
+        assert_eq!((store.replay_misses(), store.replay_hits()), (4, 8));
+        assert_eq!(store.misses(), 1, "both orders read one recording");
+
+        store.clear();
+        assert_eq!(
+            store.hierarchy_l2_stats(&w, &opts, &cells).unwrap(),
+            fresh_hierarchy
+        );
+        assert_eq!(store.replay_misses(), 6, "clear drops hierarchy cells too");
     }
 
     #[test]

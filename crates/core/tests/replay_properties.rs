@@ -5,14 +5,16 @@
 use streamsim_prng::quickcheck::{check_with, Gen};
 use streamsim_prng::Rng;
 
-use streamsim_cache::{CacheConfig, Replacement, SetSampling};
+use streamsim_cache::{CacheConfig, CacheStats, Replacement, SetSampling, TwoLevel};
 use streamsim_core::{
-    record_miss_trace, replay, replay_chunked, replay_l2, replay_streams, run_l2, run_streams,
-    L2Observer, Miss, RecordOptions, StreamObserver, TraceStore,
+    record_miss_trace, replay, replay_chunked, replay_l2, replay_l2_hierarchy, replay_streams,
+    run_l2, run_streams, HierarchyOrder, L2FamilyObserver, L2Observer, Miss, MissObserver,
+    RecordOptions, StreamObserver, TraceStore,
 };
 use streamsim_streams::{StreamConfig, StreamSystem};
-use streamsim_trace::{Access, AccessKind, Addr, BlockSize};
+use streamsim_trace::{Access, AccessKind, Addr, BlockSize, ChunkSampler};
 use streamsim_workloads::combinators::RecordedTrace;
+use streamsim_workloads::Workload;
 
 fn tiny_l1() -> RecordOptions {
     let cfg = CacheConfig::new(4 * 1024, 2, BlockSize::new(32).unwrap())
@@ -84,32 +86,160 @@ fn multi_config_replay_equals_independent_passes() {
     });
 }
 
-/// The same holds for L2 observers, with and without set sampling.
+/// Up to 24 secondary-cache cells over one to three shared (block, set
+/// count) shapes, so several cells read each recency stack: blocks of
+/// 16–128 B, associativities 1–16 (non-powers of two included), random
+/// set samplings, duplicate cells, and tree-PLRU and random cells
+/// mixed in.
+fn random_l2_cells(g: &mut Gen) -> Vec<(CacheConfig, Option<SetSampling>)> {
+    let shapes = g.vec(1usize..4, |g| {
+        (16u64 << g.gen_range(0u32..4), g.gen_range(0u32..7))
+    });
+    let mut cells = g.vec(1usize..21, |g| {
+        let (block, set_bits) = g.pick(&shapes);
+        let replacement = g.pick_weighted(&[
+            (6, Replacement::Lru),
+            (1, Replacement::TreePlru),
+            (1, Replacement::Random { seed: 7 }),
+        ]);
+        let assoc = if replacement == Replacement::TreePlru {
+            1 << g.gen_range(0u32..5)
+        } else {
+            g.gen_range(1u32..17)
+        };
+        let size = (1u64 << set_bits) * u64::from(assoc) * block;
+        let config = CacheConfig::new(size, assoc, BlockSize::new(block).unwrap())
+            .unwrap()
+            .with_replacement(replacement);
+        let sampling = g.gen_bool(0.3).then(|| {
+            let bits = g.gen_range(0..=set_bits);
+            SetSampling::new(bits, g.gen_range(0..1u64 << bits))
+        });
+        (config, sampling)
+    });
+    for _ in 0..g.gen_range(0usize..4) {
+        let duplicate = g.pick(&cells);
+        cells.push(duplicate);
+    }
+    cells
+}
+
+/// One [`L2Observer`] per cell, driven one event at a time with no
+/// batching and no shared state: the reference semantics of every
+/// secondary-cache replay.
+fn per_event_l2_passes(
+    trace: &streamsim_core::MissTrace,
+    cells: &[(CacheConfig, Option<SetSampling>)],
+) -> Vec<CacheStats> {
+    cells
+        .iter()
+        .map(|&(config, sampling)| {
+            let mut cell = L2Observer::new(config, sampling).unwrap();
+            for event in trace.events() {
+                match event.decode() {
+                    Miss::Fetch { addr, kind } => cell.on_fetch(addr, kind),
+                    Miss::Writeback { base } => cell.on_writeback(base),
+                }
+            }
+            cell.finish();
+            cell.stats()
+        })
+        .collect()
+}
+
+/// One replay of many L2 cells — LRU cells read from shared recency
+/// stacks, the rest through their own caches — equals one independent
+/// cache per cell driven event by event, at any chunk length, with and
+/// without set sampling.
 #[test]
 fn multi_l2_replay_equals_independent_passes() {
-    check_with("multi_l2_replay_equals_independent_passes", 32, |g| {
-        let trace = accesses(g, 400);
-        let w = RecordedTrace::new("prop", trace);
-        let rec = record_miss_trace(&w, &tiny_l1()).unwrap();
-
-        let cells: Vec<(CacheConfig, Option<SetSampling>)> = g.vec(1usize..4, |g| {
-            let kib = 1u64 << g.gen_range(4u32..8);
-            let assoc = 1u32 << g.gen_range(0u32..3);
-            let cfg = CacheConfig::new(kib * 1024, assoc, BlockSize::new(32).unwrap()).unwrap();
-            let sampling = if g.gen_bool(0.5) {
-                Some(SetSampling::new(2, 1))
-            } else {
-                None
-            };
-            (cfg, sampling)
+    check_with("multi_l2_replay_equals_independent_passes", 48, |g| {
+        let footprint = 1u64 << g.gen_range(13u32..19);
+        let trace = g.vec(1usize..800, |g| {
+            let kind = g.pick_weighted(&[
+                (3, AccessKind::Load),
+                (1, AccessKind::Store),
+                (1, AccessKind::IFetch),
+            ]);
+            Access::new(Addr::new(g.gen_range(0..footprint)), kind)
         });
+        let rec = record_miss_trace(&RecordedTrace::new("prop", trace), &tiny_l1()).unwrap();
+        let cells = random_l2_cells(g);
 
-        let shared = replay_l2(&rec, &cells).unwrap();
-        let independent: Vec<_> = cells
-            .iter()
-            .map(|&(cfg, sampling)| run_l2(&rec, cfg, sampling).unwrap())
+        let expected = per_event_l2_passes(&rec, &cells);
+        let mut family = L2FamilyObserver::new(&cells).unwrap();
+        assert_eq!(family.fan_out(), cells.len() as u64);
+        replay_chunked(&rec, &mut [&mut family], g.gen_range(1usize..100));
+        assert_eq!(family.stats(), expected);
+        assert_eq!(replay_l2(&rec, &cells).unwrap(), expected);
+    });
+}
+
+/// The hierarchy-order replay of a recorded trace equals a coupled
+/// split-L1 → L2 simulation ([`TwoLevel`]) of the same references: the
+/// L2's statistics, and memory traffic of (misses + write-backs) × block.
+/// Recordings are time-sampled or not, and chunks of one event (and of
+/// random lengths) split (fetch, write-back) pairs across chunks.
+#[test]
+fn hierarchy_order_l2_equals_two_level() {
+    check_with("hierarchy_order_l2_equals_two_level", 48, |g| {
+        let refs = accesses(g, 800);
+        let block = BlockSize::new(16 << g.gen_range(0u32..3)).unwrap();
+        let l1 = |g: &mut Gen| {
+            let assoc = 1u32 << g.gen_range(0u32..3);
+            let sets = 1u64 << g.gen_range(2u32..6);
+            let replacement = if g.gen_bool(0.5) {
+                Replacement::Lru
+            } else {
+                Replacement::Random { seed: 3 }
+            };
+            CacheConfig::new(sets * u64::from(assoc) * block.bytes(), assoc, block)
+                .unwrap()
+                .with_replacement(replacement)
+        };
+        let options = RecordOptions {
+            icache: l1(g),
+            dcache: l1(g),
+            sampling: g
+                .gen_bool(0.5)
+                .then(|| (g.gen_range(1u64..50), g.gen_range(0u64..50))),
+        };
+        let w = RecordedTrace::new("prop", refs);
+        let rec = record_miss_trace(&w, &options).unwrap();
+        let cells: Vec<(CacheConfig, Option<SetSampling>)> = random_l2_cells(g)
+            .into_iter()
+            .map(|(config, _)| (config, None))
             .collect();
-        assert_eq!(shared, independent);
+
+        let expected = replay_l2_hierarchy(&rec, &cells).unwrap();
+        for chunk_len in [1, g.gen_range(2usize..64)] {
+            let mut family = HierarchyOrder::new(L2FamilyObserver::new(&cells).unwrap());
+            replay_chunked(&rec, &mut [&mut family], chunk_len);
+            assert_eq!(family.inner().stats(), expected, "chunk length {chunk_len}");
+        }
+        for (&(config, _), stats) in cells.iter().zip(&expected) {
+            let mut two_level = TwoLevel::new(options.icache, options.dcache, config).unwrap();
+            let mut consume = |chunk: &[Access]| {
+                for &access in chunk {
+                    two_level.access(access);
+                }
+            };
+            match options.sampling {
+                Some((on, off)) => {
+                    let mut sampler = ChunkSampler::new(on, off);
+                    w.generate_chunks(&mut Vec::new(), &mut |chunk| {
+                        sampler.sample(chunk, &mut consume);
+                    });
+                }
+                None => w.generate_chunks(&mut Vec::new(), &mut consume),
+            }
+            assert_eq!(stats, two_level.l2_stats(), "{config}");
+            assert_eq!(
+                (stats.misses() + stats.writebacks) * config.block().bytes(),
+                two_level.memory_traffic_bytes(),
+                "{config}"
+            );
+        }
     });
 }
 

@@ -10,8 +10,8 @@
 //! `--ledger-check` replays the whole history through [`check_ledger`]:
 //! every floored benchmark must have a row, its latest entry must clear
 //! every [`metric_floors`] bound — the same floors `ci.sh` enforces
-//! live — and large regressions against the best recorded entry surface
-//! as notes.
+//! live — and large regressions against the best recorded entry of the
+//! same configuration surface as notes.
 //!
 //! Everything here is plain data and arithmetic; parsing stays with the
 //! callers (the report binary uses the core crate's flat JSON reader),
@@ -120,8 +120,9 @@ pub fn metric_floors() -> &'static [(&'static str, &'static str, Floor)] {
     ]
 }
 
-/// Fractional regression against the best recorded value that turns
-/// into an advisory note (not a failure — floors decide pass/fail).
+/// Fractional regression against the best recorded value of the same
+/// configuration that turns into an advisory note (not a failure —
+/// floors decide pass/fail).
 pub const DRIFT_NOTE_FRACTION: f64 = 0.10;
 
 /// The outcome of a ledger check.
@@ -143,8 +144,11 @@ impl LedgerVerdict {
 /// Checks a ledger history: every benchmark named in [`metric_floors`]
 /// must have at least one entry, and its entry with the highest `seq`
 /// (ties: latest in input order) must clear every matching floor; a
-/// latest metric more than [`DRIFT_NOTE_FRACTION`] below the best
-/// recorded value of a floored `AtLeast` metric earns an advisory note.
+/// latest metric more than [`DRIFT_NOTE_FRACTION`] below the best value
+/// a floored `AtLeast` metric recorded under the latest entry's
+/// `run_config` earns an advisory note. Rows of other configurations
+/// are skipped: a ratio timed against a different baseline or input is
+/// not a regression of this one.
 pub fn check_ledger(entries: &[LedgerEntry]) -> LedgerVerdict {
     let mut verdict = LedgerVerdict::default();
     for (benchmark, metric, floor) in metric_floors() {
@@ -176,6 +180,7 @@ pub fn check_ledger(entries: &[LedgerEntry]) -> LedgerVerdict {
         if let Floor::AtLeast(_) = floor {
             let best = history
                 .iter()
+                .filter(|e| e.run_config == latest.run_config)
                 .filter_map(|e| e.metric(metric))
                 .fold(f64::NEG_INFINITY, f64::max);
             if best.is_finite() && value < best * (1.0 - DRIFT_NOTE_FRACTION) {
@@ -284,6 +289,33 @@ mod tests {
             ],
         );
         assert_eq!(check_ledger(&[]).failures.len(), 3, "empty history");
+    }
+
+    #[test]
+    fn drift_notes_compare_rows_of_one_configuration() {
+        let configured = |seq, speedup, run_config: &str| LedgerEntry {
+            run_config: run_config.to_owned(),
+            ..entry(seq, "recording", &[("speedup", speedup)])
+        };
+        // A best row timed under another configuration earns no note...
+        let mut entries = healthy();
+        entries.push(configured(4, 1.477, "ea9751496364ebea"));
+        entries.push(configured(5, 1.292, "615305571fb5adf3"));
+        let verdict = check_ledger(&entries);
+        assert!(verdict.pass(), "{verdict:?}");
+        assert!(verdict.notes.is_empty(), "{verdict:?}");
+
+        // ...while a better row of the latest row's own configuration
+        // still does.
+        entries.push(configured(6, 1.45, "615305571fb5adf3"));
+        entries.push(configured(7, 1.25, "615305571fb5adf3"));
+        let verdict = check_ledger(&entries);
+        assert!(verdict.pass(), "{verdict:?}");
+        assert_eq!(verdict.notes.len(), 1, "{verdict:?}");
+        assert!(
+            verdict.notes[0].contains("best recorded 1.45"),
+            "{verdict:?}"
+        );
     }
 
     #[test]

@@ -45,8 +45,10 @@
 //! ```
 //!
 //! Setting `STREAMSIM_QC_SEED` runs every checked property once, with
-//! exactly that generator seed and no panic catching, so the assertion
-//! failure surfaces with its own message and backtrace.
+//! exactly that generator seed, so the assertion failure surfaces with
+//! its own message and backtrace. A case that calls [`Gen::discard`]
+//! under that seed is reported as discarded, not failed: a fresh seed
+//! may draw inputs the property rejects.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -158,11 +160,11 @@ pub fn check(name: &str, property: impl FnMut(&mut Gen)) {
 ///
 /// * `STREAMSIM_QC_CASES=<n>` — run `n` cases instead;
 /// * `STREAMSIM_QC_SEED=<hex or dec>` — run exactly one case with that
-///   generator seed and no panic catching (failure replay).
+///   generator seed (failure replay; a case that discards is reported,
+///   not failed).
 pub fn check_with(name: &str, cases: u32, mut property: impl FnMut(&mut Gen)) {
     if let Some(seed) = replay_seed() {
-        eprintln!("[streamsim-quickcheck] replaying '{name}' with seed {seed:#x}");
-        property(&mut Gen::from_seed(seed));
+        replay_case(name, seed, property);
         return;
     }
     let cases = case_count().unwrap_or(cases).max(1);
@@ -202,6 +204,28 @@ pub fn check_with(name: &str, cases: u32, mut property: impl FnMut(&mut Gen)) {
                 resume_unwind(payload);
             }
         }
+    }
+}
+
+/// Runs one case of `property` with generator seed `seed`, the
+/// `STREAMSIM_QC_SEED` replay, and returns whether it ran to the end.
+///
+/// A case that discards its inputs returns `false` with a note on
+/// stderr instead of failing: a property may reject what a fresh seed
+/// draws. Any other panic propagates unchanged, after the panic hook has
+/// printed its message.
+fn replay_case(name: &str, seed: u64, mut property: impl FnMut(&mut Gen)) -> bool {
+    eprintln!("[streamsim-quickcheck] replaying '{name}' with seed {seed:#x}");
+    match catch_unwind(AssertUnwindSafe(|| property(&mut Gen::from_seed(seed)))) {
+        Ok(()) => true,
+        Err(payload) if payload.is::<Discarded>() => {
+            eprintln!(
+                "[streamsim-quickcheck] '{name}' discarded the case with seed {seed:#x}; \
+                 nothing was checked"
+            );
+            false
+        }
+        Err(payload) => resume_unwind(payload),
     }
 }
 
@@ -294,6 +318,28 @@ mod tests {
             check_with("always_fails", 8, |_| panic!("intentional"));
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn a_replayed_case_draws_from_its_seed() {
+        let mut drawn = 0;
+        assert!(replay_case("seed_probe", 0x1234, |g| drawn = g.gen_range(0u64..1 << 40)));
+        assert_eq!(drawn, Gen::from_seed(0x1234).gen_range(0u64..1 << 40));
+    }
+
+    #[test]
+    fn a_replayed_discard_is_reported_not_failed() {
+        assert!(!replay_case("discard_replay", 7, |g| g.discard()));
+        assert!(!replay_case("assume_replay", 7, |g| g.assume(false)));
+    }
+
+    #[test]
+    fn a_replayed_failure_propagates() {
+        let result = catch_unwind(|| {
+            replay_case("failing_replay", 7, |_| panic!("intentional"));
+        });
+        let payload = result.expect_err("the failure must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"intentional"));
     }
 
     #[test]

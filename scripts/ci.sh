@@ -153,8 +153,8 @@ echo "==> quick report golden (--diff tests/golden/report-quick.jsonl)"
 # The same report under the paper's 10k-on/90k-off time sampling, against
 # tests/golden/report-quick-sampled.jsonl (made by `streamsim-report
 # --quick --sampling --json`). It is the only gate on the sampled paths:
-# record_miss_trace's ChunkSampler window and traffic's sampled
-# two-level pass.
+# record_miss_trace's ChunkSampler window and the hierarchy-order L2
+# cell traffic reads over the sampled recording.
 echo "==> sampled quick report golden (--diff tests/golden/report-quick-sampled.jsonl)"
 ./target/release/streamsim-report --quick --sampling --out /dev/null \
     --json "$obs_dir/report-quick-sampled.jsonl"
@@ -182,7 +182,7 @@ if ! diff <(frontier_cells perfbench/golden/sweep-full.jsonl) \
     exit 1
 fi
 
-# Paper-scale golden: every default artifact at paper scale (about 15 s
+# Paper-scale golden: every default artifact at paper scale (about 10 s
 # on two cores), diffed against perfbench's golden. It is the only CI
 # step that pins the paper-scale scorecard (40 match / 20 close / 0 off;
 # quick scale reads 38 / 21 / 1) and the replay of the full-size traces.
@@ -259,16 +259,23 @@ STREAMSIM_QC_SEED=0x$qc_seed cargo test -q --offline -p streamsim-model \
 
 # The hot-loop oracles: the SoA `SetAssocCache` and `StreamSystem` must
 # match the frozen `ReferenceCache` and `ReferenceStreamSystem` outcome
-# for outcome. Those properties live in the cache and streams crates,
-# whose suites the default gate's root-package `cargo test` does not
-# run, so run both binaries here, then once more on a fresh logged seed.
-echo "==> hot-loop oracle properties (cache and streams soa_equivalence)"
+# for outcome, and the L2 replay must match its own oracles: the shared
+# LRU recency stacks of `replay_l2` one `L2Observer` per cell driven
+# event by event, and the hierarchy-order cells the coupled `TwoLevel`
+# hierarchy. Those properties live in the cache, streams and core
+# crates, whose suites the default gate's root-package `cargo test` does
+# not run, so run them here, then once more on a fresh logged seed.
+l2_oracles=(multi_l2_replay_equals_independent_passes hierarchy_order_l2_equals_two_level)
+echo "==> hot-loop oracle properties (cache and streams soa_equivalence, L2 replay)"
 cargo test -q --offline -p streamsim-cache --test soa_equivalence
 cargo test -q --offline -p streamsim-streams --test soa_equivalence
+cargo test -q --offline -p streamsim-core --test replay_properties -- "${l2_oracles[@]}"
 oracle_seed=$(od -An -N8 -tx8 /dev/urandom | tr -d ' ')
 echo "==> hot-loop oracle properties (fresh seed: STREAMSIM_QC_SEED=0x$oracle_seed)"
 STREAMSIM_QC_SEED=0x$oracle_seed cargo test -q --offline -p streamsim-cache --test soa_equivalence
 STREAMSIM_QC_SEED=0x$oracle_seed cargo test -q --offline -p streamsim-streams --test soa_equivalence
+STREAMSIM_QC_SEED=0x$oracle_seed cargo test -q --offline -p streamsim-core --test replay_properties \
+    -- "${l2_oracles[@]}"
 
 # Perf smoke: the recording bench asserts the SoA hot loop is
 # byte-identical to the frozen reference loop (the same chunks into the

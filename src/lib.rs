@@ -43,11 +43,11 @@ pub use streamsim_cache::{
 };
 pub use streamsim_core::{
     experiments, l2_geometry, paper, parse_flat_json_line, profile_trace, record_miss_trace,
-    render_json_lines, render_text, replay, replay_chunked, replay_l2, replay_streams, report,
-    run_l2, run_streams, stream_geometry, Artifact, ArtifactSink, Cell, ExecutorHandle,
-    JsonLinesSink, JsonValue, L1Summary, L2Observer, Miss, MissEvent, MissObserver, MissTrace,
-    PartitionedObserver, ProfileArtifact, ProfilePhase, RecordOptions, StreamObserver, TextSink,
-    TraceStore, Value,
+    render_json_lines, render_text, replay, replay_chunked, replay_l2, replay_l2_hierarchy,
+    replay_streams, report, run_l2, run_streams, stream_geometry, Artifact, ArtifactSink, Cell,
+    ExecutorHandle, HierarchyOrder, JsonLinesSink, JsonValue, L1Summary, L2FamilyObserver,
+    L2Observer, Miss, MissEvent, MissObserver, MissTrace, PartitionedObserver, ProfileArtifact,
+    ProfilePhase, RecordOptions, StreamObserver, TextSink, TraceStore, Value,
 };
 pub use streamsim_streams::{
     Allocation, CzoneFilter, LengthBucket, LengthHistogram, MatchPolicy, MinDeltaDetector,
