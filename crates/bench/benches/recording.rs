@@ -14,6 +14,13 @@
 //! quick scorecard workload set and must produce identical miss events,
 //! which the bench asserts before timing anything.
 //!
+//! The smallest workloads record in about a millisecond, too short to
+//! time one recording on a shared host, so each sample times `reps`
+//! back-to-back recordings on both paths and reports the time of one.
+//! `reps` comes from the untimed byte-identity run: the fewest that make
+//! one sample of the faster path last [`MIN_SAMPLE_NS`] at that run's
+//! pace.
+//!
 //! Output: one human + JSON line per (workload, path) pair in the usual
 //! harness shape, plus a summary. With `STREAMSIM_BENCH_WRITE=1` the
 //! summary is written to `BENCH_recording.json` at the repo root — the
@@ -25,6 +32,8 @@
 //! `STREAMSIM_BENCH_WARMUP` (default 1 here) — recording a full
 //! workload per sample is expensive, so the defaults are small.
 
+use std::hint::black_box;
+
 use streamsim_bench::{env_u32, median_ns};
 use streamsim_cache::reference::ReferenceCache;
 use streamsim_cache::AccessOutcome;
@@ -32,6 +41,10 @@ use streamsim_core::experiments::{workload_set, ExperimentOptions, Scale};
 use streamsim_core::{record_miss_trace, Miss, RecordOptions};
 use streamsim_trace::{Access, AccessKind};
 use streamsim_workloads::Workload;
+
+/// The shortest timed sample, in nanoseconds: long enough that a
+/// millisecond of host noise moves it by 5% at most.
+const MIN_SAMPLE_NS: u128 = 20_000_000;
 
 /// The frozen recording loop: the workload's chunks, read reference by
 /// reference into the array-of-structs reference cache.
@@ -47,7 +60,7 @@ fn reference_record(w: &dyn Workload, record: &RecordOptions) -> Vec<Miss> {
                 AccessKind::Load | AccessKind::Store => dcache.access(access.addr, access.kind),
             };
             match outcome {
-                AccessOutcome::Hit | AccessOutcome::Bypassed => {}
+                AccessOutcome::Hit => {}
                 AccessOutcome::Miss { writeback } => {
                     events.push(Miss::Fetch {
                         addr: access.addr,
@@ -65,16 +78,17 @@ fn reference_record(w: &dyn Workload, record: &RecordOptions) -> Vec<Miss> {
     events
 }
 
-fn report_line(name: &str, path: &str, ns: u128, refs: u64) {
+fn report_line(name: &str, path: &str, ns: u128, refs: u64, reps: u128) {
     let refs_per_sec = refs as f64 * 1e9 / ns as f64;
     println!(
-        "bench recording/{name}/{path:<9} median {:>12.2} ms  ({refs} refs, {:.1} Mref/s)",
+        "bench recording/{name}/{path:<9} median {:>12.2} ms  ({refs} refs, {:.1} Mref/s, \
+         {reps} per sample)",
         ns as f64 / 1e6,
         refs_per_sec / 1e6
     );
     println!(
         "{{\"benchmark\":\"recording/{name}/{path}\",\"median_ns\":{ns},\
-         \"refs\":{refs},\"refs_per_sec\":{refs_per_sec:.1}}}"
+         \"refs\":{refs},\"refs_per_sec\":{refs_per_sec:.1},\"reps\":{reps}}}"
     );
 }
 
@@ -96,27 +110,43 @@ fn main() {
         w.generate_chunks(&mut batch, &mut |chunk: &[Access]| {
             refs += chunk.len() as u64
         });
-        let current = record_miss_trace(w.as_ref(), &record).expect("valid L1");
-        let reference = reference_record(w.as_ref(), &record);
+        let mut current = None;
+        let cur_once = median_ns(1, 0, || {
+            current = Some(record_miss_trace(w.as_ref(), &record).expect("valid L1"));
+        });
+        let mut reference = Vec::new();
+        let ref_once = median_ns(1, 0, || reference = reference_record(w.as_ref(), &record));
         // Decoding the packed events makes the packing part of the
         // byte-identity check.
-        let decoded: Vec<Miss> = current.events().iter().map(|e| e.decode()).collect();
+        let decoded: Vec<Miss> = current
+            .expect("the identity run recorded")
+            .events()
+            .iter()
+            .map(|e| e.decode())
+            .collect();
         assert_eq!(
             decoded, reference,
             "{name}: SoA+chunked recording diverges from the reference path"
         );
 
+        let reps = MIN_SAMPLE_NS.div_ceil(cur_once.min(ref_once).max(1));
         let cur_ns = median_ns(samples, warmup, || {
-            record_miss_trace(w.as_ref(), &record).expect("valid L1")
-        });
-        let ref_ns = median_ns(samples, warmup, || reference_record(w.as_ref(), &record));
-        report_line(&name, "reference", ref_ns, refs);
-        report_line(&name, "current", cur_ns, refs);
+            for _ in 0..reps {
+                black_box(record_miss_trace(w.as_ref(), &record).expect("valid L1"));
+            }
+        }) / reps;
+        let ref_ns = median_ns(samples, warmup, || {
+            for _ in 0..reps {
+                black_box(reference_record(w.as_ref(), &record));
+            }
+        }) / reps;
+        report_line(&name, "reference", ref_ns, refs, reps);
+        report_line(&name, "current", cur_ns, refs, reps);
 
         total_refs += refs;
         total_ref_ns += ref_ns;
         total_cur_ns += cur_ns;
-        per_workload.push((name, refs, ref_ns, cur_ns));
+        per_workload.push((name, refs, reps, ref_ns, cur_ns));
     }
 
     let speedup = total_ref_ns as f64 / total_cur_ns as f64;
@@ -152,13 +182,13 @@ fn main() {
     );
     let rows: Vec<String> = per_workload
         .iter()
-        .map(|(name, refs, ref_ns, cur_ns)| {
+        .map(|(name, refs, reps, ref_ns, cur_ns)| {
             streamsim_bench::bench_detail_line(
                 "recording",
                 "workload",
                 &format!(
-                    "\"name\":\"{name}\",\"refs\":{refs},\"reference_ns\":{ref_ns},\
-                     \"current_ns\":{cur_ns},\"speedup\":{:.3}",
+                    "\"name\":\"{name}\",\"refs\":{refs},\"reps\":{reps},\
+                     \"reference_ns\":{ref_ns},\"current_ns\":{cur_ns},\"speedup\":{:.3}",
                     *ref_ns as f64 / *cur_ns as f64
                 ),
             )

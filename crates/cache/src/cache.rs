@@ -7,7 +7,7 @@ use streamsim_prng::{Rng, Xoshiro256StarStar};
 
 use streamsim_trace::{AccessKind, Addr, BlockAddr};
 
-use crate::{CacheConfig, CacheStats, Replacement, SetSampling};
+use crate::{CacheConfig, CacheStats, Replacement};
 
 /// Result of presenting one reference to a cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,9 +21,6 @@ pub enum AccessOutcome {
         /// Dirty victim evicted by the fill, if any.
         writeback: Option<BlockAddr>,
     },
-    /// Set sampling is active and this reference maps to an unsampled set;
-    /// it was not simulated and no statistics were recorded.
-    Bypassed,
 }
 
 impl AccessOutcome {
@@ -107,8 +104,8 @@ impl BitVec {
 /// A set-associative cache simulating tags and dirty bits (no data).
 ///
 /// Supports LRU, seeded-random and tree-PLRU replacement with
-/// write-back/write-allocate handling, and optional [`SetSampling`] for
-/// cheap estimation of very large caches.
+/// write-back/write-allocate handling. It simulates every set; set
+/// sampling is a replay-layer choice of which sets to count.
 ///
 /// # Layout
 ///
@@ -137,8 +134,7 @@ impl BitVec {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sampling: Option<SetSampling>,
-    /// Dense tag array, way-contiguous: line `row * assoc + way`.
+    /// Dense tag array, way-contiguous: line `set * assoc + way`.
     /// [`INVALID_TAG`] marks an invalid line, so validity costs no
     /// second load on the probe.
     tags: Vec<u64>,
@@ -146,19 +142,10 @@ pub struct SetAssocCache {
     /// LRU last-touch times. Empty for random and tree-PLRU, which never
     /// read stamps.
     stamps: Vec<u64>,
-    /// Most recently *hit or filled* way per row — a probe hint only.
+    /// Most recently *hit or filled* way per set — a probe hint only.
     mru: Vec<u32>,
-    rows: u64,
     set_mask: u64,
     set_bits: u32,
-    /// Branchless set-sampling test: a reference is simulated iff
-    /// `set & sample_mask == sample_match` (mask and match are 0 without
-    /// sampling, accepting everything), and its row is
-    /// `set >> row_shift`. Folding the `Option` away keeps `locate` to
-    /// straight-line shifts and masks.
-    sample_mask: u64,
-    sample_match: u64,
-    row_shift: u32,
     /// `log2(block bytes)`: the probe's only address arithmetic.
     block_log2: u32,
     assoc: u32,
@@ -169,7 +156,7 @@ pub struct SetAssocCache {
     plru_on: bool,
     clock: u64,
     rng: Option<Xoshiro256StarStar>,
-    /// One word of tree bits per simulated set (tree-PLRU only).
+    /// One word of tree bits per set (tree-PLRU only).
     plru: Vec<u64>,
     stats: CacheStats,
 }
@@ -241,43 +228,11 @@ impl SetAssocCache {
     ///
     /// # Errors
     ///
-    /// Infallible for any valid `config`; kept fallible for uniformity with
-    /// [`SetAssocCache::with_sampling`].
+    /// Returns [`crate::CacheConfigError::PlruNeedsPowerOfTwoAssoc`] if
+    /// `config` asks for tree-PLRU replacement over an associativity that
+    /// is not a power of two, or above 64.
     pub fn new(config: CacheConfig) -> Result<Self, crate::CacheConfigError> {
-        Self::build(config, None)
-    }
-
-    /// Creates a cache that simulates only the sets selected by `sampling`.
-    ///
-    /// Tags are computed exactly as in the full cache, so the hit rate over
-    /// the sampled sets is an unbiased estimator of the full-cache hit
-    /// rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the sampling is finer than the number of sets.
-    pub fn with_sampling(
-        config: CacheConfig,
-        sampling: SetSampling,
-    ) -> Result<Self, crate::CacheConfigError> {
-        Self::build(config, Some(sampling))
-    }
-
-    fn build(
-        config: CacheConfig,
-        sampling: Option<SetSampling>,
-    ) -> Result<Self, crate::CacheConfigError> {
         let sets = config.num_sets();
-        let rows = match sampling {
-            Some(s) => {
-                let rows = sets >> s.log2_fraction();
-                if rows == 0 {
-                    return Err(crate::CacheConfigError::SetsNotPowerOfTwo { sets });
-                }
-                rows
-            }
-            None => sets,
-        };
         let rng = match config.replacement() {
             Replacement::Random { seed } => Some(Xoshiro256StarStar::seed_from_u64(seed)),
             _ => None,
@@ -288,26 +243,21 @@ impl SetAssocCache {
                     assoc: config.assoc(),
                 });
             }
-            vec![0u64; rows as usize]
+            vec![0u64; sets as usize]
         } else {
             Vec::new()
         };
-        let lines = (rows * config.assoc() as u64) as usize;
+        let lines = (sets * config.assoc() as u64) as usize;
         let lru = config.replacement() == Replacement::Lru;
         let stamps = if lru { vec![0u64; lines] } else { Vec::new() };
         Ok(SetAssocCache {
             config,
-            sampling,
             tags: vec![INVALID_TAG; lines],
             dirty: BitVec::new(lines),
             stamps,
-            mru: vec![0; rows as usize],
-            rows,
+            mru: vec![0; sets as usize],
             set_mask: sets - 1,
             set_bits: config.set_index_bits(),
-            sample_mask: sampling.map_or(0, |s| (1u64 << s.log2_fraction()) - 1),
-            sample_match: sampling.map_or(0, |s| s.matcher()),
-            row_shift: sampling.map_or(0, |s| s.log2_fraction()),
             block_log2: config.block().log2(),
             assoc: config.assoc(),
             replacement: config.replacement(),
@@ -325,11 +275,6 @@ impl SetAssocCache {
         self.config
     }
 
-    /// The active set sampling, if any.
-    pub fn sampling(&self) -> Option<SetSampling> {
-        self.sampling
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
@@ -341,63 +286,49 @@ impl SetAssocCache {
         self.stats = CacheStats::new();
     }
 
-    /// `(row, tag, full set index)` for `addr` — shift/mask/compare
-    /// only. The full set index (not the sampled row) reconstructs
-    /// eviction addresses.
+    /// `(set, tag)` for `addr` — shift/mask only.
     #[inline(always)]
-    fn locate(&self, addr: Addr) -> Option<(u64, u64, u64)> {
+    fn locate(&self, addr: Addr) -> (u64, u64) {
         let block = addr.raw() >> self.block_log2;
-        let set = block & self.set_mask;
-        if set & self.sample_mask != self.sample_match {
-            return None; // unsampled set (never taken without sampling)
-        }
         let tag = block >> self.set_bits;
-        let row = set >> self.row_shift;
-        debug_assert!(row < self.rows);
         debug_assert!(tag != INVALID_TAG, "tag collides with the invalid sentinel");
-        Some((row, tag, set))
+        (block & self.set_mask, tag)
     }
 
     /// Presents one reference; fills on miss.
     #[inline(always)]
     pub fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessOutcome {
-        match self.detailed(addr, kind) {
-            None => AccessOutcome::Bypassed,
-            Some(DetailedOutcome { hit: true, .. }) => AccessOutcome::Hit,
-            Some(DetailedOutcome {
+        match self.access_detailed(addr, kind) {
+            DetailedOutcome { hit: true, .. } => AccessOutcome::Hit,
+            DetailedOutcome {
                 hit: false,
                 evicted,
-            }) => AccessOutcome::Miss {
+            } => AccessOutcome::Miss {
                 writeback: evicted.filter(|e| e.dirty).map(|e| e.block),
             },
         }
     }
 
-    /// Like [`SetAssocCache::access`] but reports the evicted line even
-    /// when clean, which a victim cache needs. Returns [`None`] for
-    /// bypassed (unsampled) sets.
-    pub fn access_detailed(&mut self, addr: Addr, kind: AccessKind) -> Option<DetailedOutcome> {
-        self.detailed(addr, kind)
-    }
-
     /// Hit bookkeeping shared by the MRU fast path and the full way
-    /// scan. `idx` is the line index (`row * assoc + way`).
+    /// scan. `idx` is the line index (`set * assoc + way`).
     #[inline(always)]
-    fn register_hit(&mut self, row: u64, way: u32, idx: usize, kind: AccessKind) {
+    fn register_hit(&mut self, set: u64, way: u32, idx: usize, kind: AccessKind) {
         if self.lru {
             self.stamps[idx] = self.clock;
         } else if self.plru_on {
-            plru_touch(&mut self.plru[row as usize], self.assoc, way);
+            plru_touch(&mut self.plru[set as usize], self.assoc, way);
         }
         self.dirty.or_assign(idx, kind.is_store());
-        self.mru[row as usize] = way;
+        self.mru[set as usize] = way;
         self.stats.record_hit(kind);
     }
 
+    /// Like [`SetAssocCache::access`] but reports the evicted line even
+    /// when clean, which a victim cache needs.
     #[inline(always)]
-    fn detailed(&mut self, addr: Addr, kind: AccessKind) -> Option<DetailedOutcome> {
-        let (row, tag, set) = self.locate(addr)?;
-        let base = row as usize * self.assoc as usize;
+    pub fn access_detailed(&mut self, addr: Addr, kind: AccessKind) -> DetailedOutcome {
+        let (set, tag) = self.locate(addr);
+        let base = set as usize * self.assoc as usize;
         // The clock only feeds LRU stamps; skip the counter when no stamp
         // will ever read it.
         if self.lru {
@@ -409,24 +340,24 @@ impl SetAssocCache {
         // hint never changes replacement state, so probing it first is
         // outcome-identical to the scan (a tag lives in at most one
         // valid way per set).
-        let hint = self.mru[row as usize];
+        let hint = self.mru[set as usize];
         let idx = base + hint as usize;
         if self.tags[idx] == tag {
-            self.register_hit(row, hint, idx, kind);
-            return Some(DetailedOutcome {
+            self.register_hit(set, hint, idx, kind);
+            return DetailedOutcome {
                 hit: true,
                 evicted: None,
-            });
+            };
         }
-        Some(self.scan_or_fill(row, tag, set, kind))
+        self.scan_or_fill(set, tag, kind)
     }
 
-    /// The slow half of [`SetAssocCache::detailed`]: full way scan, then
-    /// the miss/fill path.
+    /// The slow half of [`SetAssocCache::access_detailed`]: full way
+    /// scan, then the miss/fill path.
     #[inline]
-    fn scan_or_fill(&mut self, row: u64, tag: u64, set: u64, kind: AccessKind) -> DetailedOutcome {
+    fn scan_or_fill(&mut self, set: u64, tag: u64, kind: AccessKind) -> DetailedOutcome {
         let assoc = self.assoc as usize;
-        let base = row as usize * assoc;
+        let base = set as usize * assoc;
 
         // One branchless pass over the dense tag slice: a hit lives in at
         // most one valid way, and the first invalid way is the fill's
@@ -446,7 +377,7 @@ impl SetAssocCache {
             scan_ways_dyn(&self.tags[base..base + assoc], tag)
         };
         if hit_way != usize::MAX {
-            self.register_hit(row, hit_way as u32, base + hit_way, kind);
+            self.register_hit(set, hit_way as u32, base + hit_way, kind);
             return DetailedOutcome {
                 hit: true,
                 evicted: None,
@@ -480,7 +411,7 @@ impl SetAssocCache {
                     .as_mut()
                     .expect("random replacement has an rng")
                     .gen_range(0..assoc),
-                Replacement::TreePlru => plru_victim(self.plru[row as usize], self.assoc) as usize,
+                Replacement::TreePlru => plru_victim(self.plru[set as usize], self.assoc) as usize,
             }
         };
 
@@ -502,9 +433,9 @@ impl SetAssocCache {
         if self.lru {
             self.stamps[vidx] = self.clock;
         } else if self.plru_on {
-            plru_touch(&mut self.plru[row as usize], self.assoc, victim as u32);
+            plru_touch(&mut self.plru[set as usize], self.assoc, victim as u32);
         }
-        self.mru[row as usize] = victim as u32;
+        self.mru[set as usize] = victim as u32;
         DetailedOutcome {
             hit: false,
             evicted,
@@ -512,16 +443,14 @@ impl SetAssocCache {
     }
 
     /// Whether the block containing `addr` is present (no state change,
-    /// no statistics). Returns `false` for unsampled sets.
+    /// no statistics).
     pub fn probe(&self, addr: Addr) -> bool {
-        let Some((row, tag, _)) = self.locate(addr) else {
-            return false;
-        };
-        let base = row as usize * self.assoc as usize;
+        let (set, tag) = self.locate(addr);
+        let base = set as usize * self.assoc as usize;
         (0..self.assoc as usize).any(|w| self.tags[base + w] == tag)
     }
 
-    /// Number of valid lines currently held (sampled sets only).
+    /// Number of valid lines currently held.
     pub fn resident_blocks(&self) -> u64 {
         self.tags.iter().filter(|&&t| t != INVALID_TAG).count() as u64
     }
@@ -668,44 +597,6 @@ mod tests {
         let b = block_addr(0, 2);
         let out = c.access(b, AccessKind::Load);
         assert!(matches!(out, AccessOutcome::Miss { writeback: Some(_) }));
-    }
-
-    #[test]
-    fn sampled_cache_bypasses_unselected_sets() {
-        let cfg = CacheConfig::new(4 * 32, 1, BlockSize::new(32).unwrap()).unwrap();
-        // 4 sets, sample 1/2 keeping odd set indices.
-        let mut c = SetAssocCache::with_sampling(cfg, SetSampling::new(1, 1)).unwrap();
-        assert_eq!(
-            c.access(block_addr(0, 1), AccessKind::Load),
-            AccessOutcome::Bypassed
-        );
-        assert!(c.access(block_addr(1, 1), AccessKind::Load).is_miss());
-        assert!(c.access(block_addr(3, 1), AccessKind::Load).is_miss());
-        assert!(c.access(block_addr(1, 1), AccessKind::Load).is_hit());
-        assert_eq!(c.stats().accesses(), 3, "bypassed refs are not counted");
-    }
-
-    #[test]
-    fn sampling_finer_than_sets_is_rejected() {
-        let cfg = CacheConfig::new(4 * 32, 1, BlockSize::new(32).unwrap()).unwrap();
-        assert!(SetAssocCache::with_sampling(cfg, SetSampling::new(3, 0)).is_err());
-    }
-
-    #[test]
-    fn sampled_hit_rate_matches_full_on_uniform_trace() {
-        // A strided trace touching all sets equally: the sampled estimate
-        // must equal the full-cache rate exactly by symmetry.
-        let cfg = CacheConfig::new(64 * 32, 2, BlockSize::new(32).unwrap()).unwrap();
-        let mut full = SetAssocCache::new(cfg).unwrap();
-        let mut sampled = SetAssocCache::with_sampling(cfg, SetSampling::new(2, 0)).unwrap();
-        for round in 0..4u64 {
-            for i in 0..256u64 {
-                let a = Addr::new(i * 32 + round); // revisit same blocks
-                full.access(a, AccessKind::Load);
-                sampled.access(a, AccessKind::Load);
-            }
-        }
-        assert!((full.stats().hit_rate() - sampled.stats().hit_rate()).abs() < 1e-12);
     }
 
     #[test]

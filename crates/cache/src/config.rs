@@ -58,6 +58,19 @@ pub enum CacheConfigError {
         /// The offending associativity.
         assoc: u32,
     },
+    /// A replayed secondary cache must use LRU replacement: the replay
+    /// reads every cell from a recency stack.
+    L2NeedsLru {
+        /// The cell's replacement policy.
+        replacement: Replacement,
+    },
+    /// A set sampling must keep at least one set of the cache.
+    SamplingFinerThanSets {
+        /// The cache's set count.
+        sets: u64,
+        /// `log2` of the inverse sampling fraction.
+        log2_fraction: u32,
+    },
 }
 
 impl fmt::Display for CacheConfigError {
@@ -77,6 +90,16 @@ impl fmt::Display for CacheConfigError {
             CacheConfigError::PlruNeedsPowerOfTwoAssoc { assoc } => {
                 write!(f, "tree-PLRU requires a power-of-two associativity, got {assoc}")
             }
+            CacheConfigError::L2NeedsLru { replacement } => {
+                write!(f, "a replayed secondary cache must use LRU, got {replacement}")
+            }
+            CacheConfigError::SamplingFinerThanSets {
+                sets,
+                log2_fraction,
+            } => write!(
+                f,
+                "set sampling of 1/2^{log2_fraction} of the sets is finer than the cache's {sets} sets"
+            ),
         }
     }
 }

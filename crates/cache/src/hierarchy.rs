@@ -79,14 +79,13 @@ impl TwoLevel {
                 }
                 false
             }
-            AccessOutcome::Bypassed => false,
         }
     }
 
     /// Processes one reference through both levels.
     pub fn access(&mut self, access: Access) -> HierarchyOutcome {
         match self.l1.access(access) {
-            AccessOutcome::Hit | AccessOutcome::Bypassed => HierarchyOutcome::L1Hit,
+            AccessOutcome::Hit => HierarchyOutcome::L1Hit,
             AccessOutcome::Miss { writeback } => {
                 // Dirty L1 victims are written into the L2 (write-back,
                 // write-allocate at both levels).

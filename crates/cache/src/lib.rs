@@ -12,8 +12,12 @@
 //! * [`VictimCache`] — Jouppi's small fully-associative victim buffer
 //!   (mentioned by the paper for direct-mapped primaries; used here in
 //!   ablations).
-//! * [`SetSampling`] — set sampling (Kessler, Hill & Wood) used by the
-//!   paper to estimate secondary-cache hit rates cheaply (Table 4).
+//! * [`SetSampling`] — the set selection of set sampling (Kessler, Hill
+//!   & Wood), which the paper uses to estimate secondary-cache hit rates
+//!   cheaply (Table 4). Caches take no sampling and simulate every set;
+//!   the replay layer counts a sampled cell over its selected sets.
+//!   Table 4 here simulates every set, and the ablations check the
+//!   sampling estimator against the full cache.
 //!
 //! Caches simulate *state*, not data: a line is a tag plus valid/dirty
 //! bits, which is all hit-rate studies need.

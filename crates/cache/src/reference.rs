@@ -2,8 +2,8 @@
 //!
 //! [`ReferenceCache`] is the array-of-structs implementation
 //! [`SetAssocCache`](crate::SetAssocCache) used before its storage was
-//! restructured into structure-of-arrays. It is kept verbatim for two
-//! jobs:
+//! restructured into structure-of-arrays, less the options `SetAssocCache`
+//! no longer has (every set is simulated). It is kept for two jobs:
 //!
 //! * **equivalence oracle** — the SoA cache must match it outcome for
 //!   outcome (stats, hits, eviction sequence) under every policy and
@@ -20,9 +20,7 @@ use streamsim_prng::{Rng, Xoshiro256StarStar};
 
 use streamsim_trace::{AccessKind, Addr, BlockAddr};
 
-use crate::{
-    AccessOutcome, CacheConfig, CacheStats, DetailedOutcome, EvictedLine, Replacement, SetSampling,
-};
+use crate::{AccessOutcome, CacheConfig, CacheStats, DetailedOutcome, EvictedLine, Replacement};
 
 #[derive(Clone, Copy, Debug, Default)]
 struct Line {
@@ -70,9 +68,7 @@ fn plru_victim(bits: u64, assoc: u32) -> u32 {
 #[derive(Clone, Debug)]
 pub struct ReferenceCache {
     config: CacheConfig,
-    sampling: Option<SetSampling>,
     lines: Vec<Line>,
-    rows: u64,
     set_mask: u64,
     set_bits: u32,
     clock: u64,
@@ -86,40 +82,11 @@ impl ReferenceCache {
     ///
     /// # Errors
     ///
-    /// Infallible for any valid `config`; kept fallible for uniformity
-    /// with [`ReferenceCache::with_sampling`].
+    /// Returns [`crate::CacheConfigError::PlruNeedsPowerOfTwoAssoc`] if
+    /// `config` asks for tree-PLRU replacement over an associativity that
+    /// is not a power of two, or above 64.
     pub fn new(config: CacheConfig) -> Result<Self, crate::CacheConfigError> {
-        Self::build(config, None)
-    }
-
-    /// Creates a cache that simulates only the sets selected by
-    /// `sampling`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the sampling is finer than the number of sets.
-    pub fn with_sampling(
-        config: CacheConfig,
-        sampling: SetSampling,
-    ) -> Result<Self, crate::CacheConfigError> {
-        Self::build(config, Some(sampling))
-    }
-
-    fn build(
-        config: CacheConfig,
-        sampling: Option<SetSampling>,
-    ) -> Result<Self, crate::CacheConfigError> {
         let sets = config.num_sets();
-        let rows = match sampling {
-            Some(s) => {
-                let rows = sets >> s.log2_fraction();
-                if rows == 0 {
-                    return Err(crate::CacheConfigError::SetsNotPowerOfTwo { sets });
-                }
-                rows
-            }
-            None => sets,
-        };
         let rng = match config.replacement() {
             Replacement::Random { seed } => Some(Xoshiro256StarStar::seed_from_u64(seed)),
             _ => None,
@@ -130,15 +97,13 @@ impl ReferenceCache {
                     assoc: config.assoc(),
                 });
             }
-            vec![0u64; rows as usize]
+            vec![0u64; sets as usize]
         } else {
             Vec::new()
         };
         Ok(ReferenceCache {
             config,
-            sampling,
-            lines: vec![Line::default(); (rows * config.assoc() as u64) as usize],
-            rows,
+            lines: vec![Line::default(); (sets * config.assoc() as u64) as usize],
             set_mask: sets - 1,
             set_bits: config.set_index_bits(),
             clock: 0,
@@ -158,38 +123,25 @@ impl ReferenceCache {
         &self.stats
     }
 
-    fn locate(&self, addr: Addr) -> Option<(u64, u64)> {
+    fn locate(&self, addr: Addr) -> (u64, u64) {
         let block = addr.block(self.config.block()).index();
-        let set = block & self.set_mask;
-        let tag = block >> self.set_bits;
-        let row = match self.sampling {
-            Some(s) => {
-                if !s.selects(set) {
-                    return None;
-                }
-                s.row(set)
-            }
-            None => set,
-        };
-        debug_assert!(row < self.rows);
-        Some((row, tag))
+        (block & self.set_mask, block >> self.set_bits)
     }
 
-    fn set_range(&self, row: u64) -> std::ops::Range<usize> {
+    fn set_range(&self, set: u64) -> std::ops::Range<usize> {
         let assoc = self.config.assoc() as usize;
-        let start = row as usize * assoc;
+        let start = set as usize * assoc;
         start..start + assoc
     }
 
     /// Presents one reference; fills on miss.
     pub fn access(&mut self, addr: Addr, kind: AccessKind) -> AccessOutcome {
-        match self.detailed(addr, kind) {
-            None => AccessOutcome::Bypassed,
-            Some(DetailedOutcome { hit: true, .. }) => AccessOutcome::Hit,
-            Some(DetailedOutcome {
+        match self.access_detailed(addr, kind) {
+            DetailedOutcome { hit: true, .. } => AccessOutcome::Hit,
+            DetailedOutcome {
                 hit: false,
                 evicted,
-            }) => AccessOutcome::Miss {
+            } => AccessOutcome::Miss {
                 writeback: evicted.filter(|e| e.dirty).map(|e| e.block),
             },
         }
@@ -197,14 +149,10 @@ impl ReferenceCache {
 
     /// Like [`ReferenceCache::access`] but reports the evicted line even
     /// when clean.
-    pub fn access_detailed(&mut self, addr: Addr, kind: AccessKind) -> Option<DetailedOutcome> {
-        self.detailed(addr, kind)
-    }
-
-    fn detailed(&mut self, addr: Addr, kind: AccessKind) -> Option<DetailedOutcome> {
-        let (row, tag) = self.locate(addr)?;
+    pub fn access_detailed(&mut self, addr: Addr, kind: AccessKind) -> DetailedOutcome {
+        let (set, tag) = self.locate(addr);
         let replacement = self.config.replacement();
-        let range = self.set_range(row);
+        let range = self.set_range(set);
         self.clock += 1;
         let clock = self.clock;
 
@@ -216,7 +164,7 @@ impl ReferenceCache {
                 }
                 if replacement == Replacement::TreePlru {
                     plru_touch(
-                        &mut self.plru[row as usize],
+                        &mut self.plru[set as usize],
                         self.config.assoc(),
                         way as u32,
                     );
@@ -225,10 +173,10 @@ impl ReferenceCache {
                     line.dirty = true;
                 }
                 self.stats.record(kind, true);
-                return Some(DetailedOutcome {
+                return DetailedOutcome {
                     hit: true,
                     evicted: None,
-                });
+                };
             }
         }
 
@@ -236,11 +184,11 @@ impl ReferenceCache {
 
         // Choose a victim: first invalid line, otherwise per policy.
         let victim_index = {
-            let set = &self.lines[range.clone()];
-            match set.iter().position(|l| !l.valid) {
+            let ways = &self.lines[range.clone()];
+            match ways.iter().position(|l| !l.valid) {
                 Some(i) => i,
                 None => match replacement {
-                    Replacement::Lru => set
+                    Replacement::Lru => ways
                         .iter()
                         .enumerate()
                         .min_by_key(|(_, l)| l.stamp)
@@ -252,20 +200,19 @@ impl ReferenceCache {
                         .expect("random replacement has an rng")
                         .gen_range(0..range.len()),
                     Replacement::TreePlru => {
-                        plru_victim(self.plru[row as usize], self.config.assoc()) as usize
+                        plru_victim(self.plru[set as usize], self.config.assoc()) as usize
                     }
                 },
             }
         };
 
-        let set_index = (addr.block(self.config.block()).index()) & self.set_mask;
         let line = &mut self.lines[range.start + victim_index];
         let evicted = if line.valid {
             if line.dirty {
                 self.stats.writebacks += 1;
             }
             Some(EvictedLine {
-                block: BlockAddr::from_index((line.tag << self.set_bits) | set_index),
+                block: BlockAddr::from_index((line.tag << self.set_bits) | set),
                 dirty: line.dirty,
             })
         } else {
@@ -279,29 +226,27 @@ impl ReferenceCache {
         };
         if replacement == Replacement::TreePlru {
             plru_touch(
-                &mut self.plru[row as usize],
+                &mut self.plru[set as usize],
                 self.config.assoc(),
                 victim_index as u32,
             );
         }
-        Some(DetailedOutcome {
+        DetailedOutcome {
             hit: false,
             evicted,
-        })
+        }
     }
 
     /// Whether the block containing `addr` is present (no state change,
-    /// no statistics). Returns `false` for unsampled sets.
+    /// no statistics).
     pub fn probe(&self, addr: Addr) -> bool {
-        let Some((row, tag)) = self.locate(addr) else {
-            return false;
-        };
-        self.lines[self.set_range(row)]
+        let (set, tag) = self.locate(addr);
+        self.lines[self.set_range(set)]
             .iter()
             .any(|l| l.valid && l.tag == tag)
     }
 
-    /// Number of valid lines currently held (sampled sets only).
+    /// Number of valid lines currently held.
     pub fn resident_blocks(&self) -> u64 {
         self.lines.iter().filter(|l| l.valid).count() as u64
     }

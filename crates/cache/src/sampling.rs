@@ -2,14 +2,16 @@
 //!
 //! The paper cites Kessler, Hill & Wood's trace-sampling work and uses *set
 //! sampling* to determine secondary-cache hit rates (Table 4): only the
-//! references mapping to a chosen subset of sets are simulated, and the hit
+//! references mapping to a chosen subset of sets are counted, and the hit
 //! rate over that subset estimates the whole-cache hit rate at a fraction of
 //! the simulation cost.
 //!
 //! [`SetSampling`] selects every set whose low `log2_fraction` index bits
-//! equal `matcher`; a cache constructed with it simulates `1/2^log2_fraction`
-//! of its sets while keeping *tags identical to the full cache* — only the
-//! simulated rows shrink.
+//! equal `matcher`. It is a selection only: the caches of this crate
+//! simulate every set, and the replay layer (`streamsim_core::replay_l2`)
+//! applies a cell's sampling by counting the accesses to the sets it
+//! selects. Table 4 here simulates every set; the ablation's 1/4-sampled
+//! 1 MB cell checks the sampling estimator against the full one.
 
 use std::fmt;
 
@@ -72,12 +74,6 @@ impl SetSampling {
     pub fn selects(self, set_index: u64) -> bool {
         set_index & ((1u64 << self.log2_fraction) - 1) == self.matcher
     }
-
-    /// Maps a selected full-cache set index to its simulated row.
-    pub fn row(self, set_index: u64) -> u64 {
-        debug_assert!(self.selects(set_index));
-        set_index >> self.log2_fraction
-    }
 }
 
 impl fmt::Display for SetSampling {
@@ -101,8 +97,6 @@ mod tests {
         let s = SetSampling::new(2, 1);
         let selected: Vec<u64> = (0..12).filter(|&i| s.selects(i)).collect();
         assert_eq!(selected, [1, 5, 9]);
-        assert_eq!(s.row(5), 1);
-        assert_eq!(s.row(9), 2);
     }
 
     #[test]
@@ -110,7 +104,6 @@ mod tests {
         let s = SetSampling::new(0, 0);
         assert!((0..100).all(|i| s.selects(i)));
         assert_eq!(s.fraction(), 1.0);
-        assert_eq!(s.row(42), 42);
     }
 
     #[test]

@@ -72,11 +72,11 @@ impl VictimL1 {
     /// Processes one reference.
     pub fn access(&mut self, addr: Addr, kind: AccessKind) -> VictimL1Outcome {
         match self.cache.access_detailed(addr, kind) {
-            None | Some(crate::DetailedOutcome { hit: true, .. }) => VictimL1Outcome::Hit,
-            Some(crate::DetailedOutcome {
+            crate::DetailedOutcome { hit: true, .. } => VictimL1Outcome::Hit,
+            crate::DetailedOutcome {
                 hit: false,
                 evicted,
-            }) => {
+            } => {
                 // Every displaced line — clean or dirty — goes to the
                 // victim buffer (this is what distinguishes a victim
                 // cache from a plain write buffer).

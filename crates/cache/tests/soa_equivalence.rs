@@ -13,7 +13,7 @@ use streamsim_prng::quickcheck::{check_with, Gen};
 use streamsim_prng::Rng;
 
 use streamsim_cache::reference::ReferenceCache;
-use streamsim_cache::{CacheConfig, Replacement, SetAssocCache, SetSampling};
+use streamsim_cache::{CacheConfig, Replacement, SetAssocCache};
 use streamsim_trace::{AccessKind, Addr, BlockSize};
 
 /// Draw a random but valid cache geometry + policy pair.
@@ -103,31 +103,6 @@ fn soa_matches_reference_cache() {
         let ops = gen_ops(g, blocks);
         let mut soa = SetAssocCache::new(cfg).unwrap();
         let mut aos = ReferenceCache::new(cfg).unwrap();
-        run_pair(&mut soa, &mut aos, &ops);
-    });
-}
-
-/// Set-sampled equivalence: rows ≠ set indices, so the evicted-block
-/// reconstruction must use the full set index, not the row.
-#[test]
-fn soa_matches_reference_cache_under_set_sampling() {
-    check_with("soa_matches_reference_cache_under_set_sampling", 128, |g| {
-        // Redraw single-set geometries, which cannot be sampled, rather
-        // than discard the case: a discard fails a `STREAMSIM_QC_SEED`
-        // replay, and CI replays this property on a fresh seed.
-        let cfg = loop {
-            let cfg = gen_config(g);
-            if cfg.num_sets() > 1 {
-                break cfg;
-            }
-        };
-        let max_f = cfg.num_sets().trailing_zeros().min(2);
-        let f = g.gen_range(1..=max_f);
-        let sampling = SetSampling::new(f, g.gen_range(0..1u64 << f));
-        let blocks = cfg.num_sets() * 8;
-        let ops = gen_ops(g, blocks);
-        let mut soa = SetAssocCache::with_sampling(cfg, sampling).unwrap();
-        let mut aos = ReferenceCache::with_sampling(cfg, sampling).unwrap();
         run_pair(&mut soa, &mut aos, &ops);
     });
 }

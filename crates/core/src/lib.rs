@@ -20,11 +20,12 @@
 //!   recorded trace in a single pass: families of unified streams
 //!   ([`StreamObserver`]), instruction/data
 //!   [`PartitionedObserver`]s, secondary caches ([`L2FamilyObserver`],
-//!   [`L2Observer`]), or custom observers. [`replay_streams`] sweeps a
-//!   request of stream configurations as one family (every stream
-//!   system shares the fixed 32-byte block and 4-byte word) and
-//!   [`replay_l2`] sweeps secondary caches, its LRU cells from one
-//!   recency stack per set count; [`replay_l2_hierarchy`] replays them
+//!   with [`L2Observer`] as its per-cell reference), or custom
+//!   observers. [`replay_streams`] sweeps a request of stream
+//!   configurations as one family (every stream system shares the fixed
+//!   32-byte block and 4-byte word) and [`replay_l2`] sweeps LRU
+//!   secondary caches, optionally set-sampled, from one recency stack
+//!   per set count; [`replay_l2_hierarchy`] replays them
 //!   in a coupled hierarchy's event order ([`HierarchyOrder`]).
 //!   [`run_streams`] and [`run_l2`] are the one-cell wrappers.
 //! * [`experiments`] — one driver per table and figure in the paper's

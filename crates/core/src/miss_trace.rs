@@ -259,7 +259,7 @@ pub fn record_miss_trace(
         let mut consume = |chunk: &[Access]| {
             for &access in chunk {
                 match l1.access(access) {
-                    AccessOutcome::Hit | AccessOutcome::Bypassed => {}
+                    AccessOutcome::Hit => {}
                     AccessOutcome::Miss { writeback } => {
                         events.push(MissEvent::fetch(access.addr, access.kind));
                         if let Some(victim) = writeback {

@@ -26,10 +26,11 @@
 //! system; [`replay_streams`] runs a whole request as one family. Every
 //! stream system fetches 32-byte blocks and detects strides in 4-byte
 //! words, so one decode serves any family. [`L2FamilyObserver`] is the
-//! secondary-cache family behind [`replay_l2`]: its LRU cells read one
-//! recency stack per (block size, set count), every associativity at
-//! once by LRU's inclusion property, and the rest keep an
-//! [`L2Observer`] each, a [`SetAssocCache`] as an observer.
+//! secondary-cache family behind [`replay_l2`]: every cell is LRU and
+//! reads one recency stack per (block size, set count), every
+//! associativity at once by LRU's inclusion property, and applies its
+//! own set sampling by counting only the sets it selects. [`L2Observer`],
+//! a [`SetAssocCache`] as an observer, is its per-cell reference.
 //! [`HierarchyOrder`] hands any observer the trace in a coupled
 //! hierarchy's order, each dirty L1 victim before the fetch that
 //! evicted it ([`replay_l2_hierarchy`]). [`PartitionedObserver`] splits
@@ -150,48 +151,91 @@ pub fn replay_chunked(
     }
 }
 
-/// A secondary cache as a replay observer.
+/// The one check every replayed secondary-cache cell passes, in
+/// [`L2Observer::new`] and [`L2FamilyObserver::new`] alike: LRU
+/// replacement, and a set sampling that keeps at least one set.
+fn check_l2_cell(
+    config: CacheConfig,
+    sampling: Option<SetSampling>,
+) -> Result<(), CacheConfigError> {
+    if config.replacement() != Replacement::Lru {
+        return Err(CacheConfigError::L2NeedsLru {
+            replacement: config.replacement(),
+        });
+    }
+    let sets = config.num_sets();
+    match sampling {
+        Some(s) if sets >> s.log2_fraction() == 0 => Err(CacheConfigError::SamplingFinerThanSets {
+            sets,
+            log2_fraction: s.log2_fraction(),
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// One secondary-cache cell as a replay observer: the per-cell reference
+/// [`L2FamilyObserver`]'s recency stacks are checked against. No report
+/// path runs it.
 ///
 /// Fetches become demand accesses; a write-back from L1 is a store access
-/// at the L2.
+/// at the L2. A set-sampled cell is a full-size [`SetAssocCache`] fed
+/// only the events whose set its [`SetSampling`] selects: the definition
+/// of set sampling, written apart from the stacks' row arithmetic.
 #[derive(Debug)]
 pub struct L2Observer {
     cache: SetAssocCache,
+    sampling: Option<SetSampling>,
 }
 
 impl L2Observer {
-    /// Wraps a fresh cache of the given geometry.
+    /// Wraps a fresh cache of the given geometry that counts only the
+    /// sets `sampling` selects.
     ///
     /// # Errors
     ///
-    /// Returns [`CacheConfigError`] if the configuration or sampling is
-    /// invalid.
+    /// Rejects the cells [`L2FamilyObserver::new`] rejects:
+    /// [`CacheConfigError::L2NeedsLru`] for a replacement other than LRU,
+    /// and [`CacheConfigError::SamplingFinerThanSets`] for a sampling that
+    /// keeps no set.
     pub fn new(
         config: CacheConfig,
         sampling: Option<SetSampling>,
     ) -> Result<Self, CacheConfigError> {
-        let cache = match sampling {
-            Some(s) => SetAssocCache::with_sampling(config, s)?,
-            None => SetAssocCache::new(config)?,
-        };
-        Ok(L2Observer { cache })
+        check_l2_cell(config, sampling)?;
+        Ok(L2Observer {
+            cache: SetAssocCache::new(config)?,
+            sampling,
+        })
     }
 
     /// The cache statistics (call after [`replay`]).
     pub fn stats(&self) -> CacheStats {
         *self.cache.stats()
     }
+
+    /// Presents one access to the cache if its set is sampled.
+    #[inline(always)]
+    fn access(&mut self, addr: Addr, kind: AccessKind) {
+        if let Some(sampling) = self.sampling {
+            let config = self.cache.config();
+            let set = addr.block(config.block()).index() & (config.num_sets() - 1);
+            if !sampling.selects(set) {
+                return;
+            }
+        }
+        self.cache.access(addr, kind);
+    }
 }
 
 impl MissObserver for L2Observer {
     #[inline(always)]
     fn on_fetch(&mut self, addr: Addr, kind: AccessKind) {
-        self.cache.access(addr, kind);
+        self.access(addr, kind);
     }
 
     #[inline(always)]
     fn on_writeback(&mut self, base: Addr) {
-        self.cache.access(base, AccessKind::Store);
+        self.access(base, AccessKind::Store);
     }
 }
 
@@ -387,15 +431,16 @@ pub fn replay_streams(trace: &MissTrace, configs: &[StreamConfig]) -> Vec<Stream
 /// Replays `trace` against every secondary-cache cell in one pass.
 ///
 /// Equivalent to replaying each cell through its own [`L2Observer`],
-/// but the event vector is walked once and every LRU cell of one
-/// (block size, set count) shape reads its outcome from one shared
-/// recency stack ([`L2FamilyObserver`]). [`crate::run_l2`] is this
-/// over one cell.
+/// but the event vector is walked once and every cell of one (block
+/// size, set count) shape reads its outcome from one shared recency
+/// stack ([`L2FamilyObserver`]). [`crate::run_l2`] is this over one
+/// cell.
 ///
 /// # Errors
 ///
-/// Returns [`CacheConfigError`] if any cell's configuration or sampling
-/// is invalid.
+/// Returns the first cell's error that [`L2FamilyObserver::new`]
+/// rejects: a replacement other than LRU, or a sampling finer than the
+/// cache.
 pub fn replay_l2(
     trace: &MissTrace,
     cells: &[(CacheConfig, Option<SetSampling>)],
@@ -414,8 +459,7 @@ pub fn replay_l2(
 ///
 /// # Errors
 ///
-/// Returns [`CacheConfigError`] if any cell's configuration or sampling
-/// is invalid.
+/// As [`replay_l2`].
 pub fn replay_l2_hierarchy(
     trace: &MissTrace,
     cells: &[(CacheConfig, Option<SetSampling>)],
@@ -629,20 +673,19 @@ impl LruStack {
 /// counterpart of [`StreamObserver`], and the observer behind
 /// [`replay_l2`].
 ///
-/// LRU cells are grouped by (block size, set count), and each group
-/// reads every associativity from one recency stack per set (see the
-/// `replay` module docs); Table 4's 21 cells are 9 stacks. Tree-PLRU and
-/// random cells have no inclusion property, so each keeps its own
-/// [`L2Observer`] in the same pass. Each chunk is decoded once and run
-/// through each stack back to back, the way [`StreamObserver`] runs
-/// each system. Statistics equal one [`L2Observer`] per cell, driven
-/// event by event; `tests/replay_properties.rs` pins this over random
-/// geometries, samplings and chunk lengths.
+/// Every cell is LRU: tree-PLRU and random replacement have no
+/// inclusion property, and no experiment replays them. Cells are
+/// grouped by (block size, set count), and each group reads every
+/// associativity from one recency stack per set (see the `replay`
+/// module docs); Table 4's 21 cells are 9 stacks. Each chunk is decoded
+/// once and run through each stack back to back, the way
+/// [`StreamObserver`] runs each system. Statistics equal one
+/// [`L2Observer`] per cell, driven event by event;
+/// `tests/replay_properties.rs` pins this over random geometries,
+/// samplings and chunk lengths.
 #[derive(Debug)]
 pub struct L2FamilyObserver {
     stacks: Vec<LruStack>,
-    /// The cells without a stack, with their request positions.
-    others: Vec<(usize, L2Observer)>,
     cells: usize,
     /// Per-chunk decode scratch: byte address and access kind, a
     /// write-back as a store.
@@ -655,22 +698,14 @@ impl L2FamilyObserver {
     ///
     /// # Errors
     ///
-    /// Returns the first (in request order) cell's [`CacheConfigError`]
-    /// if a configuration or sampling is invalid.
+    /// Returns the first (in request order) rejected cell's error:
+    /// [`CacheConfigError::L2NeedsLru`] for a replacement other than LRU,
+    /// or [`CacheConfigError::SamplingFinerThanSets`] for a sampling that
+    /// keeps no set.
     pub fn new(cells: &[(CacheConfig, Option<SetSampling>)]) -> Result<Self, CacheConfigError> {
         let mut shapes: BTreeMap<(u32, u32), Vec<_>> = BTreeMap::new();
-        let mut others = Vec::new();
         for (index, &(config, sampling)) in cells.iter().enumerate() {
-            if config.replacement() != Replacement::Lru {
-                others.push((index, L2Observer::new(config, sampling)?));
-                continue;
-            }
-            let sets = config.num_sets();
-            // `SetAssocCache::with_sampling`'s rule: a sampling must keep
-            // at least one set.
-            if sampling.is_some_and(|s| sets >> s.log2_fraction() == 0) {
-                return Err(CacheConfigError::SetsNotPowerOfTwo { sets });
-            }
+            check_l2_cell(config, sampling)?;
             shapes
                 .entry((config.block().log2(), config.set_index_bits()))
                 .or_default()
@@ -692,7 +727,6 @@ impl L2FamilyObserver {
         }
         Ok(L2FamilyObserver {
             stacks,
-            others,
             cells: cells.len(),
             decoded: Vec::new(),
         })
@@ -704,9 +738,6 @@ impl L2FamilyObserver {
         let mut stats = vec![CacheStats::new(); self.cells];
         for cell in self.stacks.iter().flat_map(|s| &s.cells) {
             stats[cell.index] = cell.stats;
-        }
-        for (index, observer) in &self.others {
-            stats[*index] = observer.stats();
         }
         stats
     }
@@ -730,9 +761,6 @@ impl MissObserver for L2FamilyObserver {
             }));
         for stack in &mut self.stacks {
             stack.run(&self.decoded);
-        }
-        for (_, observer) in &mut self.others {
-            observer.on_events(events);
         }
     }
 
@@ -897,6 +925,27 @@ mod tests {
             assert_eq!(*joint, alone.stats());
             assert_eq!(*joint, run_l2(&trace, config, sampling).unwrap());
         }
+    }
+
+    /// A sampling finer than the cache is reported as such, not as a bad
+    /// set count: a 4-set cell sampled at 1/8 keeps no set.
+    #[test]
+    fn sampling_finer_than_the_cache_is_named() {
+        let config = CacheConfig::new(4 * 64, 1, BlockSize::new(64).unwrap()).unwrap();
+        let err = replay_l2(&trace(), &[(config, Some(SetSampling::new(3, 0)))]).unwrap_err();
+        assert_eq!(
+            err,
+            CacheConfigError::SamplingFinerThanSets {
+                sets: 4,
+                log2_fraction: 3
+            }
+        );
+        let message = err.to_string();
+        assert!(
+            message.contains("1/2^3") && message.contains("4 sets"),
+            "{message}"
+        );
+        assert!(replay_l2(&trace(), &[(config, Some(SetSampling::new(2, 3)))]).is_ok());
     }
 
     /// More distinct associativities than one stack's entries have

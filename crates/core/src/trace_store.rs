@@ -400,6 +400,8 @@ impl TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamsim_trace::{Access, Addr};
+    use streamsim_workloads::combinators::RecordedTrace;
     use streamsim_workloads::generators::{RandomGather, SequentialSweep};
 
     #[test]
@@ -538,15 +540,19 @@ mod tests {
         }
     }
 
-    /// A trace with long sequential runs, random-access gaps and dirty
-    /// write-backs, so stream and L2 cells of different shapes disagree.
-    fn memo_workload() -> SequentialSweep {
-        SequentialSweep {
-            arrays: 2,
-            bytes_per_array: 128 * 1024,
-            passes: 2,
-            elem: 8,
-        }
+    /// A copy loop run twice: it loads one 128 KB array and stores
+    /// another, so the trace has long unit-stride runs for the stream
+    /// cells and dirty L1 victims for the L2 cells, and cells of
+    /// different shapes disagree.
+    fn memo_workload() -> RecordedTrace {
+        let (src, dst) = (0x10_0000, 0x20_0000);
+        let copy = (0..128 * 1024u64).step_by(8).flat_map(|offset| {
+            [
+                Access::load(Addr::new(src + offset)),
+                Access::store(Addr::new(dst + offset)),
+            ]
+        });
+        RecordedTrace::new("copy", copy.clone().chain(copy).collect())
     }
 
     fn l2_cell(bytes: u64, assoc: u32) -> (CacheConfig, Option<SetSampling>) {
@@ -566,8 +572,13 @@ mod tests {
         ];
         let cells = [l2_cell(64 << 10, 1), l2_cell(256 << 10, 4)];
         let trace = record_miss_trace(&w, &opts).unwrap();
+        assert!(trace.writebacks() > 0, "need dirty L1 victims");
         let fresh_streams = replay_streams(&trace, &configs);
         let fresh_l2 = replay_l2(&trace, &cells).unwrap();
+        assert!(
+            fresh_l2.iter().any(|stats| stats.writebacks > 0),
+            "need a dirty L2 victim"
+        );
         for _ in 0..2 {
             assert_eq!(
                 store.stream_stats(&w, &opts, &configs).unwrap(),
@@ -586,8 +597,6 @@ mod tests {
     #[test]
     fn hierarchy_and_trace_order_cells_are_distinct_entries() {
         use streamsim_prng::{Rng, Xoshiro256StarStar};
-        use streamsim_trace::{Access, Addr};
-        use streamsim_workloads::combinators::RecordedTrace;
 
         // Random loads and stores over 2 MB: the stores leave dirty L1
         // victims, so the two orders differ.
@@ -648,7 +657,6 @@ mod tests {
 
     #[test]
     fn configs_differing_in_one_key_field_are_distinct_entries() {
-        use streamsim_cache::Replacement;
         use streamsim_streams::{Allocation, MatchPolicy};
         use streamsim_trace::BlockSize;
 
@@ -712,11 +720,6 @@ mod tests {
             l2_cell(256 << 10, 4),
             (
                 CacheConfig::new(256 << 10, 2, BlockSize::new(64).unwrap()).unwrap(),
-                None,
-            ),
-            (geometry.with_replacement(Replacement::TreePlru), None),
-            (
-                geometry.with_replacement(Replacement::Random { seed: 1 }),
                 None,
             ),
             (geometry, Some(SetSampling::new(2, 0))),

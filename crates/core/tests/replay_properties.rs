@@ -5,7 +5,9 @@
 use streamsim_prng::quickcheck::{check_with, Gen};
 use streamsim_prng::Rng;
 
-use streamsim_cache::{CacheConfig, CacheStats, Replacement, SetSampling, TwoLevel};
+use streamsim_cache::{
+    CacheConfig, CacheConfigError, CacheStats, Replacement, SetSampling, TwoLevel,
+};
 use streamsim_core::{
     record_miss_trace, replay, replay_chunked, replay_l2, replay_l2_hierarchy, replay_streams,
     run_l2, run_streams, HierarchyOrder, L2FamilyObserver, L2Observer, Miss, MissObserver,
@@ -86,31 +88,19 @@ fn multi_config_replay_equals_independent_passes() {
     });
 }
 
-/// Up to 24 secondary-cache cells over one to three shared (block, set
-/// count) shapes, so several cells read each recency stack: blocks of
-/// 16–128 B, associativities 1–16 (non-powers of two included), random
-/// set samplings, duplicate cells, and tree-PLRU and random cells
-/// mixed in.
+/// Up to 24 LRU secondary-cache cells over one to three shared (block,
+/// set count) shapes, so several cells read each recency stack: blocks
+/// of 16–128 B, associativities 1–16 (non-powers of two included),
+/// random set samplings and duplicate cells.
 fn random_l2_cells(g: &mut Gen) -> Vec<(CacheConfig, Option<SetSampling>)> {
     let shapes = g.vec(1usize..4, |g| {
         (16u64 << g.gen_range(0u32..4), g.gen_range(0u32..7))
     });
     let mut cells = g.vec(1usize..21, |g| {
         let (block, set_bits) = g.pick(&shapes);
-        let replacement = g.pick_weighted(&[
-            (6, Replacement::Lru),
-            (1, Replacement::TreePlru),
-            (1, Replacement::Random { seed: 7 }),
-        ]);
-        let assoc = if replacement == Replacement::TreePlru {
-            1 << g.gen_range(0u32..5)
-        } else {
-            g.gen_range(1u32..17)
-        };
+        let assoc = g.gen_range(1u32..17);
         let size = (1u64 << set_bits) * u64::from(assoc) * block;
-        let config = CacheConfig::new(size, assoc, BlockSize::new(block).unwrap())
-            .unwrap()
-            .with_replacement(replacement);
+        let config = CacheConfig::new(size, assoc, BlockSize::new(block).unwrap()).unwrap();
         let sampling = g.gen_bool(0.3).then(|| {
             let bits = g.gen_range(0..=set_bits);
             SetSampling::new(bits, g.gen_range(0..1u64 << bits))
@@ -147,10 +137,11 @@ fn per_event_l2_passes(
         .collect()
 }
 
-/// One replay of many L2 cells — LRU cells read from shared recency
-/// stacks, the rest through their own caches — equals one independent
-/// cache per cell driven event by event, at any chunk length, with and
-/// without set sampling.
+/// One replay of many L2 cells read from shared recency stacks equals
+/// one independent cache per cell driven event by event, at any chunk
+/// length, with and without set sampling. A tree-PLRU or random cell
+/// anywhere in the request is rejected by the family and the reference
+/// alike.
 #[test]
 fn multi_l2_replay_equals_independent_passes() {
     check_with("multi_l2_replay_equals_independent_passes", 48, |g| {
@@ -172,6 +163,20 @@ fn multi_l2_replay_equals_independent_passes() {
         replay_chunked(&rec, &mut [&mut family], g.gen_range(1usize..100));
         assert_eq!(family.stats(), expected);
         assert_eq!(replay_l2(&rec, &cells).unwrap(), expected);
+
+        let replacement = g.pick(&[Replacement::TreePlru, Replacement::Random { seed: 7 }]);
+        let (config, sampling) = g.pick(&cells);
+        let mut mixed = cells.clone();
+        mixed.insert(
+            g.gen_range(0..=cells.len()),
+            (config.with_replacement(replacement), sampling),
+        );
+        let rejected = CacheConfigError::L2NeedsLru { replacement };
+        assert_eq!(replay_l2(&rec, &mixed).unwrap_err(), rejected);
+        assert_eq!(
+            L2Observer::new(config.with_replacement(replacement), sampling).unwrap_err(),
+            rejected
+        );
     });
 }
 

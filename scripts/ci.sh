@@ -259,12 +259,17 @@ STREAMSIM_QC_SEED=0x$qc_seed cargo test -q --offline -p streamsim-model \
 
 # The hot-loop oracles: the SoA `SetAssocCache` and `StreamSystem` must
 # match the frozen `ReferenceCache` and `ReferenceStreamSystem` outcome
-# for outcome, and the L2 replay must match its own oracles: the shared
-# LRU recency stacks of `replay_l2` one `L2Observer` per cell driven
+# for outcome over every set (neither cache model samples sets), and the
+# L2 replay must match its own oracles: the shared LRU recency stacks of
+# `replay_l2` the per-cell reference, one `L2Observer` per cell driven
 # event by event, and the hierarchy-order cells the coupled `TwoLevel`
 # hierarchy. Those properties live in the cache, streams and core
 # crates, whose suites the default gate's root-package `cargo test` does
-# not run, so run them here, then once more on a fresh logged seed.
+# not run, so run them here, then once more on a fresh logged seed. The
+# fresh seed also reaches `set_sampling_is_exact_per_set`, the one test
+# that defines set sampling: a sampled `replay_l2` cell against a full
+# cache counted over the sampled sets (the root suite above ran its
+# pinned seeds).
 l2_oracles=(multi_l2_replay_equals_independent_passes hierarchy_order_l2_equals_two_level)
 echo "==> hot-loop oracle properties (cache and streams soa_equivalence, L2 replay)"
 cargo test -q --offline -p streamsim-cache --test soa_equivalence
@@ -276,6 +281,7 @@ STREAMSIM_QC_SEED=0x$oracle_seed cargo test -q --offline -p streamsim-cache --te
 STREAMSIM_QC_SEED=0x$oracle_seed cargo test -q --offline -p streamsim-streams --test soa_equivalence
 STREAMSIM_QC_SEED=0x$oracle_seed cargo test -q --offline -p streamsim-core --test replay_properties \
     -- "${l2_oracles[@]}"
+STREAMSIM_QC_SEED=0x$oracle_seed cargo test -q --offline --test properties set_sampling_is_exact_per_set
 
 # Perf smoke: the recording bench asserts the SoA hot loop is
 # byte-identical to the frozen reference loop (the same chunks into the

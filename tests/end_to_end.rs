@@ -153,7 +153,7 @@ fn victim_cache_recovers_direct_mapped_ping_pong() {
     for round in 0..50u64 {
         for addr in [Addr::new(0), Addr::new(4096)] {
             match cache.access(addr, AccessKind::Load) {
-                AccessOutcome::Hit | AccessOutcome::Bypassed => {}
+                AccessOutcome::Hit => {}
                 AccessOutcome::Miss { writeback } => {
                     misses += 1;
                     if victims.lookup(addr.block(block)) == VictimOutcome::Hit {

@@ -166,35 +166,57 @@ fn cache_miss_bounds() {
     });
 }
 
-/// Set sampling never sees a different hit/miss outcome for the
-/// references it does simulate: its miss count equals the full cache's
-/// misses restricted to the sampled sets.
+/// Set sampling chooses which sets a secondary cache counts, never how a
+/// set behaves: a sampled cell from `replay_l2` has exactly the
+/// accesses, misses and write-backs of a full `SetAssocCache` fed the
+/// same miss trace and counted over the sampled sets only.
 #[test]
 fn set_sampling_is_exact_per_set() {
-    check("set_sampling_is_exact_per_set", |g| {
-        let stream = access_stream(g, 300);
-        let block = BlockSize::new(32).unwrap();
-        let cfg = CacheConfig::new(64 << 10, 2, block).unwrap();
-        let mut full = SetAssocCache::new(cfg).unwrap();
-        let sampling = SetSampling::new(2, 1);
-        let mut sampled = SetAssocCache::with_sampling(cfg, sampling).unwrap();
+    use streamsim::{record_miss_trace, replay_l2, AccessOutcome, Miss, RecordOptions};
+    use streamsim_workloads::combinators::RecordedTrace;
 
-        let sets = cfg.num_sets();
-        let mut full_sampled_misses = 0u64;
-        let mut full_sampled_accesses = 0u64;
-        for &a in &stream {
-            let set = a.addr.block(block).index() & (sets - 1);
-            let outcome = full.access(a.addr, a.kind);
-            if sampling.selects(set) {
-                full_sampled_accesses += 1;
-                if outcome.is_miss() {
-                    full_sampled_misses += 1;
-                }
+    check("set_sampling_is_exact_per_set", |g| {
+        let footprint = 1u64 << g.gen_range(12u32..20);
+        let refs = g.vec(1usize..600, |g| {
+            let kind = g.pick(&[AccessKind::Load, AccessKind::Store]);
+            Access::new(Addr::new(g.gen_range(0..footprint)), kind)
+        });
+        // A 1 KB L1, so most references reach the L2 and stores leave
+        // dirty victims.
+        let block = BlockSize::new(32).unwrap();
+        let l1 = CacheConfig::new(1 << 10, 2, block).unwrap();
+        let options = RecordOptions {
+            icache: l1,
+            dcache: l1,
+            sampling: None,
+        };
+        let trace = record_miss_trace(&RecordedTrace::new("prop", refs), &options).unwrap();
+        let cfg = CacheConfig::new(64 << 10, 2, block).unwrap();
+        let bits = g.gen_range(0u32..5);
+        let sampling = SetSampling::new(bits, g.gen_range(0..1u64 << bits));
+
+        let mut full = SetAssocCache::new(cfg).unwrap();
+        let set_mask = cfg.num_sets() - 1;
+        let (mut accesses, mut misses, mut writebacks) = (0u64, 0u64, 0u64);
+        for event in trace.events() {
+            let (addr, kind) = match event.decode() {
+                Miss::Fetch { addr, kind } => (addr, kind),
+                Miss::Writeback { base } => (base, AccessKind::Store),
+            };
+            let outcome = full.access(addr, kind);
+            if sampling.selects(addr.block(block).index() & set_mask) {
+                accesses += 1;
+                misses += u64::from(outcome.is_miss());
+                writebacks += u64::from(matches!(
+                    outcome,
+                    AccessOutcome::Miss { writeback: Some(_) }
+                ));
             }
-            sampled.access(a.addr, a.kind);
         }
-        assert_eq!(sampled.stats().accesses(), full_sampled_accesses);
-        assert_eq!(sampled.stats().misses(), full_sampled_misses);
+        let sampled = replay_l2(&trace, &[(cfg, Some(sampling))]).unwrap()[0];
+        assert_eq!(sampled.accesses(), accesses);
+        assert_eq!(sampled.misses(), misses);
+        assert_eq!(sampled.writebacks, writebacks);
     });
 }
 
